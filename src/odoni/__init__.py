@@ -13,8 +13,6 @@ from .certify import (
     Certificate,
     certify,
     compute_fn,
-    compute_fn_even,
-    compute_fn_odd,
     exhibit_odd_prime_q,
 )
 from .construct import (
@@ -68,8 +66,6 @@ __all__ = [
     "closure",
     "compose",
     "compute_fn",
-    "compute_fn_even",
-    "compute_fn_odd",
     "crit_product",
     "crt",
     "disc_iterate",

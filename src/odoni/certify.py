@@ -45,7 +45,8 @@ from .poly import (
     BitBudgetExceededError,
     Poly,
     compose,
-    disc_iterate,
+    critical_orbit,
+    disc_levels,
     eisenstein_at,
 )
 
@@ -149,79 +150,47 @@ class FnValue:
         return abs(self.F_n).bit_length()
 
 
-def _fn_sequence_even(inst: IterInstance, depth: int) -> Iterator[FnValue]:
-    """Even case: F_n = s^(d*e_n - 1) (d-1)^((d-1)^n) M_n - d^(d^n) t^(d^n - 1) D^(d^n),
-    with M_1 = -1, e_1 = d, e_(n+1) = (d-1) e_n + 1, and
-    M_(n+1) = M_n^(d-1) ((d-1)^((d-1)^n) s^(d(e_n - 1)) M_n - d^(d^n) (tD)^(d^n - 1)).
-
-    Checked at every depth against the defining value
-    s^(-1) (dtD)^(d^n) [f^n(eta) - x0] evaluated exactly at the critical
-    point eta = (d-1)b/d; a mismatch means a transcribed formula is
-    wrong and is a hard certificate failure.
-    """
-    d, s, t = inst.d, inst.s, inst.t
-    big_d = inst.big_d
-    b, x0 = inst.b, inst.x0
-    eta = Fraction(d - 1) * b / d
-    y = eta**d - b * eta ** (d - 1)  # f(eta)
-    m_n, e_n = -1, d
-    for n in range(1, depth + 1):
-        if n > 1:
-            y = y ** (d - 1) * (y - b)
-        f_rec = (
-            s ** (d * e_n - 1) * (d - 1) ** ((d - 1) ** n) * m_n
-            - d ** (d**n) * t ** (d**n - 1) * big_d ** (d**n)
-        )
-        f_def = Fraction(1, s) * (d * t * big_d) ** (d**n) * (y - x0)
-        if f_def.denominator != 1 or f_def.numerator != f_rec:
-            raise CertifyError(
-                f"depth{n}.dual_path_Fn: recursion and direct evaluation disagree"
-            )
-        yield FnValue(n, e_n, m_n, f_rec)
-        m_n = m_n ** (d - 1) * (
-            (d - 1) ** ((d - 1) ** n) * s ** (d * (e_n - 1)) * m_n
-            - d ** (d**n) * (t * big_d) ** (d**n - 1)
-        )
-        e_n = (d - 1) * e_n + 1
-
-
-def _fn_sequence_odd(inst: IterInstance, depth: int) -> Iterator[FnValue]:
-    """Odd case: F_n = 4^((d-2)^(n-1)) (d-2)^((d-2)^n) s^(2 e_n - 2) M_n^2
-    - d^(d^n) t^(2 d^n - 2), with M_1 = 1, e_1 = d, e_(n+1) = (d-2) e_n + 2.
-
-    The direct path squares through g(x) = x^(d-2) (x - b)^2: since f is
-    odd, f^n(eta)^2 = g^n(eta^2) with eta^2 = (d-2) x0^2 / d, so the
-    irrational critical point never materializes.
-    """
-    d, s, t = inst.d, inst.s, inst.t
-    b, x0 = inst.b, inst.x0
-    eta2 = Fraction(d - 2) * x0 * x0 / d
-    z = eta2 ** (d - 2) * (eta2 - b) ** 2  # g(eta^2) = f(eta)^2
-    m_n, e_n = 1, d
-    for n in range(1, depth + 1):
-        if n > 1:
-            z = z ** (d - 2) * (z - b) ** 2
-        f_rec = (
-            4 ** ((d - 2) ** (n - 1)) * (d - 2) ** ((d - 2) ** n) * s ** (2 * e_n - 2) * m_n * m_n
-            - d ** (d**n) * t ** (2 * d**n - 2)
-        )
-        f_def = Fraction(1, s * s) * (d * t * t) ** (d**n) * (z - x0 * x0)
-        if f_def.denominator != 1 or f_def.numerator != f_rec:
-            raise CertifyError(
-                f"depth{n}.dual_path_Fn: recursion and direct evaluation disagree"
-            )
-        yield FnValue(n, e_n, m_n, f_rec)
-        m_n = m_n ** (d - 2) * (
-            4 ** ((d - 2) ** (n - 1)) * (d - 2) ** ((d - 2) ** n) * s ** (2 * e_n - 2) * m_n * m_n
-            - d ** (d**n) * t ** (2 * (d**n - 1))
-        )
-        e_n = (d - 2) * e_n + 2
-
-
 def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
-    if inst.parity_case == EVEN_CASE:
-        return _fn_sequence_even(inst, depth)
-    return _fn_sequence_odd(inst, depth)
+    """F_n, M_n, e_n for n = 1..depth, each F_n computed two ways.
+
+    The closed forms, from e_1 = d and e_(n+1) = m e_n + (d - m):
+
+      even case, M_1 = -1:
+        F_n = s^(d e_n - 1) (d-1)^((d-1)^n) M_n - d^(d^n) t^(d^n - 1) D^(d^n),
+        M_(n+1) = M_n^(d-1) ((d-1)^((d-1)^n) s^(d(e_n - 1)) M_n - d^(d^n) (tD)^(d^n - 1));
+      odd cases, M_1 = 1:
+        F_n = 4^((d-2)^(n-1)) (d-2)^((d-2)^n) s^(2 e_n - 2) M_n^2 - d^(d^n) t^(2 d^n - 2),
+        M_(n+1) = M_n^(d-2) F_n.
+
+    Each F_n is checked against its defining value
+    s^(-(d-m)) (dtc)^(d^n) [w_n - x0^(d-m)], evaluated exactly on the
+    critical orbit w_n (``poly.critical_orbit``), with c = D in the even
+    case and c = t in the odd cases. A mismatch means a transcribed
+    formula is wrong and is a hard certificate failure.
+    """
+    d, m, s, t = inst.d, inst.m, inst.s, inst.t
+    even = inst.parity_case == EVEN_CASE
+    c = inst.big_d if even else t
+    scale = Fraction(1, s ** (d - m))
+    x0_shift = inst.x0 ** (d - m)
+    m_n, e_n = (-1 if even else 1), d
+    for n, w in zip(range(1, depth + 1), critical_orbit(inst)):
+        if even:
+            unit = (d - 1) ** ((d - 1) ** n)
+            tail = d ** (d**n) * (t * c) ** (d**n - 1)
+            f_rec = s ** (d * e_n - 1) * unit * m_n - tail * c
+            m_next = m_n ** (d - 1) * (unit * s ** (d * (e_n - 1)) * m_n - tail)
+        else:
+            sq_coeff = 4 ** ((d - 2) ** (n - 1)) * (d - 2) ** ((d - 2) ** n) * s ** (2 * e_n - 2)
+            f_rec = sq_coeff * m_n * m_n - d ** (d**n) * t ** (2 * d**n - 2)
+            m_next = m_n ** (d - 2) * f_rec
+        f_def = scale * (d * t * c) ** (d**n) * (w - x0_shift)
+        if f_def.denominator != 1 or f_def.numerator != f_rec:
+            raise CertifyError(
+                f"depth{n}.dual_path_Fn: recursion and direct evaluation disagree"
+            )
+        yield FnValue(n, e_n, m_n, f_rec)
+        m_n, e_n = m_next, m * e_n + (d - m)
 
 
 def compute_fn(inst: IterInstance, n: int) -> FnValue:
@@ -231,20 +200,6 @@ def compute_fn(inst: IterInstance, n: int) -> FnValue:
         pass
     assert value is not None
     return value
-
-
-def compute_fn_even(inst: IterInstance, n: int) -> FnValue:
-    """Even-case F_n at one depth; rejects odd-case instances."""
-    if inst.parity_case != EVEN_CASE:
-        raise CertifyError("compute_fn_even: instance is not an even-case instance")
-    return compute_fn(inst, n)
-
-
-def compute_fn_odd(inst: IterInstance, n: int) -> FnValue:
-    """Odd-case F_n at one depth; rejects even-case instances."""
-    if inst.parity_case == EVEN_CASE:
-        raise CertifyError("compute_fn_odd: instance is not an odd-case instance")
-    return compute_fn(inst, n)
 
 
 def expected_e_n(inst: IterInstance, n: int) -> int:
@@ -257,13 +212,6 @@ def expected_e_n(inst: IterInstance, n: int) -> int:
 
 def fn_coprimality_ok(inst: IterInstance, f_n: int) -> bool:
     return math.gcd(f_n, inst.bad_product) == 1
-
-
-def check_step3_congruence(inst: IterInstance, n: int) -> bool:
-    """The depth-n instance of the congruence that powers the all-depths
-    induction (recomputes F_n from scratch; see congruence_holds for the
-    value-reusing form the certifier calls)."""
-    return congruence_holds(inst, compute_fn(inst, n))
 
 
 def congruence_holds(inst: IterInstance, value: FnValue) -> bool:
@@ -290,7 +238,7 @@ def congruence_holds(inst: IterInstance, value: FnValue) -> bool:
     return (lhs - rhs) % (d * t * t) == 0
 
 
-def check_nonsquare(inst: IterInstance, n: int) -> tuple[bool, bool]:
+def nonsquare_pair(inst: IterInstance, f_n: int) -> tuple[bool, bool]:
     """legendre(F_n | p) = legendre(-F_n | p) = -1 at the unit-square prime.
 
     Since p = 1 (mod 4), -1 is a square mod p and the two symbols agree;
@@ -299,11 +247,6 @@ def check_nonsquare(inst: IterInstance, n: int) -> tuple[bool, bool]:
     factorization of the discriminant) that some prime away from the bad
     set divides disc(f^n - x0) to an odd power.
     """
-    return nonsquare_pair(inst, compute_fn(inst, n).F_n)
-
-
-def nonsquare_pair(inst: IterInstance, f_n: int) -> tuple[bool, bool]:
-    """The two Legendre symbols for an already computed F_n value."""
     p = inst.p
     return legendre(f_n, p) == -1, legendre(-f_n, p) == -1
 
@@ -377,11 +320,36 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
     )
 
 
+class DiscLevels:
+    """disc(f^l - x0) for l = 1, 2, ..., from one pass of
+    ``poly.disc_levels``, extended only as deep as a caller asks.
+
+    A level over EXHIBIT_DISC_BIT_BUDGET bits, and every level past it,
+    reads None: the witness check is optional evidence, so an oversized
+    discriminant leaves it undecided rather than failing the run.
+    """
+
+    def __init__(self, inst: IterInstance):
+        self._source: Optional[Iterator[Fraction]] = disc_levels(
+            inst, bit_budget=EXHIBIT_DISC_BIT_BUDGET
+        )
+        self._known: list[Fraction] = []
+
+    def level(self, level: int) -> Optional[Fraction]:
+        while self._source is not None and len(self._known) < level:
+            try:
+                self._known.append(next(self._source))
+            except BitBudgetExceededError:
+                self._source = None
+        return self._known[level - 1] if level <= len(self._known) else None
+
+
 def exhibit_odd_prime_q(
     inst: IterInstance,
     n: int,
     effort_bound: int = EXHIBIT_TRIAL_BOUND,
     f_n: Optional[int] = None,
+    discs: Optional[DiscLevels] = None,
 ) -> ExhibitReport:
     """Try to exhibit a concrete prime q with odd valuation in F_n.
 
@@ -390,8 +358,11 @@ def exhibit_odd_prime_q(
     witness, when found, is double-checked to avoid the bad primes and
     to leave every lower level's discriminant untouched
     (v_q(disc(f^l - x0)) = 0 for l < n), and the discriminant valuation
-    at level n itself is confirmed odd. Finding nothing is not a
-    failure: the nonsquare test already certifies existence.
+    at level n itself is confirmed odd. A discriminant beyond the bit
+    budget leaves the check it feeds at None, with a note. Finding
+    nothing is not a failure: the nonsquare test already certifies
+    existence. ``discs`` carries the discriminants across depths of one
+    run; a fresh one is made when it is not given.
     """
     if f_n is None:
         f_n = compute_fn(inst, n).F_n
@@ -417,17 +388,23 @@ def exhibit_odd_prime_q(
     if not candidates:
         return ExhibitReport(found=False, evidence=evidence, note=note or "no witness within effort bound")
     q = candidates[0]
-    clean = True
-    for level in range(1, n):
-        if val(disc_iterate(inst, level, bit_budget=EXHIBIT_DISC_BIT_BUDGET), q) != 0:
-            clean = False
-            break
-    try:
-        v_disc = val(disc_iterate(inst, n, bit_budget=EXHIBIT_DISC_BIT_BUDGET), q)
-    except BitBudgetExceededError:
+    if discs is None:
+        discs = DiscLevels(inst)
+    lower = [discs.level(level) for level in range(1, n)]
+    top = discs.level(n)
+    clean: Optional[bool] = True
+    if any(disc is not None and val(disc, q) != 0 for disc in lower):
+        clean = False
+    elif None in lower:
+        clean = None
+    if top is None:
+        beyond = "level-n discriminant"
+        if None in lower:
+            beyond = "lower-level and level-n discriminants"
+        note = (note + "; " if note else "") + f"{beyond} beyond bit budget"
         disc_odd = None
-        note = (note + "; " if note else "") + "level-n discriminant beyond bit budget"
     else:
+        v_disc = val(top, q)
         disc_odd = v_disc is not newton.INFINITY and v_disc > 0 and v_disc % 2 == 1
     return ExhibitReport(
         found=True,
@@ -513,6 +490,7 @@ def certify(
     evidence_level = "deterministic"
     if not failures:
         eisenstein = _eisenstein_levels(inst, depth)
+        discs = DiscLevels(inst)
         try:
             for value in fn_sequence(inst, depth):
                 n = value.n
@@ -533,7 +511,7 @@ def certify(
                 exhibit_report = None
                 if exhibit:
                     exhibit_report = exhibit_odd_prime_q(
-                        inst, n, exhibit_effort, f_n=value.F_n
+                        inst, n, exhibit_effort, f_n=value.F_n, discs=discs
                     )
                     if exhibit_report.evidence != "deterministic":
                         evidence_level = "probabilistic-primality"
@@ -612,6 +590,8 @@ def certificate_to_json_dict(cert: Certificate, full_values: bool = False) -> di
     from .construct import instance_to_json_dict
 
     def _val_json(v):
+        if v is None:  # not taken: a witness prime is not prime
+            return None
         return "infinity" if v is newton.INFINITY else int(v)
 
     cond2: dict[str, object] = {"skipped": cert.condition2.skipped, "ok": cert.condition2.ok}

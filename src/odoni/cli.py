@@ -21,7 +21,7 @@ from . import construct as construct_mod
 from . import frobenius as frobenius_mod
 from . import newton as newton_mod
 from . import permgroup
-from .arith import CapExceededError, decimal_str
+from .arith import CapExceededError
 from .certify import (
     DEFAULT_DEPTH,
     EXHIBIT_TRIAL_BOUND,
@@ -31,6 +31,7 @@ from .certify import (
     certificate_to_json_dict,
     certify,
 )
+from .construct import _frac_str
 from .poly import (
     BitBudgetExceededError,
     Poly,
@@ -63,11 +64,6 @@ def _emit(payload: dict, out_path: str | None):
 
 def _log(message: str):
     print(message, file=sys.stderr)
-
-
-def _frac_str(q: Fraction) -> str:
-    num = decimal_str(q.numerator)
-    return num if q.denominator == 1 else f"{num}/{decimal_str(q.denominator)}"
 
 
 def _load_params(path: str) -> construct_mod.IterInstance:
@@ -171,12 +167,22 @@ def _cmd_newton(args) -> int:
     return EXIT_PASS
 
 
+def _perm_from_images(images, d: int) -> permgroup.Perm:
+    """A Perm from a JSON list of d 1-based images."""
+    if not isinstance(images, list) or len(images) != d or any(type(i) is not int for i in images):
+        raise ValueError(f"generator {images!r} is not a list of {d} integer images")
+    return permgroup.Perm([i - 1 for i in images])
+
+
 def _cmd_group_check(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         data = json.load(fh)
-    d, m = int(data["d"]), int(data["m"])
-    g_gens = [permgroup.Perm([i - 1 for i in images]) for images in data["g_gens"]]
-    h_gens = [permgroup.Perm([i - 1 for i in images]) for images in data.get("h_gens", [])]
+    try:
+        d, m = int(data["d"]), int(data["m"])
+        g_gens = [_perm_from_images(images, d) for images in data["g_gens"]]
+        h_gens = [_perm_from_images(images, d) for images in data.get("h_gens", [])]
+    except TypeError as exc:
+        raise ValueError(f"malformed generator JSON: {exc}") from exc
     verdict = permgroup.gen_sd_check(d, m, g_gens, h_gens)
     _emit(
         {
@@ -277,6 +283,13 @@ def _cmd_pipeline(args) -> int:
     return EXIT_PASS if overall else EXIT_CHECK_FAILED
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="odoni",
@@ -341,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frobenius", help="cycle-type statistics against the exact law")
     p.add_argument("--params", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--primes", type=int, default=2000)
+    p.add_argument("--level", type=_positive_int, required=True)
+    p.add_argument("--primes", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--start", type=int, default=frobenius_mod.DEFAULT_SCAN_START)
     p.add_argument("--out", default=None)
@@ -351,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="construct, certify, and sample in one run")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--primes", type=int, default=2000)
+    p.add_argument("--primes", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--start", type=int, default=frobenius_mod.DEFAULT_SCAN_START)
     p.add_argument("--cap", type=int, default=10**6)
@@ -371,12 +384,13 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code != 0 else EXIT_PASS
     try:
         return args.handler(args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, CertifyError) as exc:
+        # a CertifyError that escapes certify() is an input outside its
+        # contract, never a failed relation (those come back as a verdict)
         _log(f"input error: {exc}")
         return EXIT_USAGE
     except (
         construct_mod.ConstructError,
-        CertifyError,
         frobenius_mod.UnrealizableTypeError,
         frobenius_mod.InsufficientPrimesError,
         permgroup.ClosureCapError,

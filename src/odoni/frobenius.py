@@ -17,13 +17,15 @@ verdicts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .arith import primes_up_to, val
+from .construct import _frac_str
 from .permgroup import MAX_ENUMERATION, leaf_type_distribution, wreath_order
-from .poly import Poly, compose, disc_iterate, iterate
+from .poly import Poly, compose, disc_levels, iterate
 from .polymod import PolyModP, factor_mod_p
 
 DEFAULT_SCAN_START = 1000
@@ -52,7 +54,7 @@ def _mix_seed(seed: int, p: int) -> int:
 
 
 def _good_reduction_discs(inst, n: int) -> list[Fraction]:
-    return [disc_iterate(inst, k) for k in range(1, n + 1)]
+    return list(itertools.islice(disc_levels(inst), n))
 
 
 def _is_good_prime(inst, p: int, discs: list[Fraction]) -> bool:
@@ -274,9 +276,6 @@ def report_to_json_dict(report: FrobeniusReport) -> dict:
     freqs = sample.frequencies()
     exact = leaf_type_distribution(sample.d, sample.n)
 
-    def _frac(q: Fraction) -> str:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
     return {
         "schema": "odoni-frobenius-v1",
         "d": sample.d,
@@ -290,13 +289,13 @@ def report_to_json_dict(report: FrobeniusReport) -> dict:
             {"type": list(t), "count": c} for t, c in sorted(sample.counts.items())
         ],
         "frequencies": [
-            {"type": list(t), "frequency": _frac(f)} for t, f in freqs.items()
+            {"type": list(t), "frequency": _frac_str(f)} for t, f in freqs.items()
         ],
-        "exact": [{"type": list(t), "frequency": _frac(f)} for t, f in exact.items()],
-        "tv_distance": _frac(report.tv),
+        "exact": [{"type": list(t), "frequency": _frac_str(f)} for t, f in exact.items()],
+        "tv_distance": _frac_str(report.tv),
         "realizable_ok": report.realizable_ok,
         "tolerance_enforced": report.enforced,
-        "tolerance": _frac(TV_TOLERANCE),
+        "tolerance": _frac_str(TV_TOLERANCE),
         "within_tolerance": report.within_tolerance,
         "note": "statistical evidence only; certificate verdicts never depend on this",
     }

@@ -125,22 +125,25 @@ def closure(generators: Sequence[Perm], cap: int | None = None) -> frozenset[Per
         raise ValueError(f"closure: degree {d} exceeds {MAX_CLOSURE_DEGREE}")
     if cap is None:
         cap = math.factorial(d)
-    seen: set[Perm] = {Perm.identity(d), *generators}
+    # BFS on raw image tuples, (g * h)[x] = g[h[x]]; Perm objects are
+    # built once, at the end
+    gens = [g.images for g in generators]
+    seen: set[tuple[int, ...]] = {tuple(range(d)), *gens}
     if len(seen) > cap:
         raise ClosureCapError(f"closure exceeded cap {cap}")
     frontier = list(seen)
     while frontier:
         new = []
         for g in frontier:
-            for h in generators:
-                prod = g * h
+            for h in gens:
+                prod = tuple(map(g.__getitem__, h))
                 if prod not in seen:
                     seen.add(prod)
                     if len(seen) > cap:
                         raise ClosureCapError(f"closure exceeded cap {cap}")
                     new.append(prod)
         frontier = new
-    return frozenset(seen)
+    return frozenset(Perm(images) for images in seen)
 
 
 def orbit(generators: Sequence[Perm], point: int) -> frozenset[int]:

@@ -1,10 +1,11 @@
 """Dense univariate polynomial algebra over Q.
 
 Composition and iteration, derivatives, resultants via the fraction-free
-subresultant remainder sequence, discriminants three ways (resultant
-oracle, trinomial closed form, and the iterated recursion driven by the
-critical orbit), the closed-form product of a trinomial over its nonzero
-critical points, and the Eisenstein irreducibility test.
+subresultant remainder sequence, the critical orbit of x^d - b*x^m,
+discriminants three ways (resultant oracle, trinomial closed form, and
+the iterated recursion driven by the critical orbit), the closed-form
+product of a trinomial over its nonzero critical points, and the
+Eisenstein irreducibility test.
 
 Coefficients are ``fractions.Fraction``; polynomials are immutable
 tuples in ascending-degree order with trailing zeros trimmed.
@@ -12,10 +13,11 @@ tuples in ascending-degree order with trailing zeros trimmed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .arith import INFINITY, val
 
@@ -338,67 +340,79 @@ def crit_product(d: int, m: int, b: Scalar, w: Scalar) -> Fraction:
     return bracket / Fraction(d**d)
 
 
+def critical_orbit(inst) -> Iterator[Fraction]:
+    """The critical orbit w_1, w_2, ... of f = x^d - b*x^m, for m = d-1 or d-2.
+
+    w_0 = m*b/d and w_(k+1) = w_k^m * (w_k - b)^(d-m). For m = d-1,
+    w_0 is the nonzero critical point eta and w_k = f^k(eta). For
+    m = d-2 the nonzero critical points are +-eta with eta^2 = w_0, and
+    w_k = f^k(eta)^2: f is odd, so squaring follows
+    g(x) = x^(d-2) * (x - b)^2 and the irrational eta never appears.
+    ``inst`` is anything with attributes d, m, b.
+    """
+    d, m, b = inst.d, inst.m, Fraction(inst.b)
+    if m not in (d - 1, d - 2):
+        raise ValueError(f"critical_orbit: unsupported (d, m) = ({d}, {m})")
+    w = Fraction(m) * b / d
+    while True:
+        w = w**m * (w - b) ** (d - m)
+        yield w
+
+
 def _bits(q: Fraction) -> int:
     return q.numerator.bit_length() + q.denominator.bit_length()
 
 
-def disc_iterate(inst, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
-    """Discriminant of f^n - x0 for f = x^d - b*x^m without expanding f^n.
+def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[Fraction]:
+    """disc(f^k - x0) for k = 1, 2, ... with f = x^d - b*x^m, without
+    expanding f^k.
 
-    Uses the level recursion
+    Uses the level recursion, starting from disc(f^0 - x0) = 1,
 
         disc(f^(k+1) - x0) = A~^(d^k) * disc(f^k - x0)^d * (crit factor),
         A~ = (-1)^(d(d-1)/2) * d^d,
 
-    where the critical factor is the product of f^(k+1)(r) - x0 over the
-    critical points r of f with multiplicity. Supported shapes: m = d-1
-    (single nonzero critical point eta = (d-1)b/d, zero has multiplicity
-    d-2) and m = d-2 (critical pair +-eta with eta^2 = (d-2)b/d tracked
-    through g(x) = x^(d-2) * (x-b)^2, zero has multiplicity d-3). Other
-    (d, m) fall back to the expanded resultant when d^n is small.
+    where the critical factor, the product of f^(k+1)(r) - x0 over the
+    critical points r of f with multiplicity, is
+    (-1)^d * x0^(m-1) * (w_(k+1) - x0^(d-m)) on the critical orbit.
+    Supported shapes are m = d-1 and m = d-2 with gcd(m, d) = 1; other
+    (d, m) fall back to the expanded resultant while d^k <= 32 and raise
+    ValueError past that.
 
     ``inst`` is anything with attributes d, m, b, x0. Growth is doubly
-    exponential in n, so the result size is capped by ``bit_budget``.
+    exponential in k; a level over ``bit_budget`` bits raises
+    BitBudgetExceededError, which ends the sequence.
     """
     d, m = inst.d, inst.m
     b, x0 = Fraction(inst.b), Fraction(inst.x0)
+    if m not in (d - 1, d - 2) or math.gcd(m, d) != 1:
+        coeffs = [Fraction(0)] * (d + 1)
+        coeffs[m] = -b
+        coeffs[d] = Fraction(1)
+        f, g, level = Poly(coeffs), Poly.x(), 1
+        while d**level <= 32:
+            g = compose(f, g)
+            yield disc_resultant(g - x0)
+            level += 1
+        raise ValueError(f"disc_levels: unsupported (d, m) = ({d}, {m}) past level {level - 1}")
+    a_tilde = Fraction((-1) ** (d * (d - 1) // 2) * d**d)
+    sign_x0 = Fraction((-1) ** d) * x0 ** (m - 1)
+    x0_shift = x0 ** (d - m)
+    disc = Fraction(1)
+    for k, w in enumerate(critical_orbit(inst)):
+        disc = a_tilde ** (d**k) * disc**d * sign_x0 * (w - x0_shift)
+        if _bits(disc) > bit_budget:
+            raise BitBudgetExceededError(
+                f"disc_levels: {_bits(disc)} bits at level {k + 1} exceeds budget {bit_budget}"
+            )
+        yield disc
+
+
+def disc_iterate(inst, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
+    """Discriminant of f^n - x0: level n of ``disc_levels``."""
     if n < 1:
         raise ValueError("disc_iterate: n must be >= 1")
-    if m not in (d - 1, d - 2):
-        if d**n <= 32:
-            coeffs = [Fraction(0)] * (d + 1)
-            coeffs[m] = -b
-            coeffs[d] = Fraction(1)
-            return disc_resultant(iterate(Poly(coeffs), n) - x0)
-        raise ValueError(f"disc_iterate: unsupported (d, m) = ({d}, {m})")
-    disc = disc_trinomial(Trinomial(Fraction(1), -b, -x0, d, m))
-    a_tilde = Fraction((-1) ** (d * (d - 1) // 2) * d**d)
-    if m == d - 1:
-        eta = Fraction(d - 1) * b / d
-        y = eta**d - b * eta ** (d - 1)
-        for k in range(1, n):
-            y = y ** (d - 1) * (y - b)  # f^(k+1)(eta)
-            crit = (-x0) ** (d - 2) * (y - x0)
-            disc = a_tilde ** (d**k) * disc**d * crit
-            if _bits(disc) > bit_budget:
-                raise BitBudgetExceededError(
-                    f"disc_iterate: {_bits(disc)} bits at level {k + 1} exceeds budget {bit_budget}"
-                )
-    else:
-        # m = d-2: f is odd, so f^k(-eta) = -f^k(eta) and the critical
-        # pair contributes -(f^k(eta)^2 - x0^2); the square is tracked
-        # exactly via g = x^(d-2) (x-b)^2 with g^k(eta^2) = f^k(eta)^2.
-        eta2 = Fraction(d - 2) * b / d
-        z = eta2 ** (d - 2) * (eta2 - b) ** 2
-        for k in range(1, n):
-            z = z ** (d - 2) * (z - b) ** 2  # g^(k+1)(eta^2)
-            crit = -(x0 ** (d - 3)) * (z - x0 * x0)
-            disc = a_tilde ** (d**k) * disc**d * crit
-            if _bits(disc) > bit_budget:
-                raise BitBudgetExceededError(
-                    f"disc_iterate: {_bits(disc)} bits at level {k + 1} exceeds budget {bit_budget}"
-                )
-    return disc
+    return next(itertools.islice(disc_levels(inst, bit_budget), n - 1, None))
 
 
 def eisenstein_at(f: Poly, p: int) -> bool:

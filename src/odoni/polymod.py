@@ -181,12 +181,6 @@ class PolyModP:
             acc = (acc * inner + PolyModP([c], self.p)) % modulus
         return acc
 
-    def evaluate(self, v: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * v + c) % self.p
-        return acc
-
     def pth_root(self) -> "PolyModP":
         """p-th root of a polynomial with zero derivative (f = g(x^p) = g^p)."""
         if not self.derivative().is_zero():
@@ -286,11 +280,3 @@ def factor_mod_p(f: PolyModP, seed: int = 0) -> list[tuple[PolyModP, int]]:
         result.append((q, e))
     return result
 
-
-def factor_degrees(f: PolyModP, seed: int = 0) -> list[int]:
-    """Sorted-descending degree multiset of the irreducible factors,
-    with multiplicity."""
-    degs: list[int] = []
-    for q, e in factor_mod_p(f, seed):
-        degs.extend([q.degree] * e)
-    return sorted(degs, reverse=True)

@@ -1,3 +1,6 @@
+import hashlib
+import importlib
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -11,11 +14,7 @@ from odoni.certify import (
     certify,
     check_condition1,
     check_condition2,
-    check_nonsquare,
-    check_step3_congruence,
     compute_fn,
-    compute_fn_even,
-    compute_fn_odd,
     congruence_holds,
     exhibit_odd_prime_q,
     expected_e_n,
@@ -23,7 +22,7 @@ from odoni.certify import (
     nonsquare_pair,
 )
 from odoni.construct import IterInstance, build_params
-from odoni.poly import disc_resultant
+from odoni.poly import disc_levels, disc_resultant
 
 
 class TestFnEven:
@@ -72,7 +71,6 @@ class TestFnOdd:
         value = compute_fn(golden_odd_3, 1)
         assert (value.F_n + 27 * 7**4) % 5 == 0
         assert congruence_holds(golden_odd_3, value)
-        assert check_step3_congruence(golden_odd_3, 1)
 
 
 class TestDualPath:
@@ -166,20 +164,22 @@ class TestConditions:
 
 class TestNonsquare:
     def test_golden_values(self, golden_even_2, golden_odd_3):
-        assert check_nonsquare(golden_even_2, 1) == (True, True)
-        assert check_nonsquare(golden_odd_3, 1) == (True, True)
+        for inst in (golden_even_2, golden_odd_3):
+            assert nonsquare_pair(inst, compute_fn(inst, 1).F_n) == (True, True)
 
     def test_square_value_fails(self, golden_even_2):
         # 4 is a square mod 5
         assert nonsquare_pair(golden_even_2, 4) == (False, False)
 
     def test_parity_dispatch_guards(self, golden_even_2, golden_odd_3):
-        assert compute_fn_even(golden_even_2, 1).F_n == compute_fn(golden_even_2, 1).F_n
-        assert compute_fn_odd(golden_odd_3, 1).F_n == compute_fn(golden_odd_3, 1).F_n
-        with pytest.raises(CertifyError):
-            compute_fn_even(golden_odd_3, 1)
-        with pytest.raises(CertifyError):
-            compute_fn_odd(golden_even_2, 1)
+        # the closed forms of the wrong parity case disagree with the
+        # critical orbit, so the dual-path check rejects the instance
+        assert compute_fn(golden_even_2, 1).M_n == -1
+        assert compute_fn(golden_odd_3, 1).M_n == 1
+        with pytest.raises(CertifyError, match="dual_path"):
+            compute_fn(replace(golden_odd_3, parity_case="even"), 1)
+        with pytest.raises(CertifyError, match="dual_path"):
+            compute_fn(replace(golden_even_2, parity_case="odd-case-1"), 1)
 
 
 class TestExhibit:
@@ -296,3 +296,61 @@ class TestBeyondAcceptanceEnvelope:
     def test_larger_degrees(self, d):
         cert = certify(build_params(d), 2, exhibit=False)
         assert cert.verdict_pass
+
+
+class TestGoldenCertificates:
+    # sha256 of the canonical JSON (sorted keys, no whitespace) of each
+    # depth-3 golden certificate; any change to a value, a note or the
+    # schema shows here
+    HASHES = {
+        2: "b833cbc3647a1f57cd91b386172d97b2e140361430325993e093cd03c61df1c0",
+        3: "bbbcfdeb92d1ea7f70d9eb6e529be922e2c12f0569ca2b480e473baafc7d5e9f",
+        4: "15e3d9bf1f291c537cfa449ec5ed34191749e5b72d706226daf0ff17cb8fd1f2",
+        5: "959fbb607a486dc6e3b6494a8e9adbb59f047410aa8dddd686afa792cd38616d",
+        6: "bfa5d2b65dada06fb5db7f1f1a898b7f00ef47c26a59f496706fc84ec5a1b148",
+        9: "291b2b95c7146eda7db705f3a20acc72bf3a1c9509bcd9756b03f4286c938749",
+    }
+
+    @pytest.mark.parametrize("d", sorted(HASHES))
+    def test_json_hash(self, d):
+        data = certificate_to_json_dict(certify(build_params(d), 3))
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.HASHES[d]
+
+
+class TestExhibitBitBudget:
+    def test_oversized_discriminant_never_flips_verdict(self, golden_even_2, monkeypatch):
+        # the d = 2 level discriminants have 81, 324, 979, ... bits, so
+        # level 2 is over this budget: depth 2 cannot check its own level
+        # and depth 3 cannot check a lower one
+        certify_module = importlib.import_module("odoni.certify")
+        monkeypatch.setattr(certify_module, "EXHIBIT_DISC_BIT_BUDGET", 300)
+        cert = certify(golden_even_2, 4)
+        plain = certify(golden_even_2, 4, exhibit=False)
+        assert cert.verdict_pass
+        assert [r.n for r in cert.records] == [r.n for r in plain.records] == [1, 2, 3, 4]
+        witness = cert.records[2].exhibited_q
+        assert witness.found and witness.q == 1439
+        assert witness.lower_levels_clean is None
+        assert witness.disc_valuation_odd is None
+        assert "beyond bit budget" in witness.note
+        assert cert.records[1].exhibited_q.disc_valuation_odd is None
+        assert cert.records[0].exhibited_q.disc_valuation_odd is True
+
+    @pytest.mark.parametrize("effort, levels", [(1, 0), (10**6, 8)])
+    def test_one_discriminant_pass_per_run(self, golden_even_2, monkeypatch, effort, levels):
+        # levels are computed once each, and only as deep as the deepest
+        # depth with a witness candidate (none at effort 1, depth 8 at 10^6)
+        certify_module = importlib.import_module("odoni.certify")
+        computed = []
+
+        def counting(inst, bit_budget):
+            for disc in disc_levels(inst, bit_budget):
+                computed.append(disc)
+                yield disc
+
+        monkeypatch.setattr(certify_module, "disc_levels", counting)
+        cert = certify(golden_even_2, 8, exhibit_effort=effort)
+        found = [r.n for r in cert.records if r.exhibited_q.found]
+        assert max(found, default=0) == levels
+        assert len(computed) == levels

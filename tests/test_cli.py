@@ -68,6 +68,48 @@ class TestCertifyCommand:
         assert cli.run(["certify", "--params", params_d2, "--nope"]) == 2
 
 
+    def test_non_prime_witnesses_fail_cleanly(self, tmp_path, capsys):
+        data = instance_to_json_dict(build_params_even(2))
+        data.update(p="1", p1="1", p2="1")
+        out = tmp_path / "cert.json"
+        code = cli.run(["certify", "--params", write_params(tmp_path, data), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "instance.witness_primes_prime" in err
+        assert "Traceback" not in err
+        assert json.loads(out.read_text())["condition1"]["v_p1_b"] is None
+
+
+class TestExitCodes:
+    """Input outside a subcommand's contract exits 2 without a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--depth", "0"],
+            ["frobenius", "--level", "2", "--primes", "0"],
+            ["frobenius", "--level", "2", "--primes", "-5"],
+            ["frobenius", "--level", "0", "--primes", "10"],
+        ],
+    )
+    def test_out_of_range_values(self, params_d2, argv, capsys):
+        assert cli.run(argv[:1] + ["--params", params_d2] + argv[1:]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_pipeline_zero_primes(self, capsys):
+        assert cli.run(["pipeline", "--degree", "2", "--primes", "0"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "g_gens", [[5], [[2, 1]], [[2, 3, 1.0]], "x"]
+    )
+    def test_malformed_generators(self, tmp_path, g_gens, capsys):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps({"d": 3, "m": 2, "g_gens": g_gens}))
+        assert cli.run(["group-check", "--file", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestDiscCommand:
     def test_trinomial(self, capsys):
         assert cli.run(["disc", "--trinomial=1,-1,1,3,2"]) == 0

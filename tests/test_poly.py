@@ -10,6 +10,7 @@ from odoni.poly import (
     Trinomial,
     compose,
     crit_product,
+    critical_orbit,
     disc_iterate,
     disc_resultant,
     disc_trinomial,
@@ -193,6 +194,33 @@ def _inst(d, m, b, x0):
     return SimpleNamespace(d=d, m=m, b=Fraction(b), x0=Fraction(x0))
 
 
+class TestCriticalOrbit:
+    def test_shift_shape_is_the_orbit_of_eta(self):
+        # m = d-1: w_k = f^k(eta) with eta = (d-1)b/d
+        for d, b in ((2, Fraction(3, 2)), (4, Fraction(-5, 3)), (6, Fraction(7))):
+            inst = _inst(d, d - 1, b, 0)
+            f = X**d - b * X ** (d - 1)
+            eta = Fraction(d - 1) * b / d
+            orbit = critical_orbit(inst)
+            for k in (1, 2, 3):
+                assert next(orbit) == iterate(f, k)(eta)
+
+    def test_odd_shape_is_the_squared_orbit(self):
+        # m = d-2: w_k = f^k(eta)^2; b is chosen so eta^2 = (d-2)b/d is
+        # a rational square and f^k(eta) can be evaluated directly
+        for d, eta in ((3, Fraction(2)), (5, Fraction(1, 3)), (7, Fraction(-3, 2))):
+            b = eta * eta * d / (d - 2)
+            inst = _inst(d, d - 2, b, 0)
+            f = X**d - b * X ** (d - 2)
+            orbit = critical_orbit(inst)
+            for k in (1, 2, 3):
+                assert next(orbit) == iterate(f, k)(eta) ** 2
+
+    def test_other_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            next(critical_orbit(_inst(7, 2, 1, 1)))
+
+
 class TestDiscIterate:
     def test_quadratic_level_one(self):
         # disc(x^2 - x - 1) = 1 + 4 = 5
@@ -219,10 +247,15 @@ class TestDiscIterate:
                     assert disc_iterate(inst, n) == expected, (d, m, n)
 
     def test_generic_fallback(self):
-        # (d, m) outside the two supported shapes but small enough to expand
+        # (d, m) outside the two supported shapes, or m = d-2 with d even
+        # (f is then even, not odd), but small enough to expand
         inst = _inst(5, 2, Fraction(3, 2), 1)
         f = X**5 - Fraction(3, 2) * X * X
         assert disc_iterate(inst, 1) == disc_resultant(f - 1)
+        inst = _inst(4, 2, 3, Fraction(5, 2))
+        f = X**4 - 3 * X * X
+        for n in (1, 2):
+            assert disc_iterate(inst, n) == disc_resultant(iterate(f, n) - Fraction(5, 2))
 
     def test_unsupported_shape_rejected(self):
         with pytest.raises(ValueError):
