@@ -21,7 +21,7 @@ from .construct import (
     build_params_even,
     build_params_odd,
 )
-from .frobenius import chebotarev_distance, factor_tree, sample_distribution
+from .frobenius import chebotarev_distance, sample_distribution
 from .newton import newton_polygon, predict_two_segments, ramification_tower
 from .permgroup import (
     Perm,
@@ -44,7 +44,7 @@ from .poly import (
     iterate,
     resultant,
 )
-from .polymod import PolyModP, factor_mod_p
+from .polymod import PolyModP
 
 __version__ = "0.1.0"
 
@@ -74,8 +74,6 @@ __all__ = [
     "eisenstein_at",
     "enumerate_wreath",
     "exhibit_odd_prime_q",
-    "factor_mod_p",
-    "factor_tree",
     "gen_sd_check",
     "is_prime",
     "is_square",

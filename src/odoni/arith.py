@@ -241,13 +241,19 @@ def decimal_str(n: int) -> str:
     """Decimal string of an arbitrarily large integer.
 
     Certificates carry multi-hundred-kilobit integers, so the
-    interpreter's int-to-str digit guard is raised on demand (it exists
-    to protect parsers from hostile input, which this is not).
+    interpreter's int-to-str digit guard (which exists to protect
+    parsers from hostile input, which this is not) is lifted for this
+    one conversion and restored afterwards.
     """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no guard
     needed = abs(n).bit_length() // 3 + 10
-    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() < needed:
-        sys.set_int_max_str_digits(needed)
-    return str(n)
+    if limit == 0 or limit >= needed:
+        return str(n)
+    sys.set_int_max_str_digits(needed)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def trial_factor(n: int, bound: int = DEFAULT_SEARCH_CAP) -> tuple[dict[int, int], int]:

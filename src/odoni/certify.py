@@ -288,7 +288,7 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
         checks.append(
             CheckResult(
                 "condition2c.d_minus_m_divides_v_p2_b",
-                v_b % (d - m) == 0,
+                d != m and v_b % (d - m) == 0,
                 f"v(b)={v_b}",
             )
         )

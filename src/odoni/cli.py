@@ -5,15 +5,14 @@ Exit codes: 0 on success or a passing verdict, 1 when a verification
 check fails (the violated relation is named on stderr), 2 for usage or
 input errors. JSON always goes to --out or stdout; human-readable
 progress and the --verbose check log go to stderr, so piped output
-stays parseable. The environment variable ODONI_SEED overrides the
-default seed 0 wherever a subcommand takes --seed.
+stays parseable. A discriminant past its bit budget is an input error
+(exit 2), not a failed relation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -43,14 +42,6 @@ from .poly import (
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("ODONI_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
 
 
 def _emit(payload: dict, out_path: str | None):
@@ -213,7 +204,7 @@ def _cmd_group_check(args) -> int:
 def _cmd_frobenius(args) -> int:
     inst = _load_params(args.params)
     report = frobenius_mod.run_frobenius(
-        inst, args.level, args.primes, seed=args.seed, start=args.start
+        inst, args.level, args.primes, start=args.start
     )
     _emit(frobenius_mod.report_to_json_dict(report), args.out)
     if report.within_tolerance is False:
@@ -259,7 +250,7 @@ def _cmd_pipeline(args) -> int:
         _log("frobenius section skipped: " + frob_json["reason"])
     else:
         report = frobenius_mod.run_frobenius(
-            inst, level, args.primes, seed=args.seed, start=args.start
+            inst, level, args.primes, start=args.start
         )
         frob_json = frobenius_mod.report_to_json_dict(report)
         frob_fail = report.within_tolerance is False
@@ -356,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--level", type=_positive_int, required=True)
     p.add_argument("--primes", type=_positive_int, default=2000)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--start", type=int, default=frobenius_mod.DEFAULT_SCAN_START)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_frobenius)
@@ -365,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--primes", type=_positive_int, default=2000)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--start", type=int, default=frobenius_mod.DEFAULT_SCAN_START)
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--verbose", action="store_true")
@@ -384,9 +373,17 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code != 0 else EXIT_PASS
     try:
         return args.handler(args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, CertifyError) as exc:
+    except (
+        OSError,
+        json.JSONDecodeError,
+        ValueError,
+        KeyError,
+        CertifyError,
+        BitBudgetExceededError,
+    ) as exc:
         # a CertifyError that escapes certify() is an input outside its
-        # contract, never a failed relation (those come back as a verdict)
+        # contract, never a failed relation (those come back as a verdict);
+        # a bit budget caps the work asked for, it proves nothing
         _log(f"input error: {exc}")
         return EXIT_USAGE
     except (
@@ -395,7 +392,6 @@ def run(argv: list[str] | None = None) -> int:
         frobenius_mod.InsufficientPrimesError,
         permgroup.ClosureCapError,
         CapExceededError,
-        BitBudgetExceededError,
     ) as exc:
         _log(f"check failed: {exc}")
         return EXIT_CHECK_FAILED

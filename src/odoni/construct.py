@@ -83,9 +83,9 @@ class IterInstance:
 
     def violated_relations(self) -> list[str]:
         """Structural invariants, each named; empty list means valid."""
-        out = []
         if self.d < 2:
-            out.append("d >= 2")
+            return ["d >= 2"]  # the relations below assume it
+        out = []
         if not (1 <= self.m < self.d) or math.gcd(self.m, self.d) != 1:
             out.append("1 <= m < d with gcd(m, d) = 1")
         if self.t < 1 or math.gcd(self.s, self.t) != 1:

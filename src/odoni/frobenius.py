@@ -1,12 +1,11 @@
 """Statistical oracle: Frobenius cycle types versus the exact tree law.
 
-For a prime p of good reduction, the factorization degrees of
-f^n - x0 mod p are the cycle type of Frobenius acting on the d^n
-level-n preimages, and linking each level-k factor to the level-(k-1)
-factor it maps onto under f reconstructs the Frobenius orbit structure
-of the whole tree. If the arboreal group really is the full wreath
-tower, those cycle types must equidistribute (by Chebotarev) according
-to the exact leaf-type law of the tree group, which this package can
+For a prime p of good reduction, f^n - x0 is squarefree mod p and its
+factor degrees are the cycle type of Frobenius acting on the d^n
+level-n preimages; distinct-degree factorization reads them off
+without splitting any factor. If the arboreal group really is the full
+wreath tower, those cycle types must equidistribute (by Chebotarev)
+according to the exact leaf-type law of the tree group, which this package can
 enumerate outright for small (d, n).
 
 Everything here is labeled statistical evidence: a large total-variation
@@ -23,20 +22,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import primes_up_to, val
-from .construct import _frac_str
+from .construct import ConstructError, _frac_str
 from .permgroup import MAX_ENUMERATION, leaf_type_distribution, wreath_order
-from .poly import Poly, compose, disc_levels, iterate
-from .polymod import PolyModP, factor_mod_p
+from .poly import disc_levels, iterate
+from .polymod import PolyModP, cycle_type_mod_p
 
 DEFAULT_SCAN_START = 1000
 DEFAULT_SCAN_CAP = 10**7
 TV_TOLERANCE = Fraction(1, 20)
 TV_ENFORCED_SHAPES = ((2, 2), (3, 1))
 MIN_ENFORCED_PRIMES = 2000
-
-
-class BadReductionError(ValueError):
-    """The prime is unusable for this instance (skippable, not fatal)."""
 
 
 class UnrealizableTypeError(RuntimeError):
@@ -46,11 +41,6 @@ class UnrealizableTypeError(RuntimeError):
 
 class InsufficientPrimesError(RuntimeError):
     pass
-
-
-def _mix_seed(seed: int, p: int) -> int:
-    # per-prime seed split: stable under scan order and parallel merging
-    return (seed * 0x9E3779B97F4A7C15 + p * 0xBF58476D1CE4E5B9) % 2**64
 
 
 def _good_reduction_discs(inst, n: int) -> list[Fraction]:
@@ -65,82 +55,6 @@ def _is_good_prime(inst, p: int, discs: list[Fraction]) -> bool:
     return all(val(disc, p) == 0 for disc in discs)
 
 
-@dataclass(frozen=True)
-class FactorNode:
-    level: int
-    index: int
-    degree: int
-    parent: Optional[int]  # index into the previous level, None at the root
-    poly: PolyModP
-
-
-@dataclass(frozen=True)
-class FactorTree:
-    p: int
-    d: int
-    n: int
-    levels: tuple[tuple[FactorNode, ...], ...]  # levels[k] = level-k nodes
-
-    def level_degrees(self, k: int) -> tuple[int, ...]:
-        return tuple(sorted((node.degree for node in self.levels[k]), reverse=True))
-
-    def leaf_cycle_type(self) -> tuple[int, ...]:
-        return self.level_degrees(self.n)
-
-
-def factor_tree(inst, n: int, p: int, seed: int = 0) -> FactorTree:
-    """Factor f^k - x0 mod p for k <= n and attach each factor to its
-    image under f one level down.
-
-    Requires good reduction (p odd, p away from the denominators of b
-    and x0, and away from disc(f^k - x0) for k <= n); a bad prime raises
-    BadReductionError and should simply be skipped by scans. A level-k
-    factor h is the child of the unique level-(k-1) factor g with
-    g(f(x)) = 0 mod (h(x), p).
-    """
-    discs = _good_reduction_discs(inst, n)
-    if not _is_good_prime(inst, p, discs):
-        raise BadReductionError(f"{p} is a bad-reduction prime for this instance")
-    d = inst.d
-    f_mod = PolyModP.from_rational_coeffs(inst.f_poly().coeffs, p)
-    x0_mod = inst.x0.numerator * pow(inst.x0.denominator, -1, p) % p
-    root = FactorNode(level=0, index=0, degree=1, parent=None, poly=PolyModP([-x0_mod, 1], p))
-    levels: list[tuple[FactorNode, ...]] = [(root,)]
-    g_pol = Poly.x()
-    f_pol = inst.f_poly()
-    for k in range(1, n + 1):
-        g_pol = compose(f_pol, g_pol)
-        target = PolyModP.from_rational_coeffs((g_pol - inst.x0).coeffs, p)
-        factors = factor_mod_p(target, _mix_seed(seed, p))
-        if any(e != 1 for _, e in factors):
-            raise BadReductionError(f"{p}: repeated factor despite disc check")
-        nodes = []
-        for idx, (h, _) in enumerate(factors):
-            parents = []
-            f_red = f_mod % h
-            for j, gnode in enumerate(levels[k - 1]):
-                if gnode.poly.compose_mod(f_red, h).is_zero():
-                    parents.append(j)
-            if len(parents) != 1:
-                raise RuntimeError(
-                    f"factor at level {k} has {len(parents)} parents (p={p})"
-                )
-            nodes.append(
-                FactorNode(level=k, index=idx, degree=h.degree, parent=parents[0], poly=h)
-            )
-        if sum(node.degree for node in nodes) != d**k:
-            raise RuntimeError(f"level {k} degrees do not sum to d^{k} (p={p})")
-        for j, gnode in enumerate(levels[k - 1]):
-            child_total = sum(node.degree for node in nodes if node.parent == j)
-            if child_total != d * gnode.degree:
-                raise RuntimeError(
-                    f"children of level-{k - 1} factor {j} sum to {child_total}, "
-                    f"expected {d * gnode.degree} (p={p})"
-                )
-        levels.append(tuple(nodes))
-    return FactorTree(p=p, d=d, n=n, levels=tuple(levels))
-
-
 @dataclass
 class SampleResult:
     d: int
@@ -149,7 +63,6 @@ class SampleResult:
     used: int
     skipped: int
     start: int
-    seed: int
     counts: dict[tuple[int, ...], int]
 
     def frequencies(self) -> dict[tuple[int, ...], Fraction]:
@@ -160,7 +73,6 @@ def sample_distribution(
     inst,
     n: int,
     prime_count: int,
-    seed: int = 0,
     start: int = DEFAULT_SCAN_START,
     scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> SampleResult:
@@ -170,8 +82,6 @@ def sample_distribution(
     Requires the exact reference law to be enumerable
     (wreath_order(d, n) <= 1e5). Every observed type is membership-checked
     against the reachable set; an unrealizable type is a hard error.
-    The per-prime factorization seed is split deterministically from
-    (seed, p), so any scan order gives identical results.
     """
     d = inst.d
     if wreath_order(d, n) > MAX_ENUMERATION:
@@ -200,11 +110,7 @@ def sample_distribution(
             if not _is_good_prime(inst, p, discs):
                 skipped += 1
                 continue
-            reduced = PolyModP.from_rational_coeffs(target_q.coeffs, p)
-            degs = []
-            for h, e in factor_mod_p(reduced, _mix_seed(seed, p)):
-                degs.extend([h.degree] * e)
-            ctype = tuple(sorted(degs, reverse=True))
+            ctype = cycle_type_mod_p(PolyModP.from_rational_coeffs(target_q.coeffs, p))
             if ctype not in realizable:
                 raise UnrealizableTypeError(
                     f"cycle type {list(ctype)} at p={p} is not realizable in the "
@@ -220,7 +126,6 @@ def sample_distribution(
         used=used,
         skipped=skipped,
         start=start,
-        seed=seed,
         counts=counts,
     )
 
@@ -255,11 +160,16 @@ def run_frobenius(
     inst,
     n: int,
     prime_count: int,
-    seed: int = 0,
     start: int = DEFAULT_SCAN_START,
     scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> FrobeniusReport:
-    sample = sample_distribution(inst, n, prime_count, seed, start, scan_cap)
+    # samples of an instance outside the constructed family say nothing
+    violated = inst.violated_relations()
+    if violated:
+        raise ConstructError(
+            "instance.structural_invariants: " + "; ".join(violated)
+        )
+    sample = sample_distribution(inst, n, prime_count, start, scan_cap)
     tv = chebotarev_distance(sample.frequencies(), inst.d, n)
     enforced = tv_is_enforced(inst.d, n, sample.used)
     return FrobeniusReport(
@@ -277,14 +187,13 @@ def report_to_json_dict(report: FrobeniusReport) -> dict:
     exact = leaf_type_distribution(sample.d, sample.n)
 
     return {
-        "schema": "odoni-frobenius-v1",
+        "schema": "odoni-frobenius-v2",
         "d": sample.d,
         "level": sample.n,
         "primes_requested": sample.requested,
         "primes_used": sample.used,
         "primes_skipped": sample.skipped,
         "start": sample.start,
-        "seed": sample.seed,
         "counts": [
             {"type": list(t), "count": c} for t, c in sorted(sample.counts.items())
         ],

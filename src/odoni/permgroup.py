@@ -8,7 +8,7 @@ n; the node set of every automorphism of such a tree is the full wreath
 tower, whose order is (d!)^((d^n - 1)/(d - 1)).
 
 Conventions, pinned by tests: composition acts right-to-left, i.e.
-(a * b)(x) = a(b(x)) and compose_tree(a, b) applies b first; tree nodes
+(a * b)(x) = a(b(x)); tree nodes
 are addressed by tuples of 0-based child indices, and a leaf's index is
 its address read as a base-d numeral (most significant digit first).
 """
@@ -116,6 +116,11 @@ def closure(generators: Sequence[Perm], cap: int | None = None) -> frozenset[Per
     Degree is capped at 8 and the element count at ``cap`` (default d!),
     erroring loudly past either.
     """
+    return frozenset(Perm(images) for images in _closure_images(generators, cap))
+
+
+def _closure_images(generators: Sequence[Perm], cap: int | None = None) -> set[tuple[int, ...]]:
+    """The closure as raw image tuples, (g * h)[x] = g[h[x]]."""
     if not generators:
         raise ValueError("closure: need at least one generator")
     d = generators[0].degree
@@ -125,8 +130,6 @@ def closure(generators: Sequence[Perm], cap: int | None = None) -> frozenset[Per
         raise ValueError(f"closure: degree {d} exceeds {MAX_CLOSURE_DEGREE}")
     if cap is None:
         cap = math.factorial(d)
-    # BFS on raw image tuples, (g * h)[x] = g[h[x]]; Perm objects are
-    # built once, at the end
     gens = [g.images for g in generators]
     seen: set[tuple[int, ...]] = {tuple(range(d)), *gens}
     if len(seen) > cap:
@@ -143,7 +146,7 @@ def closure(generators: Sequence[Perm], cap: int | None = None) -> frozenset[Per
                         raise ClosureCapError(f"closure exceeded cap {cap}")
                     new.append(prod)
         frontier = new
-    return frozenset(Perm(images) for images in seen)
+    return seen
 
 
 def orbit(generators: Sequence[Perm], point: int) -> frozenset[int]:
@@ -201,10 +204,11 @@ def gen_sd_check(
         raise ValueError("gen_sd_check: need d/2 < m < d")
     if math.gcd(m, d) != 1:
         raise ValueError("gen_sd_check: need gcd(m, d) = 1")
-    g_group = closure(list(g_gens))
-    has_transposition = any(g.is_transposition() for g in g_group)
+    g_group = _closure_images(list(g_gens))
+    identity = range(d)
+    has_transposition = any(sum(map(int.__ne__, g, identity)) == 2 for g in g_group)
     transitive = is_transitive(list(g_gens))
-    h_in_g = all(h in g_group for h in h_gens)
+    h_in_g = all(h.images in g_group for h in h_gens)
     tail = range(m, d)  # 0-based tail {m+1..d} in 1-based terms
     h_fixes_tail = all(all(h(i) == i for i in tail) for h in h_gens)
     head_orbit = orbit(list(h_gens), 0)
@@ -309,16 +313,6 @@ class TreeAutomorphism:
 
     def __hash__(self):
         return hash((self.d, self.n, tuple(sorted(self.portrait.items()))))
-
-
-def compose_tree(a: TreeAutomorphism, b: TreeAutomorphism) -> TreeAutomorphism:
-    """Composition acting by b first: label_v(a o b) = label_{b(v)}(a) * label_v(b)."""
-    if (a.d, a.n) != (b.d, b.n):
-        raise ValueError("compose_tree: shape mismatch")
-    portrait = {
-        v: a.portrait[b.node_image(v)] * b.portrait[v] for v in a.portrait
-    }
-    return TreeAutomorphism(a.d, a.n, portrait)
 
 
 def enumerate_wreath(d: int, n: int) -> list[TreeAutomorphism]:

@@ -376,14 +376,16 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[Fraction
     critical points r of f with multiplicity, is
     (-1)^d * x0^(m-1) * (w_(k+1) - x0^(d-m)) on the critical orbit.
     Supported shapes are m = d-1 and m = d-2 with gcd(m, d) = 1; other
-    (d, m) fall back to the expanded resultant while d^k <= 32 and raise
-    ValueError past that.
+    (d, m) with 0 <= m < d fall back to the expanded resultant while
+    d^k <= 32 and raise ValueError past that (and for any other d, m).
 
     ``inst`` is anything with attributes d, m, b, x0. Growth is doubly
     exponential in k; a level over ``bit_budget`` bits raises
     BitBudgetExceededError, which ends the sequence.
     """
     d, m = inst.d, inst.m
+    if d < 2 or not 0 <= m < d:
+        raise ValueError(f"disc_levels: need d >= 2 and 0 <= m < d, got (d, m) = ({d}, {m})")
     b, x0 = Fraction(inst.b), Fraction(inst.x0)
     if m not in (d - 1, d - 2) or math.gcd(m, d) != 1:
         coeffs = [Fraction(0)] * (d + 1)

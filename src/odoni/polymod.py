@@ -1,23 +1,19 @@
-"""Polynomials over prime fields and their complete factorization.
+"""Polynomials over prime fields and the factor-degree pattern of a
+squarefree polynomial.
 
-The factorization pipeline is the classical one: strip the leading
-unit, split off p-th-power content, take the squarefree part through
-gcd with the derivative, split by distinct degree with iterated
-Frobenius powers, and finish with randomized equal-degree
-(Cantor-Zassenhaus) splitting. The equal-degree stage takes an explicit
-seed so identical inputs give identical outputs everywhere.
-
-p = 2 is unsupported throughout (the equal-degree exponent (p^k - 1)/2
-needs odd p); every witness prime in this package is odd.
+The pattern comes from distinct-degree factorization alone: for monic
+squarefree v over GF(p), gcd(v, x^(p^i) - x) is the product of the
+degree-i irreducible factors of v once the factors of degree below i
+are divided out, so each block's degree divided by i counts its
+factors (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 14).
+No factor is split out, so there is no equal-degree (Cantor-Zassenhaus)
+stage.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Iterable
-
-from .arith import is_prime
 
 
 class PolyModP:
@@ -76,9 +72,6 @@ class PolyModP:
 
     def __repr__(self):
         return f"PolyModP({list(self.coeffs)}, p={self.p})"
-
-    def sort_key(self) -> tuple:
-        return (self.degree, self.coeffs)
 
     def _check_field(self, other: "PolyModP"):
         if self.p != other.p:
@@ -158,11 +151,6 @@ class PolyModP:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def derivative(self) -> "PolyModP":
-        if len(self.coeffs) == 1:
-            return PolyModP([0], self.p)
-        return PolyModP([i * c % self.p for i, c in enumerate(self.coeffs)][1:], self.p)
-
     def pow_mod(self, e: int, modulus: "PolyModP") -> "PolyModP":
         """self^e reduced mod (modulus, p) by square and multiply."""
         result = PolyModP([1], self.p)
@@ -174,109 +162,34 @@ class PolyModP:
             e >>= 1
         return result
 
-    def compose_mod(self, inner: "PolyModP", modulus: "PolyModP") -> "PolyModP":
-        """self(inner) reduced mod (modulus, p), Horner in inner."""
-        acc = PolyModP([self.coeffs[-1]], self.p)
-        for c in reversed(self.coeffs[:-1]):
-            acc = (acc * inner + PolyModP([c], self.p)) % modulus
-        return acc
 
-    def pth_root(self) -> "PolyModP":
-        """p-th root of a polynomial with zero derivative (f = g(x^p) = g^p)."""
-        if not self.derivative().is_zero():
-            raise ValueError("pth_root: derivative is nonzero")
-        return PolyModP(list(self.coeffs[:: self.p]), self.p)
+def cycle_type_mod_p(f: PolyModP) -> tuple[int, ...]:
+    """Degrees of the irreducible factors of a squarefree, non-constant
+    f over GF(p), in descending order.
 
-
-def _x(p: int) -> PolyModP:
-    return PolyModP([0, 1], p)
-
-
-def _equal_degree_split(f: PolyModP, k: int, rng: random.Random) -> list[PolyModP]:
-    """Cantor-Zassenhaus: f monic squarefree, all factors of degree k."""
-    if f.degree == k:
-        return [f]
+    Squarefreeness is the caller's guarantee (at a prime of good
+    reduction it holds); a repeated factor gives a wrong pattern, not an
+    error.
+    """
+    if f.degree < 1:
+        raise ValueError("cycle_type_mod_p: polynomial must be non-constant")
     p = f.p
-    exponent = (p**k - 1) // 2
-    while True:
-        r = PolyModP([rng.randrange(p) for _ in range(f.degree)] + [1], p)
-        g = f.gcd(r)
-        if 0 < g.degree < f.degree:
-            break
-        h = r.pow_mod(exponent, f) - PolyModP([1], p)
-        g = f.gcd(h)
-        if 0 < g.degree < f.degree:
-            break
-    return _equal_degree_split(g, k, rng) + _equal_degree_split(f // g, k, rng)
-
-
-def _factor_squarefree(f: PolyModP, rng: random.Random) -> list[PolyModP]:
-    """Distinct-degree split then equal-degree split; f monic squarefree."""
-    p = f.p
-    out: list[PolyModP] = []
-    v = f
-    frob = _x(p)  # running x^(p^i) mod v
+    x = PolyModP([0, 1], p)
+    v = f.monic()
+    frob = x  # x^(p^i) mod v
+    degrees: list[int] = []
     i = 0
     while v.degree > 0:
         i += 1
         if 2 * i > v.degree:
-            out.append(v)
+            degrees.append(v.degree)  # no factor below degree i, so v is irreducible
             break
         frob = frob.pow_mod(p, v)
-        g = v.gcd(frob - _x(p))
-        if g.degree > 0:
-            out.extend(_equal_degree_split(g, i, rng))
-            v = v // g
-            if v.degree > 0:
-                frob = frob % v
-    return out
+        block = v.gcd(frob - x)
+        if block.degree > 0:
+            degrees.extend([i] * (block.degree // i))
+            v = v // block
+            frob = frob % v
+    return tuple(sorted(degrees, reverse=True))
 
-
-def factor_mod_p(f: PolyModP, seed: int = 0) -> list[tuple[PolyModP, int]]:
-    """Complete factorization of f over GF(p) for odd prime p.
-
-    Returns (monic irreducible, multiplicity) pairs in a canonical order
-    (degree, then coefficient tuple); the product over all pairs times
-    the leading coefficient reproduces f. The seed drives only the
-    equal-degree splitting stage.
-    """
-    p = f.p
-    if p == 2:
-        raise ValueError("factor_mod_p: p = 2 is unsupported")
-    if not is_prime(p):
-        raise ValueError(f"factor_mod_p: {p} is not prime")
-    if f.degree < 1:
-        raise ValueError("factor_mod_p: polynomial must be non-constant")
-    rng = random.Random(seed)
-    fm = f.monic()
-    distinct: set[PolyModP] = set()
-    t = fm
-    while t.degree > 0:
-        dt = t.derivative()
-        if dt.is_zero():
-            t = t.pth_root()
-            continue
-        s = t // t.gcd(dt)  # product of the distinct irreducible factors of t
-        for q in _factor_squarefree(s, rng):
-            distinct.add(q)
-        for q in distinct:
-            while True:
-                quo, rem = divmod(t, q)
-                if rem.is_zero() and t.degree >= q.degree:
-                    t = quo
-                else:
-                    break
-    result = []
-    for q in sorted(distinct, key=PolyModP.sort_key):
-        e = 0
-        r = fm
-        while True:
-            quo, rem = divmod(r, q)
-            if rem.is_zero() and r.degree >= q.degree:
-                e += 1
-                r = quo
-            else:
-                break
-        result.append((q, e))
-    return result
 

@@ -128,8 +128,6 @@ def test_criterion_4_end_to_end_pipelines(tmp_path):
                 "3",
                 "--primes",
                 primes,
-                "--seed",
-                "0",
                 "--out",
                 str(out),
             ]
@@ -196,13 +194,13 @@ def test_criterion_7_chebotarev_statistics():
     started = time.time()
     tolerance = Fraction(1, 20)
     even2 = build_params(2)
-    sample22 = sample_distribution(even2, 2, 2000, seed=0)
+    sample22 = sample_distribution(even2, 2, 2000)
     tv22 = chebotarev_distance(sample22.frequencies(), 2, 2)
     assert tv22 <= tolerance, f"TV {tv22} > 1/20 for (2,2)"
     irreducible = Fraction(sample22.counts.get((4,), 0), sample22.used)
     assert Fraction(22, 100) <= irreducible <= Fraction(28, 100)
     odd3 = build_params(3)
-    sample31 = sample_distribution(odd3, 1, 2000, seed=0)
+    sample31 = sample_distribution(odd3, 1, 2000)
     tv31 = chebotarev_distance(sample31.frequencies(), 3, 1)
     assert tv31 <= tolerance, f"TV {tv31} > 1/20 for (3,1)"
     elapsed = time.time() - started

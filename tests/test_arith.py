@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from odoni.arith import (
     INFINITY,
     CapExceededError,
     crt,
+    decimal_str,
     is_prime,
     is_square,
     legendre,
@@ -193,3 +195,13 @@ class TestTrialFactor:
         factors, cofactor = trial_factor(big, bound=1000)
         assert factors == {}
         assert cofactor == big
+
+
+class TestDecimalStr:
+    def test_leaves_digit_guard_unchanged(self):
+        before = sys.get_int_max_str_digits()
+        n = 3**126_000  # about 200 kbit, past the default 4300-digit guard
+        text = decimal_str(n)
+        assert sys.get_int_max_str_digits() == before
+        assert int(text[:20]) == n // 10 ** (len(text) - 20)
+        assert decimal_str(-n) == "-" + text

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from odoni import cli
-from odoni.construct import build_params_even, instance_to_json_dict
+from odoni.construct import build_params_even, build_params_odd, instance_to_json_dict
 
 
 def write_params(tmp_path, inst_dict, name="params.json"):
@@ -123,6 +123,15 @@ class TestDiscCommand:
         assert data["value"] == "430219184601/2260482180100"
 
 
+    def test_bit_budget_is_usage_error(self, params_d2, capsys):
+        # level 12 of the d = 2 discriminant is 2 Mbit, over the 1 Mbit
+        # budget: a resource cap, not a failed relation
+        assert cli.run(["disc", "--params", params_d2, "--level", "12"]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds budget" in err
+        assert "check failed" not in err
+
+
 class TestNewtonCommand:
     def test_polygon(self, capsys):
         assert cli.run(["newton", "--coeffs=-5,0,1", "--prime", "5"]) == 0
@@ -174,23 +183,46 @@ class TestFrobeniusCommand:
                 "2",
                 "--primes",
                 "250",
-                "--seed",
-                "42",
                 "--out",
                 str(out),
             ]
         )
         assert code == 0
         data = json.loads(out.read_text())
+        assert data["schema"] == "odoni-frobenius-v2"
         assert data["primes_used"] == 250
         assert data["tolerance_enforced"] is False
-        assert data["seed"] == 42
+        assert "seed" not in data
 
-    def test_env_seed_override(self, monkeypatch):
+    def test_env_seed_override(self, params_d2, tmp_path, monkeypatch):
+        # ODONI_SEED is no longer read: the report is byte-identical with it set
+        argv = ["frobenius", "--params", params_d2, "--level", "1", "--primes", "60", "--out"]
+        monkeypatch.delenv("ODONI_SEED", raising=False)
+        assert cli.run(argv + [str(tmp_path / "unset.json")]) == 0
         monkeypatch.setenv("ODONI_SEED", "777")
-        parser = cli.build_parser()
-        args = parser.parse_args(["frobenius", "--params", "x.json", "--level", "1"])
-        assert args.seed == 777
+        assert cli.run(argv + [str(tmp_path / "set.json")]) == 0
+        assert (tmp_path / "set.json").read_bytes() == (tmp_path / "unset.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobenius", "--params", "x.json", "--level", "1", "--seed", "0"],
+            ["pipeline", "--degree", "2", "--seed", "0"],
+        ],
+    )
+    def test_seed_flag_is_usage_error(self, argv, capsys):
+        assert cli.run(argv) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_degenerate_instance_names_relation(self, tmp_path, capsys):
+        # b = 0 breaks b == x0^2; sampling such an instance proves nothing
+        data = instance_to_json_dict(build_params_odd(3))
+        data["b"] = "0"
+        path = write_params(tmp_path, data)
+        assert cli.run(["frobenius", "--params", path, "--level", "1", "--primes", "50"]) == 1
+        err = capsys.readouterr().err
+        assert "instance.structural_invariants" in err
+        assert "b == x0^2" in err
 
 
 class TestPipelineCommand:

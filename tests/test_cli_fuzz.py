@@ -1,0 +1,154 @@
+"""Fuzz the CLI contract: for any input, ``cli.run`` returns 0, 1 or 2
+and never lets a traceback out.
+
+Inputs are malformed params files (keys missing, values non-numeric,
+b = 0, t = 0, non-prime witnesses, d from 0 to 12), malformed
+group-check files, and out-of-range --depth/--level/--primes/--start
+values. Sizes are bounded so the whole module runs in seconds.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from odoni import cli
+from odoni.construct import build_params, instance_to_json_dict
+
+BASES = [instance_to_json_dict(build_params(d)) for d in (2, 3)]
+KEYS = ["d", "m", "case", "s", "t", "x0", "b", "p", "p1", "p2"]
+DROP = "<drop>"
+
+junk = st.one_of(
+    st.sampled_from(["x", "", "1/0", "nan", "inf", "2.5", "-", "9" * 600]),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+# small integers cover d in 0..12, b = 0, t = 0 and non-prime witnesses
+numbers = st.integers(-3, 12)
+param_values = st.one_of(numbers.map(str), st.just(DROP), numbers, junk)
+
+
+@st.composite
+def param_docs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(junk)
+    doc = dict(draw(st.sampled_from(BASES)))
+    for key, value in draw(st.dictionaries(st.sampled_from(KEYS), param_values, max_size=3)).items():
+        if value == DROP:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+@st.composite
+def group_docs(draw):
+    """Mostly well-formed generator files of degree 2..7, then a few
+    fields dropped or replaced by junk."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(junk)
+    d = draw(st.integers(2, 7))
+    perms = st.permutations(list(range(1, d + 1)))
+    # (1 2) and the d-cycle generate S_d; the head cycle fixes the tail
+    swap, cycle = [2, 1] + list(range(3, d + 1)), list(range(2, d + 1)) + [1]
+    m = draw(st.one_of(st.integers(d // 2 + 1, max(d // 2 + 1, d - 1)), st.integers(-1, d + 1)))
+    head = list(range(2, m + 1)) + [1] + list(range(m + 1, d + 1)) if 1 <= m <= d else swap
+    doc = {
+        "d": d,
+        "m": m,
+        "g_gens": draw(st.lists(st.one_of(perms, st.just(swap), st.just(cycle)), min_size=1, max_size=3)),
+        "h_gens": draw(st.lists(st.one_of(perms, st.just(head)), max_size=2)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
+        replacement = draw(st.one_of(st.just(DROP), junk, st.integers(-1, 9),
+                                     st.lists(st.lists(st.integers(-1, 8), max_size=8), max_size=2)))
+        if replacement == DROP:
+            del doc[key]
+        else:
+            doc[key] = replacement
+    return doc
+
+
+depths = st.integers(-2, 3)
+levels = st.integers(-1, 3)
+prime_counts = st.integers(-2, 12)
+starts = st.one_of(st.integers(-50, 3000), st.sampled_from([10**7 - 5, 10**7, 10**12]))
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    return code
+
+
+def write(workdir, name, doc):
+    path = workdir / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@FUZZ
+@given(doc=param_docs(), command=st.sampled_from(["certify", "disc", "frobenius"]), depth=depths,
+       level=levels, primes=prime_counts, start=starts)
+@example(doc={**BASES[1], "b": "0"}, command="frobenius", depth=1, level=1, primes=10, start=1000)
+@example(doc={**BASES[0], "t": "0"}, command="certify", depth=1, level=1, primes=10, start=1000)
+@example(doc={**BASES[0], "p1": "9"}, command="certify", depth=1, level=1, primes=10, start=1000)
+# defects this test found: an IndexError building f with d < 1, a
+# TypeError checking the even-case relation with d = 0, a
+# ZeroDivisionError in condition (2c) with m = d
+@example(doc={**BASES[1], "d": -1}, command="disc", depth=1, level=3, primes=10, start=1000)
+@example(doc={**BASES[0], "d": False}, command="frobenius", depth=1, level=2, primes=12, start=1000)
+@example(doc={**BASES[1], "d": 8, "m": 8}, command="certify", depth=2, level=1, primes=10, start=1000)
+def test_params_files(workdir, doc, command, depth, level, primes, start):
+    path = write(workdir, "params.json", doc)
+    if command == "certify":
+        argv = ["certify", "--params", path, "--depth", str(depth), "--exhibit-effort", "50"]
+    elif command == "disc":
+        argv = ["disc", "--params", path, "--level", str(level)]
+    else:
+        argv = ["frobenius", "--params", path, "--level", str(level), "--primes", str(primes),
+                "--start", str(start)]
+    run_cli(argv)
+
+
+@FUZZ
+@given(doc=group_docs())
+@example(doc={"d": 3, "m": 2, "g_gens": [5]})
+def test_group_check_files(workdir, doc):
+    run_cli(["group-check", "--file", write(workdir, "gens.json", doc)])
+
+
+@FUZZ
+@given(command=st.sampled_from(["certify", "frobenius", "pipeline"]), degree=st.integers(-1, 4),
+       depth=depths, level=levels, primes=prime_counts, start=starts)
+def test_out_of_range_flags(workdir, command, degree, depth, level, primes, start):
+    if command == "pipeline":
+        run_cli(["pipeline", "--degree", str(degree), "--depth", str(depth), "--primes", str(primes),
+                 "--start", str(start)])
+        return
+    path = write(workdir, "golden.json", BASES[0])
+    if command == "certify":
+        run_cli(["certify", "--params", path, "--depth", str(depth), "--exhibit-effort", "50"])
+    else:
+        run_cli(["frobenius", "--params", path, "--level", str(level), "--primes", str(primes),
+                 "--start", str(start)])

@@ -2,28 +2,36 @@ from fractions import Fraction
 
 import pytest
 
+from factor_oracle import BadReductionError, factor_cycle_type, factor_tree
+from odoni.arith import primes_up_to
+from odoni.construct import build_params
 from odoni.frobenius import (
-    BadReductionError,
+    _good_reduction_discs,
+    _is_good_prime,
     chebotarev_distance,
-    factor_tree,
     run_frobenius,
     sample_distribution,
     tv_is_enforced,
 )
 from odoni.permgroup import leaf_type_distribution
+from odoni.poly import iterate
+from odoni.polymod import PolyModP, cycle_type_mod_p
+
+
+def reduced_target(inst, n, p):
+    """f^n - x0 mod p."""
+    return PolyModP.from_rational_coeffs((iterate(inst.f_poly(), n) - inst.x0).coeffs, p)
 
 
 class TestFactorTree:
     def test_structure_on_good_primes(self, golden_even_2):
-        from odoni.arith import primes_up_to
-
         seen_types = set()
         good = 0
         for p in primes_up_to(1600):
             if p < 1009 or good >= 40:
                 continue
             try:
-                tree = factor_tree(golden_even_2, 2, p, seed=1)
+                tree = factor_tree(golden_even_2, 2, p)
             except BadReductionError:
                 continue
             good += 1
@@ -31,6 +39,7 @@ class TestFactorTree:
             assert sum(tree.level_degrees(1)) == 2
             assert sum(tree.level_degrees(2)) == 4
             seen_types.add(tree.leaf_cycle_type())
+            assert cycle_type_mod_p(reduced_target(golden_even_2, 2, p)) == tree.leaf_cycle_type()
             for node in tree.levels[2]:
                 assert node.parent is not None
         assert good >= 40
@@ -40,16 +49,15 @@ class TestFactorTree:
 
     def test_irreducible_level_one(self, golden_even_2):
         # some good prime has f - x0 irreducible: leaf type (2,) at level 1
-        from odoni.arith import primes_up_to
-
         found = False
         for p in primes_up_to(1400):
             if p < 1009:
                 continue
             try:
-                tree = factor_tree(golden_even_2, 1, p, seed=0)
+                tree = factor_tree(golden_even_2, 1, p)
             except BadReductionError:
                 continue
+            assert cycle_type_mod_p(reduced_target(golden_even_2, 1, p)) == tree.leaf_cycle_type()
             if tree.leaf_cycle_type() == (2,):
                 found = True
                 break
@@ -57,14 +65,13 @@ class TestFactorTree:
 
     def test_split_then_partial_merge(self, golden_even_2):
         # a split-then-partial-merge witness: level degrees (1, 1) then (2, 1, 1)
-        from odoni.arith import primes_up_to
-
         found = False
         for p in primes_up_to(200):
             try:
-                tree = factor_tree(golden_even_2, 2, p, seed=0)
+                tree = factor_tree(golden_even_2, 2, p)
             except BadReductionError:
                 continue
+            assert cycle_type_mod_p(reduced_target(golden_even_2, 2, p)) == tree.leaf_cycle_type()
             if tree.level_degrees(1) == (1, 1) and tree.level_degrees(2) == (2, 1, 1):
                 found = True
                 break
@@ -74,23 +81,22 @@ class TestFactorTree:
         # the witness primes themselves always divide some discriminant
         for p in (3, 5):
             with pytest.raises(BadReductionError):
-                factor_tree(golden_even_2, 2, p, seed=0)
+                factor_tree(golden_even_2, 2, p)
         with pytest.raises(BadReductionError):
-            factor_tree(golden_even_2, 1, 2, seed=0)
+            factor_tree(golden_even_2, 1, 2)
 
     def test_odd_instance_tree(self, golden_odd_3):
-        from odoni.arith import primes_up_to
-
         good = 0
         for p in primes_up_to(1200):
             if p < 1009 or good >= 10:
                 continue
             try:
-                tree = factor_tree(golden_odd_3, 2, p, seed=5)
+                tree = factor_tree(golden_odd_3, 2, p)
             except BadReductionError:
                 continue
             good += 1
             assert sum(tree.level_degrees(2)) == 9
+            assert cycle_type_mod_p(reduced_target(golden_odd_3, 2, p)) == tree.leaf_cycle_type()
             for k in (1, 2):
                 for j, parent in enumerate(tree.levels[k - 1]):
                     kids = sum(n.degree for n in tree.levels[k] if n.parent == j)
@@ -100,7 +106,7 @@ class TestFactorTree:
 
 class TestSampleDistribution:
     def test_small_sample_realizable(self, golden_even_2):
-        result = sample_distribution(golden_even_2, 2, 300, seed=0)
+        result = sample_distribution(golden_even_2, 2, 300)
         assert result.used == 300
         assert sum(result.counts.values()) == 300
         assert set(result.counts) <= set(leaf_type_distribution(2, 2))
@@ -108,19 +114,38 @@ class TestSampleDistribution:
         assert tv < Fraction(15, 100)
 
     def test_seed_determinism(self, golden_odd_3):
-        a = sample_distribution(golden_odd_3, 1, 200, seed=7)
-        b = sample_distribution(golden_odd_3, 1, 200, seed=7)
+        # no seed any more: two runs over the same window agree exactly
+        a = sample_distribution(golden_odd_3, 1, 200)
+        b = sample_distribution(golden_odd_3, 1, 200)
         assert a.counts == b.counts
+        assert not hasattr(a, "seed")
 
     def test_reference_must_be_enumerable(self, golden_odd_9):
         with pytest.raises(ValueError, match="enumerable"):
-            sample_distribution(golden_odd_9, 1, 10, seed=0)
+            sample_distribution(golden_odd_9, 1, 10)
 
     def test_scan_cap(self, golden_even_2):
         from odoni.frobenius import InsufficientPrimesError
 
         with pytest.raises(InsufficientPrimesError):
-            sample_distribution(golden_even_2, 2, 10**6, seed=0, scan_cap=2000)
+            sample_distribution(golden_even_2, 2, 10**6, scan_cap=2000)
+
+
+class TestCycleTypeAgainstOracle:
+    @pytest.mark.parametrize("d, n", [(2, 2), (3, 1), (2, 3), (8, 1)])
+    def test_every_good_prime_in_window(self, d, n):
+        # the sampler's distinct-degree type equals the complete
+        # factorization's type at every good prime in a fixed window
+        inst = build_params(d)
+        discs = _good_reduction_discs(inst, n)
+        good = 0
+        for p in primes_up_to(2500):
+            if p < 1000 or not _is_good_prime(inst, p, discs):
+                continue
+            target = reduced_target(inst, n, p)
+            assert cycle_type_mod_p(target) == factor_cycle_type(target), p
+            good += 1
+        assert good >= 150
 
 
 class TestChebotarevDistance:
@@ -140,7 +165,7 @@ class TestChebotarevDistance:
 
 class TestRunFrobenius:
     def test_report_fields(self, golden_odd_3):
-        report = run_frobenius(golden_odd_3, 1, 300, seed=1)
+        report = run_frobenius(golden_odd_3, 1, 300)
         assert report.sample.used == 300
         assert report.realizable_ok
         assert report.enforced is False  # below 2000 primes
@@ -149,8 +174,8 @@ class TestRunFrobenius:
 
 class TestConvergence:
     def test_tv_shrinks_with_more_primes(self, golden_even_2):
-        a = sample_distribution(golden_even_2, 2, 250, seed=0)
-        b = sample_distribution(golden_even_2, 2, 4000, seed=0)
+        a = sample_distribution(golden_even_2, 2, 250)
+        b = sample_distribution(golden_even_2, 2, 4000)
         tv_a = chebotarev_distance(a.frequencies(), 2, 2)
         tv_b = chebotarev_distance(b.frequencies(), 2, 2)
         assert tv_b < tv_a + Fraction(2, 100)

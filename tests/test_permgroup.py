@@ -8,7 +8,6 @@ from odoni.permgroup import (
     Perm,
     TreeAutomorphism,
     closure,
-    compose_tree,
     enumerate_wreath,
     gen_sd_check,
     internal_nodes,
@@ -20,6 +19,12 @@ from odoni.permgroup import (
 
 def cycles(d, *cyc):
     return Perm.from_cycles(d, *cyc)
+
+
+def compose_tree(a: TreeAutomorphism, b: TreeAutomorphism) -> TreeAutomorphism:
+    """Composition acting by b first: label_v(a o b) = label_{b(v)}(a) * label_v(b)."""
+    portrait = {v: a.portrait[b.node_image(v)] * b.portrait[v] for v in a.portrait}
+    return TreeAutomorphism(a.d, a.n, portrait)
 
 
 class TestPerm:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from odoni.polymod import PolyModP, factor_mod_p
+from factor_oracle import derivative, factor_mod_p, pth_root
+from odoni.polymod import PolyModP, cycle_type_mod_p
 
 
 def poly(coeffs, p):
@@ -56,8 +57,8 @@ class TestPolyModPArithmetic:
         p = 5
         f = poly([1, 1], p)
         fifth = f * f * f * f * f
-        assert fifth.derivative().is_zero()
-        assert fifth.pth_root() == f
+        assert derivative(fifth).is_zero()
+        assert pth_root(fifth) == f
 
     def test_rational_reduction(self):
         f = PolyModP.from_rational_coeffs([Fraction(1, 2), Fraction(3)], 5)
@@ -69,7 +70,7 @@ class TestPolyModPArithmetic:
 class TestFactorModP:
     def test_quartic_example(self):
         # x^4 + 1 mod 5 = (x^2 + 2)(x^2 + 3)
-        factors = factor_mod_p(poly([1, 0, 0, 0, 1], 5), seed=0)
+        factors = factor_mod_p(poly([1, 0, 0, 0, 1], 5))
         assert [(list(q.coeffs), e) for q, e in factors] == [
             ([2, 0, 1], 1),
             ([3, 0, 1], 1),
@@ -77,14 +78,14 @@ class TestFactorModP:
 
     def test_difference_of_squares(self):
         # x^2 - 1 mod 7 = (x - 1)(x + 1)
-        factors = factor_mod_p(poly([6, 0, 1], 7), seed=0)
+        factors = factor_mod_p(poly([6, 0, 1], 7))
         assert [(list(q.coeffs), e) for q, e in factors] == [([1, 1], 1), ([6, 1], 1)]
 
     def test_multiplicities_and_unit(self):
         p = 5
         lin = poly([1, 1], p)
         f = 3 * lin * lin * poly([2, 0, 1], p)
-        factors = factor_mod_p(f, seed=0)
+        factors = factor_mod_p(f)
         assert [(list(q.coeffs), e) for q, e in factors] == [([1, 1], 2), ([2, 0, 1], 1)]
         reassembled = product_with_multiplicity(factors, p) * f.lc
         assert reassembled == f
@@ -93,7 +94,7 @@ class TestFactorModP:
         p = 5
         f = poly([1, 1], p)
         fifth = f * f * f * f * f
-        factors = factor_mod_p(fifth, seed=0)
+        factors = factor_mod_p(fifth)
         assert [(list(q.coeffs), e) for q, e in factors] == [([1, 1], 5)]
 
     def test_rejects_p2_and_constants(self):
@@ -107,7 +108,7 @@ class TestFactorModP:
         p = 101
         for _ in range(15):
             f = poly([rng.randrange(p) for _ in range(rng.randint(1, 9))] + [rng.randint(1, p - 1)], p)
-            factors = factor_mod_p(f, seed=3)
+            factors = factor_mod_p(f)
             assert sum(q.degree * e for q, e in factors) == f.degree
             for q, _ in factors:
                 assert q.is_monic()
@@ -117,6 +118,34 @@ class TestFactorModP:
     def test_determinism(self):
         p = 31
         f = poly([7, 3, 0, 1, 0, 0, 1, 2], p)
-        factors = factor_mod_p(f, seed=9)
-        assert factors == factor_mod_p(f, seed=9)
+        factors = factor_mod_p(f)
+        assert factors == factor_mod_p(f)
         assert sum(q.degree * e for q, e in factors) == f.degree
+
+
+class TestCycleTypeModP:
+    def test_quartic_example(self):
+        # x^4 + 1 mod 5 = (x^2 + 2)(x^2 + 3)
+        assert cycle_type_mod_p(poly([1, 0, 0, 0, 1], 5)) == (2, 2)
+
+    def test_irreducible_and_split(self):
+        assert cycle_type_mod_p(poly([2, 0, 1], 5)) == (2,)  # x^2 + 2 has no root mod 5
+        assert cycle_type_mod_p(poly([6, 0, 1], 7)) == (1, 1)
+        assert cycle_type_mod_p(3 * poly([1, 1], 7)) == (1,)  # the leading unit is stripped
+
+    def test_rejects_constants(self):
+        with pytest.raises(ValueError):
+            cycle_type_mod_p(poly([3], 7))
+
+    def test_matches_oracle_on_random_squarefree(self):
+        rng = random.Random(23)
+        for p in (3, 5, 101):
+            checked = 0
+            while checked < 20:
+                f = poly([rng.randrange(p) for _ in range(rng.randint(1, 10))] + [1], p)
+                factors = factor_mod_p(f)
+                if any(e > 1 for _, e in factors):
+                    continue
+                expected = sorted((q.degree for q, _ in factors), reverse=True)
+                assert cycle_type_mod_p(f) == tuple(expected)
+                checked += 1
