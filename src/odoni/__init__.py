@@ -40,7 +40,6 @@ from .poly import (
     disc_iterate,
     disc_resultant,
     disc_trinomial,
-    eisenstein_at,
     iterate,
     resultant,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "disc_iterate",
     "disc_resultant",
     "disc_trinomial",
-    "eisenstein_at",
     "enumerate_wreath",
     "exhibit_odd_prime_q",
     "gen_sd_check",

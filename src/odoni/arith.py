@@ -256,6 +256,20 @@ def decimal_str(n: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+@functools.lru_cache(maxsize=4)
+def _prime_product(bound: int) -> int:
+    """Product of all primes <= bound.
+
+    Products of 256-prime slices of the sieve, multiplied pairwise up a
+    tree, so that the large multiplications pair operands of equal size.
+    """
+    primes = _primes_up_to_cached(bound)
+    level = [math.prod(primes[i : i + 256]) for i in range(0, len(primes), 256)]
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
+
+
 def trial_factor(n: int, bound: int = DEFAULT_SEARCH_CAP) -> tuple[dict[int, int], int]:
     """Partial factorization by trial division with primes <= bound.
 
@@ -263,18 +277,36 @@ def trial_factor(n: int, bound: int = DEFAULT_SEARCH_CAP) -> tuple[dict[int, int
     cofactor the unfactored remainder (1 if fully factored). The
     cofactor is deliberately not classified here; callers decide how
     much primality evidence they want on it.
+
+    The primes <= bound that divide n are those of g = gcd(n, P), with P
+    the (cached) product of all of them, so n is divided only by the
+    primes of g (the smooth-part step of D. J. Bernstein, "How to find
+    smooth parts of integers", 2004).
     """
     if n < 0:
         n = -n
     if n == 0:
         raise ValueError("trial_factor: 0 has no factorization")
     factors: dict[int, int] = {}
-    for p in primes_up_to(bound):
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+    if bound >= 2 and n > 1:
+        product = _prime_product(bound)
+        g = math.gcd(n, product % n if n < product else product)
+        divisors = []
+        # g is squarefree with all its primes <= bound
+        for p in _primes_up_to_cached(bound):
+            if p * p > g:
+                break
+            if g % p == 0:
+                divisors.append(p)
+                g //= p
+        if g > 1:
+            divisors.append(g)
+        for p in divisors:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
     # all prime factors <= bound are divided out, so a remainder below
     # bound^2 cannot be composite
     if 1 < n <= bound * bound:

@@ -41,14 +41,7 @@ from .arith import (
     val,
 )
 from .construct import EVEN_CASE, ODD_CASE_1, IterInstance
-from .poly import (
-    BitBudgetExceededError,
-    Poly,
-    compose,
-    critical_orbit,
-    disc_levels,
-    eisenstein_at,
-)
+from .poly import BitBudgetExceededError, critical_orbit, disc_levels
 
 DEFAULT_DEPTH = 3
 FN_BIT_CAP = 2**24
@@ -417,14 +410,59 @@ def exhibit_odd_prime_q(
     )
 
 
+def _mul_mod(a: list[int], b: list[int], modulus: int) -> list[int]:
+    """Product of two ascending coefficient lists, reduced mod ``modulus``."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return [c % modulus for c in out]
+
+
+def _pow_mod(g: list[int], e: int, modulus: int) -> list[int]:
+    result = [1]
+    while e:
+        if e & 1:
+            result = _mul_mod(result, g, modulus)
+        e >>= 1
+        if e:
+            g = _mul_mod(g, g, modulus)
+    return result
+
+
+def _residue(q: Fraction, modulus: int, p: int) -> int:
+    """Image of a p-integral rational in Z/modulus, for modulus a power of p."""
+    if q.denominator % p == 0:
+        raise ValueError(f"eisenstein check: {q} is not {p}-integral")
+    return q.numerator * pow(q.denominator, -1, modulus) % modulus
+
+
 def _eisenstein_levels(inst: IterInstance, depth: int) -> dict[int, bool]:
-    """Eisenstein test of f^n - x0 at p1 for n <= min(depth, 3)."""
+    """Eisenstein test of f^n - x0 at p1 for n <= min(depth, 3).
+
+    Runs in Z/p1^2, the image of the p1-integral rationals under a ring
+    map: f^n - x0 is Eisenstein at p1 exactly when its non-leading
+    coefficients reduce to 0 mod p1 and its constant term does not
+    reduce to 0 mod p1^2. A non-p1-integral b or x0 raises ValueError.
+    """
+    p1, d, m = inst.p1, inst.d, inst.m
+    modulus = p1 * p1
+    b = _residue(inst.b, modulus, p1)
+    x0 = _residue(inst.x0, modulus, p1)
     out: dict[int, bool] = {}
-    f = inst.f_poly()
-    g = Poly.x()
+    g = [0, 1]
     for n in range(1, min(depth, EISENSTEIN_MAX_LEVEL) + 1):
-        g = compose(f, g)
-        out[n] = eisenstein_at(g - inst.x0, inst.p1)
+        # f(g) = g^m * (g^(d-m) - b)
+        inner = _pow_mod(g, d - m, modulus)
+        inner[0] = (inner[0] - b) % modulus
+        g = _mul_mod(_pow_mod(g, m, modulus), inner, modulus)
+        constant = (g[0] - x0) % modulus
+        out[n] = (
+            constant % p1 == 0
+            and constant != 0
+            and all(c % p1 == 0 for c in g[1:-1])
+        )
     return out
 
 

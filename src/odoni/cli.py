@@ -5,8 +5,10 @@ Exit codes: 0 on success or a passing verdict, 1 when a verification
 check fails (the violated relation is named on stderr), 2 for usage or
 input errors. JSON always goes to --out or stdout; human-readable
 progress and the --verbose check log go to stderr, so piped output
-stays parseable. A discriminant past its bit budget is an input error
-(exit 2), not a failed relation.
+stays parseable. A resource cap that is hit (a discriminant past its
+bit budget, too few good primes below the scan cap, a prime search or
+subgroup closure past its cap) exits 2, not 1: it is not a failed
+relation.
 """
 
 from __future__ import annotations
@@ -373,26 +375,21 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code != 0 else EXIT_PASS
     try:
         return args.handler(args)
-    except (
-        OSError,
-        json.JSONDecodeError,
-        ValueError,
-        KeyError,
-        CertifyError,
-        BitBudgetExceededError,
-    ) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, CertifyError) as exc:
         # a CertifyError that escapes certify() is an input outside its
-        # contract, never a failed relation (those come back as a verdict);
-        # a bit budget caps the work asked for, it proves nothing
+        # contract, never a failed relation (those come back as a verdict)
         _log(f"input error: {exc}")
         return EXIT_USAGE
     except (
-        construct_mod.ConstructError,
-        frobenius_mod.UnrealizableTypeError,
+        BitBudgetExceededError,
         frobenius_mod.InsufficientPrimesError,
         permgroup.ClosureCapError,
         CapExceededError,
     ) as exc:
+        # a cap bounds the work asked for; hitting it proves nothing
+        _log(f"resource cap: {exc}")
+        return EXIT_USAGE
+    except (construct_mod.ConstructError, frobenius_mod.UnrealizableTypeError) as exc:
         _log(f"check failed: {exc}")
         return EXIT_CHECK_FAILED
 

@@ -3,9 +3,8 @@
 Composition and iteration, derivatives, resultants via the fraction-free
 subresultant remainder sequence, the critical orbit of x^d - b*x^m,
 discriminants three ways (resultant oracle, trinomial closed form, and
-the iterated recursion driven by the critical orbit), the closed-form
-product of a trinomial over its nonzero critical points, and the
-Eisenstein irreducibility test.
+the iterated recursion driven by the critical orbit), and the
+closed-form product of a trinomial over its nonzero critical points.
 
 Coefficients are ``fractions.Fraction``; polynomials are immutable
 tuples in ascending-degree order with trailing zeros trimmed.
@@ -18,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
-
-from .arith import INFINITY, val
 
 Scalar = Union[int, Fraction]
 
@@ -415,20 +412,3 @@ def disc_iterate(inst, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction
     if n < 1:
         raise ValueError("disc_iterate: n must be >= 1")
     return next(itertools.islice(disc_levels(inst, bit_budget), n - 1, None))
-
-
-def eisenstein_at(f: Poly, p: int) -> bool:
-    """Eisenstein test at p for a monic polynomial with p-integral coefficients.
-
-    True iff every non-leading coefficient has valuation >= 1 and the
-    constant term has valuation exactly 1. Non-monic or non-p-integral
-    input is rejected (that is a caller error, not a False).
-    """
-    if f.degree < 1 or f.lc != 1:
-        raise ValueError("eisenstein_at: polynomial must be monic non-constant")
-    vals = [val(c, p) for c in f.coeffs[:-1]]
-    if any(v is not INFINITY and v < 0 for v in vals):
-        raise ValueError("eisenstein_at: coefficients must be p-integral")
-    if not all(v >= 1 for v in vals):
-        return False
-    return vals[0] == 1

@@ -19,6 +19,8 @@ from odoni.arith import (
     trial_factor,
     val,
 )
+from odoni.certify import fn_sequence
+from odoni.construct import build_params
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -195,6 +197,59 @@ class TestTrialFactor:
         factors, cofactor = trial_factor(big, bound=1000)
         assert factors == {}
         assert cofactor == big
+
+
+def plain_trial_factor(n, bound):
+    """Oracle: divide by every prime <= bound in turn."""
+    n = abs(n)
+    factors = {}
+    for p in primes_up_to(bound):
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    if 1 < n <= bound * bound:
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
+    return factors, n
+
+
+BOUNDS = [0, 1, 2, 1000, 10100]
+
+
+def _edge_inputs(bound):
+    """The largest prime <= bound, its square, and its product with the
+    next prime above bound."""
+    if bound < 2:
+        return []
+    top = primes_up_to(bound)[-1]
+    above = next_prime_where(bound + 1, lambda p: True)
+    return [top, top * top, top * above]
+
+
+def _critical_orbit_integers():
+    return [v.F_n for d, depth in ((2, 10), (3, 7)) for v in fn_sequence(build_params(d), depth)]
+
+
+class TestTrialFactorOracle:
+    """The prime-product trial division against the plain loop."""
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_small_inputs(self, bound):
+        inputs = [1, -1, -12, -(2**5 * 10007), 2**200 * 3**50 * 101] + _edge_inputs(bound)
+        for n in inputs:
+            assert trial_factor(n, bound) == plain_trial_factor(n, bound), n
+
+    def test_zero_rejected(self):
+        for bound in BOUNDS:
+            with pytest.raises(ValueError):
+                trial_factor(0, bound)
+
+    def test_critical_orbit_integers(self):
+        for f_n in _critical_orbit_integers():
+            for bound in BOUNDS + [10**6]:
+                assert trial_factor(f_n, bound) == plain_trial_factor(f_n, bound)
 
 
 class TestDecimalStr:

@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from eisenstein_oracle import eisenstein_at
 from odoni.arith import legendre, val
 from odoni.certify import (
+    EISENSTEIN_MAX_LEVEL,
     CertifyError,
+    _eisenstein_levels,
     certificate_to_json_dict,
     certify,
     check_condition1,
@@ -22,7 +25,7 @@ from odoni.certify import (
     nonsquare_pair,
 )
 from odoni.construct import IterInstance, build_params
-from odoni.poly import disc_levels, disc_resultant
+from odoni.poly import disc_levels, disc_resultant, iterate
 
 
 class TestFnEven:
@@ -276,6 +279,59 @@ class TestCertify:
     def test_eisenstein_recorded_up_to_three(self, golden_even_2):
         cert = certify(golden_even_2, 3)
         assert [r.eisenstein_ok for r in cert.records] == [True, True, True]
+
+
+def _q_oracle_levels(inst, depth):
+    f = inst.f_poly()
+    return {
+        n: eisenstein_at(iterate(f, n) - inst.x0, inst.p1)
+        for n in range(1, min(depth, EISENSTEIN_MAX_LEVEL) + 1)
+    }
+
+
+def _p1_unit(q, p1):
+    """q with every factor p1 removed."""
+    return q / Fraction(p1) ** val(q, p1)
+
+
+class TestEisensteinLevels:
+    """The Z/p1^2 check against the Eisenstein test over Q."""
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_matches_q_oracle(self, d):
+        inst = build_params(d)
+        levels = _eisenstein_levels(inst, 3)
+        assert levels == _q_oracle_levels(inst, 3)
+        assert levels == {1: True, 2: True, 3: True}
+
+    def test_stops_at_depth(self, golden_odd_3):
+        assert _eisenstein_levels(golden_odd_3, 2) == {1: True, 2: True}
+        assert set(_eisenstein_levels(golden_odd_3, 7)) == {1, 2, 3}
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_x0_divisible_by_p1_squared(self, d):
+        inst = build_params(d)
+        shifted = replace(inst, x0=inst.x0 * inst.p1)
+        levels = _eisenstein_levels(shifted, 3)
+        assert levels == _q_oracle_levels(shifted, 3)
+        assert not any(levels.values())
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_b_a_p1_unit(self, d):
+        inst = build_params(d)
+        unit = replace(inst, b=_p1_unit(inst.b, inst.p1))
+        levels = _eisenstein_levels(unit, 3)
+        assert levels == _q_oracle_levels(unit, 3)
+        assert not any(levels.values())
+
+    @pytest.mark.parametrize("field", ["b", "x0"])
+    def test_p1_denominator_rejected(self, golden_even_2, field):
+        inst = golden_even_2
+        bad = replace(inst, **{field: _p1_unit(getattr(inst, field), inst.p1) / inst.p1})
+        with pytest.raises(ValueError, match="integral"):
+            _eisenstein_levels(bad, 3)
+        with pytest.raises(ValueError):
+            _q_oracle_levels(bad, 3)
 
 
 class TestTamperedPrimes:

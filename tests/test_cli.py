@@ -109,6 +109,23 @@ class TestExitCodes:
         assert cli.run(["group-check", "--file", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # no good prime below the sampler's scan cap
+            ["frobenius", "--params", "{params}", "--level", "1", "--primes", "10",
+             "--start", "1000000000000"],
+            # no witness prime below construct's search cap
+            ["construct", "--degree", "5", "--cap", "10"],
+        ],
+    )
+    def test_resource_cap_is_usage_error(self, params_d2, argv, capsys):
+        assert cli.run([a.format(params=params_d2) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "below" in err and "cap" in err
+        assert "check failed" not in err
+        assert "Traceback" not in err
+
 
 class TestDiscCommand:
     def test_trinomial(self, capsys):

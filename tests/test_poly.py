@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from eisenstein_oracle import eisenstein_at
 from odoni.poly import (
     BitBudgetExceededError,
     Poly,
@@ -14,7 +15,6 @@ from odoni.poly import (
     disc_iterate,
     disc_resultant,
     disc_trinomial,
-    eisenstein_at,
     iterate,
     resultant,
 )
