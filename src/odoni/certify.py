@@ -158,16 +158,19 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
     Each F_n is checked against its defining value
     s^(-(d-m)) (dtc)^(d^n) [w_n - x0^(d-m)], evaluated exactly on the
     critical orbit w_n (``poly.critical_orbit``), with c = D in the even
-    case and c = t in the odd cases. A mismatch means a transcribed
-    formula is wrong and is a hard certificate failure.
+    case and c = t in the odd cases. The check is the integer identity
+    (dtc)^(d^n) (W v - u S) = F_n s^(d-m) S v, with w_n = W/S and
+    x0^(d-m) = u/v, so no rational is reduced. A mismatch means a
+    transcribed formula is wrong and is a hard certificate failure.
     """
     d, m, s, t = inst.d, inst.m, inst.s, inst.t
     even = inst.parity_case == EVEN_CASE
     c = inst.big_d if even else t
-    scale = Fraction(1, s ** (d - m))
+    s_shift = s ** (d - m)
     x0_shift = inst.x0 ** (d - m)
+    u, v = x0_shift.numerator, x0_shift.denominator
     m_n, e_n = (-1 if even else 1), d
-    for n, w in zip(range(1, depth + 1), critical_orbit(inst)):
+    for n, (w, scale) in zip(range(1, depth + 1), critical_orbit(inst)):
         if even:
             unit = (d - 1) ** ((d - 1) ** n)
             tail = d ** (d**n) * (t * c) ** (d**n - 1)
@@ -177,8 +180,8 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
             sq_coeff = 4 ** ((d - 2) ** (n - 1)) * (d - 2) ** ((d - 2) ** n) * s ** (2 * e_n - 2)
             f_rec = sq_coeff * m_n * m_n - d ** (d**n) * t ** (2 * d**n - 2)
             m_next = m_n ** (d - 2) * f_rec
-        f_def = scale * (d * t * c) ** (d**n) * (w - x0_shift)
-        if f_def.denominator != 1 or f_def.numerator != f_rec:
+        # f_def = F_rec, cross-multiplied with w_n = w / scale
+        if (d * t * c) ** (d**n) * (w * v - u * scale) != f_rec * s_shift * scale * v:
             raise CertifyError(
                 f"depth{n}.dual_path_Fn: recursion and direct evaluation disagree"
             )

@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-values", action="store_true", help="inline huge integers")
     p.add_argument(
         "--exhibit-effort",
-        type=int,
+        type=_positive_int,
         default=EXHIBIT_TRIAL_BOUND,
         help="trial-division bound for the optional explicit witness prime",
     )

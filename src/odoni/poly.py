@@ -337,23 +337,31 @@ def crit_product(d: int, m: int, b: Scalar, w: Scalar) -> Fraction:
     return bracket / Fraction(d**d)
 
 
-def critical_orbit(inst) -> Iterator[Fraction]:
-    """The critical orbit w_1, w_2, ... of f = x^d - b*x^m, for m = d-1 or d-2.
+def critical_orbit(inst) -> Iterator[tuple[int, int]]:
+    """The critical orbit w_1, w_2, ... of f = x^d - b*x^m, for m = d-1 or d-2,
+    as integer pairs (W_k, S_k) with w_k = W_k / S_k (not reduced).
 
     w_0 = m*b/d and w_(k+1) = w_k^m * (w_k - b)^(d-m). For m = d-1,
     w_0 is the nonzero critical point eta and w_k = f^k(eta). For
     m = d-2 the nonzero critical points are +-eta with eta^2 = w_0, and
     w_k = f^k(eta)^2: f is odd, so squaring follows
     g(x) = x^(d-2) * (x - b)^2 and the irrational eta never appears.
+
+    The denominator is S_k = L^(d^k) with L = d*den(b): from
+    W_0 = m*num(b), S_0 = L, the step is
+    W_(k+1) = W_k^m * (W_k - (S_k / den(b))*num(b))^(d-m), S_(k+1) = S_k^d,
+    exact because d^(k+1) = m*d^k + (d-m)*d^k and den(b) divides S_k.
+    No Fraction is formed, so no gcd is taken.
     ``inst`` is anything with attributes d, m, b.
     """
     d, m, b = inst.d, inst.m, Fraction(inst.b)
     if m not in (d - 1, d - 2):
         raise ValueError(f"critical_orbit: unsupported (d, m) = ({d}, {m})")
-    w = Fraction(m) * b / d
+    num, den = b.numerator, b.denominator
+    w, scale = m * num, d * den
     while True:
-        w = w**m * (w - b) ** (d - m)
-        yield w
+        w, scale = w**m * (w - scale // den * num) ** (d - m), scale**d
+        yield w, scale
 
 
 def _bits(q: Fraction) -> int:
@@ -398,8 +406,8 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[Fraction
     sign_x0 = Fraction((-1) ** d) * x0 ** (m - 1)
     x0_shift = x0 ** (d - m)
     disc = Fraction(1)
-    for k, w in enumerate(critical_orbit(inst)):
-        disc = a_tilde ** (d**k) * disc**d * sign_x0 * (w - x0_shift)
+    for k, (w, scale) in enumerate(critical_orbit(inst)):
+        disc = a_tilde ** (d**k) * disc**d * sign_x0 * (Fraction(w, scale) - x0_shift)
         if _bits(disc) > bit_budget:
             raise BitBudgetExceededError(
                 f"disc_levels: {_bits(disc)} bits at level {k + 1} exceeds budget {bit_budget}"

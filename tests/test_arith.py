@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -246,6 +247,12 @@ class TestTrialFactorOracle:
             with pytest.raises(ValueError):
                 trial_factor(0, bound)
 
+    def test_negative_bound_rejected(self):
+        # with bound^2 > 0 the cofactor rule would call 107 * 6949 * 10151 prime
+        for bound in (-1, -100000):
+            with pytest.raises(ValueError, match="negative"):
+                trial_factor(107 * 6949 * 10151, bound)
+
     def test_critical_orbit_integers(self):
         for f_n in _critical_orbit_integers():
             for bound in BOUNDS + [10**6]:
@@ -260,3 +267,49 @@ class TestDecimalStr:
         assert sys.get_int_max_str_digits() == before
         assert int(text[:20]) == n // 10 ** (len(text) - 20)
         assert decimal_str(-n) == "-" + text
+
+
+@pytest.fixture
+def unguarded_str():
+    """Lift the int-to-str digit guard for the oracle, restore it after."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def _decimal_str_inputs():
+    """0, +-1, +-(2^k +- 1) around the leaf and direct-str cut-offs,
+    powers of ten (no exponent notation), and random values from 10^3
+    to 2*10^6 bits."""
+    values = [0, 1, -1]
+    for k in (127, 128, 129, 2047, 2048, 2049):
+        values += [2**k + 1, 2**k - 1, -(2**k + 1), -(2**k - 1)]
+    for k in (616, 617, 618, 5000, 40000):
+        values += [10**k, 7 * 10**k]
+    # str() is quadratic before CPython 3.12, so the largest size dominates
+    rng = random.Random(5)
+    for bits in (1000, 10**4, 10**5, 10**6, 2 * 10**6):
+        values.append(rng.getrandbits(bits) | 1 << (bits - 1))
+    return values
+
+
+class TestDecimalStrOracle:
+    """decimal_str against str()."""
+
+    def test_equals_str(self, unguarded_str):
+        for n in _decimal_str_inputs():
+            text = str(n)
+            assert decimal_str(n) == text, n.bit_length()
+            if n > 0:
+                assert decimal_str(-n) == "-" + text, n.bit_length()
+
+    def test_under_the_smallest_guard(self, unguarded_str):
+        n = 3**70_000  # about 111 kbit, 33399 digits
+        sys.set_int_max_str_digits(640)
+        try:
+            text = decimal_str(n)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(0)
+        assert text == str(n)

@@ -367,11 +367,27 @@ class TestGoldenCertificates:
         9: "291b2b95c7146eda7db705f3a20acc72bf3a1c9509bcd9756b03f4286c938749",
     }
 
+    # deep certificates without the witness search: digests of F_n and
+    # M_n far above the 2048-bit cut-off of decimal_str's direct route,
+    # and dual-path checks on Mbit-sized values
+    DEEP_HASHES = {
+        (2, 13): "193369b43e3adf56de81d3ae18fcdd8d6ad045faac5d00d361c237286b76fb82",
+        (3, 9): "bb53ebde5ddbfb6094ec52794dc5fdf1480f5cd2d72cf9700b4edc36f5970f81",
+    }
+
+    @staticmethod
+    def _hash(cert):
+        text = json.dumps(certificate_to_json_dict(cert), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
     @pytest.mark.parametrize("d", sorted(HASHES))
     def test_json_hash(self, d):
-        data = certificate_to_json_dict(certify(build_params(d), 3))
-        text = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == self.HASHES[d]
+        assert self._hash(certify(build_params(d), 3)) == self.HASHES[d]
+
+    @pytest.mark.parametrize("d, depth", sorted(DEEP_HASHES))
+    def test_deep_json_hash(self, d, depth):
+        cert = certify(build_params(d), depth, exhibit=False)
+        assert self._hash(cert) == self.DEEP_HASHES[d, depth]
 
 
 class TestExhibitBitBudget:

@@ -90,6 +90,10 @@ class TestExitCodes:
             ["frobenius", "--level", "2", "--primes", "0"],
             ["frobenius", "--level", "2", "--primes", "-5"],
             ["frobenius", "--level", "0", "--primes", "10"],
+            # a negative effort once made trial division call the
+            # composite 107 * 6949 * 10151 a witness prime
+            ["certify", "--depth", "1", "--exhibit-effort", "-100000"],
+            ["certify", "--depth", "1", "--exhibit-effort", "0"],
         ],
     )
     def test_out_of_range_values(self, params_d2, argv, capsys):

@@ -3,8 +3,8 @@ and never lets a traceback out.
 
 Inputs are malformed params files (keys missing, values non-numeric,
 b = 0, t = 0, non-prime witnesses, d from 0 to 12), malformed
-group-check files, and out-of-range --depth/--level/--primes/--start
-values. Sizes are bounded so the whole module runs in seconds.
+group-check files, and out-of-range --depth/--level/--primes/--start/
+--exhibit-effort values. Sizes are bounded so the whole module runs in seconds.
 """
 
 import contextlib
@@ -78,6 +78,7 @@ def group_docs(draw):
 depths = st.integers(-2, 3)
 levels = st.integers(-1, 3)
 prime_counts = st.integers(-2, 12)
+efforts = st.one_of(st.integers(-2, 300), st.sampled_from([-100000, 10**4]))
 starts = st.one_of(st.integers(-50, 3000), st.sampled_from([10**7 - 5, 10**7, 10**12]))
 
 FUZZ = settings(
@@ -140,15 +141,17 @@ def test_group_check_files(workdir, doc):
 
 @FUZZ
 @given(command=st.sampled_from(["certify", "frobenius", "pipeline"]), degree=st.integers(-1, 4),
-       depth=depths, level=levels, primes=prime_counts, start=starts)
-def test_out_of_range_flags(workdir, command, degree, depth, level, primes, start):
+       depth=depths, level=levels, primes=prime_counts, start=starts, effort=efforts)
+# a negative effort once made trial division call a composite prime
+@example(command="certify", degree=2, depth=1, level=1, primes=10, start=1000, effort=-100000)
+def test_out_of_range_flags(workdir, command, degree, depth, level, primes, start, effort):
     if command == "pipeline":
         run_cli(["pipeline", "--degree", str(degree), "--depth", str(depth), "--primes", str(primes),
                  "--start", str(start)])
         return
     path = write(workdir, "golden.json", BASES[0])
     if command == "certify":
-        run_cli(["certify", "--params", path, "--depth", str(depth), "--exhibit-effort", "50"])
+        run_cli(["certify", "--params", path, "--depth", str(depth), "--exhibit-effort", str(effort)])
     else:
         run_cli(["frobenius", "--params", path, "--level", str(level), "--primes", str(primes),
                  "--start", str(start)])

@@ -194,6 +194,17 @@ def _inst(d, m, b, x0):
     return SimpleNamespace(d=d, m=m, b=Fraction(b), x0=Fraction(x0))
 
 
+def _orbit(inst, depth):
+    """The first ``depth`` orbit values as Fractions, checking that each
+    pair is (int W_k, S_k = (d*den(b))^(d^k))."""
+    out = []
+    scale_root = inst.d * Fraction(inst.b).denominator
+    for k, (w, scale) in zip(range(1, depth + 1), critical_orbit(inst)):
+        assert type(w) is int and scale == scale_root ** (inst.d**k)
+        out.append(Fraction(w, scale))
+    return out
+
+
 class TestCriticalOrbit:
     def test_shift_shape_is_the_orbit_of_eta(self):
         # m = d-1: w_k = f^k(eta) with eta = (d-1)b/d
@@ -201,9 +212,7 @@ class TestCriticalOrbit:
             inst = _inst(d, d - 1, b, 0)
             f = X**d - b * X ** (d - 1)
             eta = Fraction(d - 1) * b / d
-            orbit = critical_orbit(inst)
-            for k in (1, 2, 3):
-                assert next(orbit) == iterate(f, k)(eta)
+            assert _orbit(inst, 3) == [iterate(f, k)(eta) for k in (1, 2, 3)]
 
     def test_odd_shape_is_the_squared_orbit(self):
         # m = d-2: w_k = f^k(eta)^2; b is chosen so eta^2 = (d-2)b/d is
@@ -212,9 +221,22 @@ class TestCriticalOrbit:
             b = eta * eta * d / (d - 2)
             inst = _inst(d, d - 2, b, 0)
             f = X**d - b * X ** (d - 2)
-            orbit = critical_orbit(inst)
-            for k in (1, 2, 3):
-                assert next(orbit) == iterate(f, k)(eta) ** 2
+            assert _orbit(inst, 3) == [iterate(f, k)(eta) ** 2 for k in (1, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "d, m, b",
+        [(2, 1, Fraction(-3, 4)), (3, 1, Fraction(-2)), (5, 3, Fraction(6)),
+         (5, 4, Fraction(-7, 10)), (7, 5, Fraction(-1, 21))],
+    )
+    def test_pairs_follow_the_rational_recursion(self, d, m, b):
+        # negative and integral b, where eta is irrational or the
+        # denominators share factors with d
+        w = Fraction(m) * b / d
+        expected = []
+        for _ in range(3):
+            w = w**m * (w - b) ** (d - m)
+            expected.append(w)
+        assert _orbit(_inst(d, m, b, 0), 3) == expected
 
     def test_other_shapes_rejected(self):
         with pytest.raises(ValueError):
