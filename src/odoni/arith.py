@@ -3,7 +3,8 @@
 p-adic valuations, quadratic-residue tests, the Chinese Remainder
 Theorem, primality testing, deterministic prime search, exact square
 tests, and bounded trial division. Everything is pure, exact, and
-reentrant: no floats, no global mutable state.
+reentrant: no floats, and no global state but caches that never change
+a result.
 
 Rationals are ``fractions.Fraction`` throughout (re-exported as
 ``Rational``); the valuation of 0 is the ``INFINITY`` sentinel, a
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -35,6 +37,8 @@ DEFAULT_SEARCH_CAP = 10**6
 # decimal_str: at most 617 digits, below every allowed int-to-str guard
 _DIRECT_STR_BITS = 2048
 _DECIMAL_LEAF_BITS = 128
+# _reciprocal: below this, one long division beats Newton's iteration
+_RECIPROCAL_DIRECT_BITS = 16384
 
 
 class CapExceededError(RuntimeError):
@@ -231,7 +235,7 @@ def _primes_up_to_cached(bound: int) -> tuple[int, ...]:
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
-    return tuple(i for i in range(2, bound + 1) if sieve[i])
+    return tuple(itertools.compress(range(bound + 1), sieve))
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -280,17 +284,72 @@ def decimal_str(n: int) -> str:
 
 
 @functools.lru_cache(maxsize=4)
-def _prime_product(bound: int) -> int:
-    """Product of all primes <= bound.
-
-    Products of 256-prime slices of the sieve, multiplied pairwise up a
-    tree, so that the large multiplications pair operands of equal size.
+def _product_tree_top(bound: int) -> list[list[int]]:
+    """One slot holding the highest level built so far of the product
+    tree of the primes <= bound; its lowest level is the products of
+    256-prime slices of the sieve. The product of a level's nodes is P,
+    the product of all primes <= bound, and no level holds more bits
+    than P.
     """
     primes = _primes_up_to_cached(bound)
-    level = [math.prod(primes[i : i + 256]) for i in range(0, len(primes), 256)]
-    while len(level) > 1:
+    return [[math.prod(primes[i : i + 256]) for i in range(0, len(primes), 256)]]
+
+
+def _prime_tree_level(bound: int, bits: int) -> list[int]:
+    """The nodes of one level of the product tree of the primes <= bound:
+    the cached level, raised pairwise while its nodes stay at most about
+    ``bits`` bits. A level raised for a wider n is kept as it is."""
+    top = _product_tree_top(bound)
+    level = top[0]
+    while len(level) > 1 and 2 * max(q.bit_length() for q in level) <= bits:
         level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
-    return level[0]
+        top[0] = level
+    return level
+
+
+def _reciprocal(n: int) -> int:
+    """floor(4^k / n) for n >= 1 with k the bit length of n.
+
+    Newton's step x + x(4^k - n x) / 4^k from the reciprocal of the top
+    h = k/2 + 2 bits of n roughly doubles the correct bits. The step
+    never overshoots 4^k / n, so the last few units are added exactly.
+    It needs only multiplications, so it is subquadratic where a long
+    division before CPython 3.12 is not.
+    """
+    k = n.bit_length()
+    if k <= _RECIPROCAL_DIRECT_BITS:
+        return (1 << 2 * k) // n
+    h = k // 2 + 2
+    y = _reciprocal(n >> (k - h))  # ~ 2^(2h) / (n / 2^(k-h))
+    x = (y << (k - h)) + (y * ((1 << (k + h)) - n * y) >> 2 * h)
+    r = (1 << 2 * k) - n * x
+    while r >= n:
+        x += 1
+        r -= n
+    return x
+
+
+def _smooth_gcd(n: int, bound: int) -> int:
+    """gcd(n, P) for n >= 2 and bound >= 2, P the product of the primes <= bound.
+
+    P is never formed: gcd(n, P) = gcd(n, prod Q_j mod n) over the nodes
+    Q_j of one level of P's product tree, and the running product is
+    reduced mod n by Barrett's method (mu = floor(2^(2k) / n) once, with
+    k the bit length of n; then two multiplications and at most two
+    subtractions per node), so each node costs a few multiplications of
+    n-sized integers and no long division.
+    """
+    k = n.bit_length()
+    mu = _reciprocal(n)
+    r = 1
+    for q in _prime_tree_level(bound, k):
+        if q >= n:
+            q %= n
+        x = r * q  # < n^2 <= 2^(2k)
+        r = x - ((x >> (k - 1)) * mu >> (k + 1)) * n
+        while r >= n:
+            r -= n
+    return math.gcd(n, r)
 
 
 def trial_factor(n: int, bound: int = DEFAULT_SEARCH_CAP) -> tuple[dict[int, int], int]:
@@ -302,9 +361,9 @@ def trial_factor(n: int, bound: int = DEFAULT_SEARCH_CAP) -> tuple[dict[int, int
     much primality evidence they want on it.
 
     The primes <= bound that divide n are those of g = gcd(n, P), with P
-    the (cached) product of all of them, so n is divided only by the
-    primes of g (the smooth-part step of D. J. Bernstein, "How to find
-    smooth parts of integers", 2004).
+    the product of all of them (``_smooth_gcd``), so n is divided only by
+    the primes of g (the smooth-part step of D. J. Bernstein, "How to
+    find smooth parts of integers", 2004).
     """
     if bound < 0:
         raise ValueError(f"trial_factor: bound {bound} is negative")
@@ -314,8 +373,7 @@ def trial_factor(n: int, bound: int = DEFAULT_SEARCH_CAP) -> tuple[dict[int, int
         raise ValueError("trial_factor: 0 has no factorization")
     factors: dict[int, int] = {}
     if bound >= 2 and n > 1:
-        product = _prime_product(bound)
-        g = math.gcd(n, product % n if n < product else product)
+        g = _smooth_gcd(n, bound)
         divisors = []
         # g is squarefree with all its primes <= bound
         for p in _primes_up_to_cached(bound):

@@ -32,6 +32,7 @@ from typing import Iterator, Optional
 
 from . import newton
 from .arith import (
+    Valuation,
     decimal_str,
     is_prime,
     is_square,
@@ -158,9 +159,11 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
     Each F_n is checked against its defining value
     s^(-(d-m)) (dtc)^(d^n) [w_n - x0^(d-m)], evaluated exactly on the
     critical orbit w_n (``poly.critical_orbit``), with c = D in the even
-    case and c = t in the odd cases. The check is the integer identity
-    (dtc)^(d^n) (W v - u S) = F_n s^(d-m) S v, with w_n = W/S and
-    x0^(d-m) = u/v, so no rational is reduced. A mismatch means a
+    case and c = t in the odd cases. With w_n = W/S and x0^(d-m) = u/v,
+    S = (d den(b))^(d^n) equals (dtc)^(d^n) at every n exactly when
+    (tc)^d = den(b)^d, which is checked once; the check at each depth is
+    then the integer identity W v - u S = F_n s^(d-m) v, so no rational
+    is reduced and no cancelling factor is formed. A mismatch means a
     transcribed formula is wrong and is a hard certificate failure.
     """
     d, m, s, t = inst.d, inst.m, inst.s, inst.t
@@ -169,6 +172,11 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
     s_shift = s ** (d - m)
     x0_shift = inst.x0 ** (d - m)
     u, v = x0_shift.numerator, x0_shift.denominator
+    if (t * c) ** d != inst.b.denominator**d:
+        raise CertifyError(
+            f"depth1.dual_path_Fn: t*c = {t * c} is not den(b) = {inst.b.denominator} "
+            "(up to sign for even d), so the recursion cannot match direct evaluation"
+        )
     m_n, e_n = (-1 if even else 1), d
     for n, (w, scale) in zip(range(1, depth + 1), critical_orbit(inst)):
         if even:
@@ -180,8 +188,9 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
             sq_coeff = 4 ** ((d - 2) ** (n - 1)) * (d - 2) ** ((d - 2) ** n) * s ** (2 * e_n - 2)
             f_rec = sq_coeff * m_n * m_n - d ** (d**n) * t ** (2 * d**n - 2)
             m_next = m_n ** (d - 2) * f_rec
-        # f_def = F_rec, cross-multiplied with w_n = w / scale
-        if (d * t * c) ** (d**n) * (w * v - u * scale) != f_rec * s_shift * scale * v:
+        # f_def = F_rec, cross-multiplied with w_n = w / scale and
+        # (dtc)^(d^n) = scale cancelled
+        if w * v - u * scale != f_rec * s_shift * v:
             raise CertifyError(
                 f"depth{n}.dual_path_Fn: recursion and direct evaluation disagree"
             )
@@ -317,8 +326,8 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
 
 
 class DiscLevels:
-    """disc(f^l - x0) for l = 1, 2, ..., from one pass of
-    ``poly.disc_levels``, extended only as deep as a caller asks.
+    """disc(f^l - x0) for l = 1, 2, ..., as the integer pairs of one
+    pass of ``poly.disc_levels``, extended only as deep as a caller asks.
 
     A level over EXHIBIT_DISC_BIT_BUDGET bits, and every level past it,
     reads None: the witness check is optional evidence, so an oversized
@@ -326,18 +335,26 @@ class DiscLevels:
     """
 
     def __init__(self, inst: IterInstance):
-        self._source: Optional[Iterator[Fraction]] = disc_levels(
+        self._source: Optional[Iterator[tuple[int, int]]] = disc_levels(
             inst, bit_budget=EXHIBIT_DISC_BIT_BUDGET
         )
-        self._known: list[Fraction] = []
+        self._known: list[tuple[int, int]] = []
 
-    def level(self, level: int) -> Optional[Fraction]:
+    def level(self, level: int) -> Optional[tuple[int, int]]:
         while self._source is not None and len(self._known) < level:
             try:
                 self._known.append(next(self._source))
             except BitBudgetExceededError:
                 self._source = None
         return self._known[level - 1] if level <= len(self._known) else None
+
+
+def _pair_val(pair: tuple[int, int], q: int) -> Valuation:
+    """v_q(N / D) of an unreduced pair (N, D) with D != 0."""
+    num, den = pair
+    if num == 0:
+        return newton.INFINITY
+    return val(num, q) - val(den, q)
 
 
 def exhibit_odd_prime_q(
@@ -389,7 +406,7 @@ def exhibit_odd_prime_q(
     lower = [discs.level(level) for level in range(1, n)]
     top = discs.level(n)
     clean: Optional[bool] = True
-    if any(disc is not None and val(disc, q) != 0 for disc in lower):
+    if any(disc is not None and _pair_val(disc, q) != 0 for disc in lower):
         clean = False
     elif None in lower:
         clean = None
@@ -400,7 +417,7 @@ def exhibit_odd_prime_q(
         note = (note + "; " if note else "") + f"{beyond} beyond bit budget"
         disc_odd = None
     else:
-        v_disc = val(top, q)
+        v_disc = _pair_val(top, q)
         disc_odd = v_disc is not newton.INFINITY and v_disc > 0 and v_disc % 2 == 1
     return ExhibitReport(
         found=True,

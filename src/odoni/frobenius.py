@@ -44,7 +44,7 @@ class InsufficientPrimesError(RuntimeError):
 
 
 def _good_reduction_discs(inst, n: int) -> list[Fraction]:
-    return list(itertools.islice(disc_levels(inst), n))
+    return [Fraction(num, den) for num, den in itertools.islice(disc_levels(inst), n)]
 
 
 def _is_good_prime(inst, p: int, discs: list[Fraction]) -> bool:

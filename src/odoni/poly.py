@@ -16,11 +16,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
+
+from .arith import MR_DETERMINISTIC_BOUND, is_prime, val
 
 Scalar = Union[int, Fraction]
 
 DEFAULT_BIT_BUDGET = 2**20
+# disc_levels looks for the primes of its denominators up to this bound
+_DENOMINATOR_TRIAL_BOUND = 2**16
 
 
 class BitBudgetExceededError(RuntimeError):
@@ -364,13 +368,38 @@ def critical_orbit(inst) -> Iterator[tuple[int, int]]:
         yield w, scale
 
 
-def _bits(q: Fraction) -> int:
-    return q.numerator.bit_length() + q.denominator.bit_length()
+def _prime_support(n: int) -> Optional[list[int]]:
+    """The primes dividing n >= 1, or None unless trial division to
+    _DENOMINATOR_TRIAL_BOUND and a deterministic primality test of the
+    cofactor find them all. Divides by 2 and the odd numbers, so that
+    no sieve is built and kept."""
+    primes = []
+    for p in itertools.chain((2,), range(3, _DENOMINATOR_TRIAL_BOUND + 1, 2)):
+        if p * p > n:
+            break
+        if n % p == 0:
+            primes.append(p)
+            n //= p ** val(n, p)
+    if n > 1:
+        if n >= MR_DETERMINISTIC_BOUND or not is_prime(n):
+            return None
+        primes.append(n)
+    return primes
 
 
-def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[Fraction]:
+def _quotient_bits(a: int, g: int) -> int:
+    """Bit length of a / g for g >= 1 dividing a, without dividing."""
+    if a == 0:
+        return 0
+    shift = a.bit_length() - g.bit_length()
+    # |a| >= g * 2^shift exactly when the quotient has shift + 1 bits
+    return shift + 1 if abs(a) >> shift >= g else shift
+
+
+def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[int, int]]:
     """disc(f^k - x0) for k = 1, 2, ... with f = x^d - b*x^m, without
-    expanding f^k.
+    expanding f^k, as integer pairs (N_k, D_k) with D_k > 0 and
+    disc(f^k - x0) = N_k / D_k (not reduced).
 
     Uses the level recursion, starting from disc(f^0 - x0) = 1,
 
@@ -379,14 +408,27 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[Fraction
 
     where the critical factor, the product of f^(k+1)(r) - x0 over the
     critical points r of f with multiplicity, is
-    (-1)^d * x0^(m-1) * (w_(k+1) - x0^(d-m)) on the critical orbit.
-    Supported shapes are m = d-1 and m = d-2 with gcd(m, d) = 1; other
-    (d, m) with 0 <= m < d fall back to the expanded resultant while
-    d^k <= 32 and raise ValueError past that (and for any other d, m).
+    sigma * (w_(k+1) - x0^(d-m)) on the critical orbit, with
+    sigma = (-1)^d * x0^(m-1). With w_(k+1) = W/S from
+    ``critical_orbit`` and x0^(d-m) = u/v, the pairs step as
+
+        N_(k+1) = A~^(d^k) * N_k^d * num(sigma) * (W*v - u*S),
+        D_(k+1) = D_k^d * den(sigma) * S * v,
+
+    from N_0 = D_0 = 1 (a zero discriminant stays (0, 1)), so no gcd is
+    taken. Supported shapes are m = d-1 and m = d-2 with gcd(m, d) = 1;
+    other (d, m) with 0 <= m < d fall back to the expanded resultant
+    while d^k <= 32 and raise ValueError past that (and for any other
+    d, m).
 
     ``inst`` is anything with attributes d, m, b, x0. Growth is doubly
-    exponential in k; a level over ``bit_budget`` bits raises
-    BitBudgetExceededError, which ends the sequence.
+    exponential in k. A level is measured by the bits of its reduced
+    numerator and denominator, and one over ``bit_budget`` bits raises
+    BitBudgetExceededError, which ends the sequence. Only a pair over
+    the budget is measured reduced, by its gcd g, and it is not divided
+    by g. Every prime of D_k divides d*den(b)*den(x0); when those primes
+    are known, g follows from p-adic valuations that step with the
+    pairs, and otherwise it is math.gcd(N_k, D_k).
     """
     d, m = inst.d, inst.m
     if d < 2 or not 0 <= m < d:
@@ -399,24 +441,52 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[Fraction
         f, g, level = Poly(coeffs), Poly.x(), 1
         while d**level <= 32:
             g = compose(f, g)
-            yield disc_resultant(g - x0)
+            disc = disc_resultant(g - x0)
+            yield disc.numerator, disc.denominator
             level += 1
         raise ValueError(f"disc_levels: unsupported (d, m) = ({d}, {m}) past level {level - 1}")
-    a_tilde = Fraction((-1) ** (d * (d - 1) // 2) * d**d)
-    sign_x0 = Fraction((-1) ** d) * x0 ** (m - 1)
+    a_tilde = (-1) ** (d * (d - 1) // 2) * d**d
+    sigma = (-1) ** d * x0 ** (m - 1)
     x0_shift = x0 ** (d - m)
-    disc = Fraction(1)
+    u, v = x0_shift.numerator, x0_shift.denominator
+    lead = d * b.denominator  # the orbit's scale is lead^(d^(k+1))
+    primes = _prime_support(lead * x0.denominator)
+    val_num = dict.fromkeys(primes or (), 0)  # p -> v_p(N_k)
+    val_den = dict.fromkeys(primes or (), 0)  # p -> v_p(D_k)
+    num, den = 1, 1
     for k, (w, scale) in enumerate(critical_orbit(inst)):
-        disc = a_tilde ** (d**k) * disc**d * sign_x0 * (Fraction(w, scale) - x0_shift)
-        if _bits(disc) > bit_budget:
-            raise BitBudgetExceededError(
-                f"disc_levels: {_bits(disc)} bits at level {k + 1} exceeds budget {bit_budget}"
-            )
-        yield disc
+        x = w * v - u * scale
+        num = num**d * (a_tilde ** (d**k) * sigma.numerator * x)
+        den = den**d * (sigma.denominator * scale * v) if num else 1
+        if num:
+            for p in val_num:
+                val_num[p] = (
+                    d**k * val(a_tilde, p)
+                    + d * val_num[p]
+                    + val(sigma.numerator, p)
+                    + val(x, p)
+                )
+                val_den[p] = (
+                    d * val_den[p]
+                    + val(sigma.denominator * v, p)
+                    + d ** (k + 1) * val(lead, p)
+                )
+        if num.bit_length() + den.bit_length() > bit_budget:
+            if primes is None:
+                g = math.gcd(num, den)
+            else:
+                g = math.prod(p ** min(val_num[p], val_den[p]) for p in primes)
+            bits = _quotient_bits(num, g) + _quotient_bits(den, g)
+            if bits > bit_budget:
+                raise BitBudgetExceededError(
+                    f"disc_levels: {bits} bits at level {k + 1} exceeds budget {bit_budget}"
+                )
+        yield num, den
 
 
 def disc_iterate(inst, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
     """Discriminant of f^n - x0: level n of ``disc_levels``."""
     if n < 1:
         raise ValueError("disc_iterate: n must be >= 1")
-    return next(itertools.islice(disc_levels(inst, bit_budget), n - 1, None))
+    num, den = next(itertools.islice(disc_levels(inst, bit_budget), n - 1, None))
+    return Fraction(num, den)

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odoni import arith
 from odoni.arith import (
     INFINITY,
     CapExceededError,
@@ -257,6 +259,78 @@ class TestTrialFactorOracle:
         for f_n in _critical_orbit_integers():
             for bound in BOUNDS + [10**6]:
                 assert trial_factor(f_n, bound) == plain_trial_factor(f_n, bound)
+
+
+def _prime_product(bound):
+    """P, the product of all primes <= bound: products of 256-prime
+    slices multiplied pairwise up a tree (the route trial_factor took
+    before it stopped forming P)."""
+    primes = primes_up_to(bound)
+    level = [math.prod(primes[i : i + 256]) for i in range(0, len(primes), 256)]
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
+
+
+@pytest.fixture(scope="module")
+def prime_product():
+    return _prime_product(10**6)
+
+
+def _last_fn(d, n):
+    return abs(list(fn_sequence(build_params(d), n))[-1].F_n)
+
+
+def _assert_smooth_part(n, bound, product):
+    """gcd(n, prod Q_j mod n) equals gcd(n, P), and the primes <= bound
+    that trial_factor reports multiply to it."""
+    g = math.gcd(n, product)
+    assert arith._smooth_gcd(n, bound) == g, n.bit_length()
+    factors, _ = trial_factor(n, bound)
+    assert math.prod(p for p in factors if p <= bound) == g, n.bit_length()
+
+
+class TestTrialFactorBarrett:
+    """The product-tree route with Barrett reduction against gcd(n, P),
+    with P formed in full as the oracle."""
+
+    @pytest.mark.parametrize("d, n", [(2, 12), (3, 9), (9, 4)])  # 88, 141, 61 kbit
+    def test_critical_orbit_integers(self, prime_product, d, n):
+        _assert_smooth_part(_last_fn(d, n), 10**6, prime_product)
+
+    def test_small_after_large(self, prime_product):
+        # the cached top level raised for a 141 kbit n is wider than the
+        # small n that follow, so each node is reduced mod n first
+        trial_factor(_last_fn(3, 9), 10**6)
+        widest = max(q.bit_length() for q in arith._product_tree_top(10**6)[0])
+        smalls = [2, 3, 2 * 3 * 5 * 7, 999983 * 1000003, _last_fn(2, 5), 2**89 - 1]
+        assert widest > max(n.bit_length() for n in smalls)
+        for n in smalls:
+            _assert_smooth_part(n, 10**6, prime_product)
+            assert trial_factor(n, 10**6) == plain_trial_factor(n, 10**6), n
+
+    def test_prime_product_itself(self, prime_product):
+        for n in (prime_product, prime_product * 1000003):
+            assert arith._smooth_gcd(n, 10**6) == prime_product
+
+    def test_below_two_to_the_64(self, prime_product):
+        rng = random.Random(64)
+        inputs = [2**64 - 59, 3 * 2**62 - 1, 2**32 + 15, 999983**2, 2 * 999983 * 1000003]
+        inputs += [rng.getrandbits(64) | 1 << 63 for _ in range(20)]
+        for n in inputs:
+            _assert_smooth_part(n, 10**6, prime_product)
+            assert trial_factor(n, 10**6) == plain_trial_factor(n, 10**6), n
+
+    def test_reciprocal(self):
+        # floor(4^k / n) by Newton's iteration against one long division,
+        # on both sides of the cut-off where the iteration takes over
+        rng = random.Random(2)
+        cut = arith._RECIPROCAL_DIRECT_BITS
+        for bits in (1, 2, 64, cut - 1, cut, cut + 1, 2 * cut + 3, 50_000):
+            values = [1 << (bits - 1), (1 << bits) - 1, (1 << (bits - 1)) + 1]
+            values += [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(3)]
+            for n in values:
+                assert arith._reciprocal(n) == (1 << 2 * n.bit_length()) // n, bits
 
 
 class TestDecimalStr:

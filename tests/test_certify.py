@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from eisenstein_oracle import eisenstein_at
-from odoni.arith import legendre, val
+from odoni.arith import INFINITY, legendre, val
 from odoni.certify import (
     EISENSTEIN_MAX_LEVEL,
     CertifyError,
     _eisenstein_levels,
+    _pair_val,
     certificate_to_json_dict,
     certify,
     check_condition1,
@@ -100,6 +101,19 @@ class TestDualPath:
         with pytest.raises(CertifyError, match="dual_path"):
             list(fn_sequence(broken, 1))
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_negative_big_d_even_case(self, golden_even_2, golden_even_4, d):
+        # s = -3, t = 1 gives D = s^(d-1) + t^(d-1) < 0, so den(b) = -tD:
+        # (d t D)^(d^n) still equals (d den(b))^(d^n) since d^n is even,
+        # and the dual path must hold as it does for D > 0
+        golden = golden_even_2 if d == 2 else golden_even_4
+        big_d = (-3) ** (d - 1) + 1
+        inst = replace(golden, s=-3, t=1, x0=Fraction(-3), b=Fraction((-3) ** d, big_d))
+        assert inst.big_d < 0 and inst.b.denominator == -inst.t * inst.big_d
+        assert not [r for r in inst.violated_relations() if r.startswith(("b ==", "gcd"))]
+        values = list(fn_sequence(inst, 4))
+        assert [v.n for v in values] == [1, 2, 3, 4]
+
 
 class TestClosedFormEn:
     @pytest.mark.parametrize("d", [2, 4, 6])
@@ -186,6 +200,13 @@ class TestNonsquare:
 
 
 class TestExhibit:
+    def test_pair_valuation(self):
+        # v_q(N / D) read off an unreduced pair
+        assert _pair_val((12 * 5, 18 * 5), 3) == val(Fraction(12, 18), 3) == -1
+        assert _pair_val((-(7**5), 7**2 * 3), 7) == 3
+        assert _pair_val((10, 4), 5) == 1
+        assert _pair_val((0, 9), 3) is INFINITY
+
     def test_golden_even_witness(self, golden_even_2):
         report = exhibit_odd_prime_q(golden_even_2, 1)
         assert report.found
@@ -388,6 +409,19 @@ class TestGoldenCertificates:
     def test_deep_json_hash(self, d, depth):
         cert = certify(build_params(d), depth, exhibit=False)
         assert self._hash(cert) == self.DEEP_HASHES[d, depth]
+
+    # certificates at the default effort: the witness search factors F_n
+    # of up to 88 kbit (d = 2) and 141 kbit (d = 3) and reads the
+    # discriminant levels up to 12 and 9
+    WITNESS_HASHES = {
+        (2, 12): "300dc36665932ac6bd58f79a924a5ad1ff19c9cd64550e72d24b736c709a6b37",
+        (3, 9): "816ac5a1e5c715162ff07565e4944747be2fca3e4c32084c7dcf110e045d9dd5",
+    }
+
+    @pytest.mark.parametrize("d, depth", sorted(WITNESS_HASHES))
+    def test_witness_json_hash(self, d, depth):
+        cert = certify(build_params(d), depth)
+        assert self._hash(cert) == self.WITNESS_HASHES[d, depth]
 
 
 class TestExhibitBitBudget:

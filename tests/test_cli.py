@@ -149,7 +149,7 @@ class TestDiscCommand:
         # budget: a resource cap, not a failed relation
         assert cli.run(["disc", "--params", params_d2, "--level", "12"]) == 2
         err = capsys.readouterr().err
-        assert "exceeds budget" in err
+        assert "2048348 bits at level 12 exceeds budget 1048576" in err
         assert "check failed" not in err
 
 

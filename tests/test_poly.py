@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -5,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from eisenstein_oracle import eisenstein_at
+from odoni.construct import build_params
 from odoni.poly import (
     BitBudgetExceededError,
     Poly,
@@ -12,7 +14,9 @@ from odoni.poly import (
     compose,
     crit_product,
     critical_orbit,
+    _prime_support,
     disc_iterate,
+    disc_levels,
     disc_resultant,
     disc_trinomial,
     iterate,
@@ -286,6 +290,89 @@ class TestDiscIterate:
     def test_bit_budget(self, golden_even_4):
         with pytest.raises(BitBudgetExceededError):
             disc_iterate(golden_even_4, 3, bit_budget=256)
+
+
+def _fraction_levels(inst, bit_budget):
+    """Oracle: the level recursion on reduced Fractions, each level
+    measured by its reduced numerator and denominator."""
+    d, m = inst.d, inst.m
+    b, x0 = Fraction(inst.b), Fraction(inst.x0)
+    a_tilde = Fraction((-1) ** (d * (d - 1) // 2) * d**d)
+    disc = Fraction(1)
+    for k, (w, scale) in enumerate(critical_orbit(inst)):
+        crit = (-1) ** d * x0 ** (m - 1) * (Fraction(w, scale) - x0 ** (d - m))
+        disc = a_tilde ** (d**k) * disc**d * crit
+        bits = disc.numerator.bit_length() + disc.denominator.bit_length()
+        if bits > bit_budget:
+            raise BitBudgetExceededError(
+                f"disc_levels: {bits} bits at level {k + 1} exceeds budget {bit_budget}"
+            )
+        yield disc
+
+
+def _levels(source, depth):
+    """Up to ``depth`` levels as Fractions, then the budget message if
+    the source raises it."""
+    out = []
+    try:
+        for level in itertools.islice(source, depth):
+            out.append(level if isinstance(level, Fraction) else Fraction(*level))
+    except BitBudgetExceededError as exc:
+        out.append(str(exc))
+    return out
+
+
+class TestDiscPairs:
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_pairs_follow_the_fraction_recursion(self, d):
+        # d = 8 stops at level 3: its level 4 has 3.4 Mbit numerators,
+        # which take the Fraction oracle over 10 s
+        depth = 3 if d == 8 else 4
+        inst = build_params(d)
+        pairs = list(itertools.islice(disc_levels(inst, 2**30), depth))
+        assert all(type(num) is int and type(den) is int and den > 0 for num, den in pairs)
+        assert [Fraction(num, den) for num, den in pairs] == list(
+            itertools.islice(_fraction_levels(inst, 2**30), depth)
+        )
+
+    def test_resultant_fallback_pairs(self):
+        inst = _inst(4, 2, 3, Fraction(5, 2))
+        f = X**4 - 3 * X * X
+        pairs = list(itertools.islice(disc_levels(inst), 2))
+        for n, (num, den) in enumerate(pairs, start=1):
+            assert type(num) is int and type(den) is int and den > 0
+            assert Fraction(num, den) == disc_resultant(iterate(f, n) - Fraction(5, 2))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 9])
+    def test_budget_trip_matches_reduced_size(self, d):
+        # budgets at each level's reduced size and one bit below it: the
+        # unreduced pair is over both, so it is measured reduced, then
+        # yielded or tripped exactly where the reduced Fractions would be
+        inst = build_params(d)
+        for level in itertools.islice(_fraction_levels(inst, 2**30), 3):
+            reduced = level.numerator.bit_length() + level.denominator.bit_length()
+            for budget in (reduced, reduced - 1):
+                assert _levels(disc_levels(inst, budget), 6) == _levels(
+                    _fraction_levels(inst, budget), 6
+                ), budget
+
+    def test_budget_trip_without_denominator_primes(self):
+        # den(b) has two prime factors above the trial bound whose product
+        # is past the deterministic primality range, so the reduced size
+        # comes from one gcd of the pair
+        inst = _inst(2, 1, Fraction(3, (2**61 - 1) * (2**89 - 1)), Fraction(5, 7))
+        assert _prime_support(2 * (2**61 - 1) * (2**89 - 1) * 7) is None
+        assert _prime_support(2 * (2**61 - 1) * 7) == [2, 7, 2**61 - 1]
+        for budget in (400, 1000, 3000, 10**4):
+            assert _levels(disc_levels(inst, budget), 8) == _levels(
+                _fraction_levels(inst, budget), 8
+            )
+
+    def test_zero_discriminant_stays_small(self):
+        # x0 = -b^2/4 makes f - x0 = (x - 1)^2 for b = 2, so every level
+        # has discriminant 0, kept as the pair (0, 1)
+        inst = _inst(2, 1, 2, -1)
+        assert list(itertools.islice(disc_levels(inst, 10), 6)) == [(0, 1)] * 6
 
 
 class TestEisenstein:
