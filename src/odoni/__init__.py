@@ -4,7 +4,7 @@ Builds degree-d trinomials f(x) = x^d - b*x^m and base points x0 over Q
 whose iterated preimage trees realize the full n-fold wreath product of
 S_d at every certified depth, and emits machine-checkable certificates
 for the underlying hypotheses, cross-validated by independent oracles
-(resultants, exhaustive group enumeration, Frobenius cycle-type
+(resultants, the cycle index of the tree group, Frobenius cycle-type
 sampling).
 """
 
@@ -25,9 +25,6 @@ from .frobenius import chebotarev_distance, sample_distribution
 from .newton import newton_polygon, predict_two_segments, ramification_tower
 from .permgroup import (
     Perm,
-    TreeAutomorphism,
-    closure,
-    enumerate_wreath,
     gen_sd_check,
     leaf_type_distribution,
     wreath_order,
@@ -36,14 +33,12 @@ from .poly import (
     Poly,
     Trinomial,
     compose,
-    crit_product,
     disc_iterate,
     disc_resultant,
     disc_trinomial,
     iterate,
     resultant,
 )
-from .polymod import PolyModP
 
 __version__ = "0.1.0"
 
@@ -53,24 +48,19 @@ __all__ = [
     "IterInstance",
     "Perm",
     "Poly",
-    "PolyModP",
     "Rational",
-    "TreeAutomorphism",
     "Trinomial",
     "build_params",
     "build_params_even",
     "build_params_odd",
     "certify",
     "chebotarev_distance",
-    "closure",
     "compose",
     "compute_fn",
-    "crit_product",
     "crt",
     "disc_iterate",
     "disc_resultant",
     "disc_trinomial",
-    "enumerate_wreath",
     "exhibit_odd_prime_q",
     "gen_sd_check",
     "is_prime",

@@ -43,6 +43,7 @@ from .arith import (
 )
 from .construct import EVEN_CASE, ODD_CASE_1, IterInstance
 from .poly import BitBudgetExceededError, critical_orbit, disc_levels
+from .polymod import _mul_mod, _pow_mod
 
 DEFAULT_DEPTH = 3
 FN_BIT_CAP = 2**24
@@ -428,27 +429,6 @@ def exhibit_odd_prime_q(
         evidence=evidence,
         note=note,
     )
-
-
-def _mul_mod(a: list[int], b: list[int], modulus: int) -> list[int]:
-    """Product of two ascending coefficient lists, reduced mod ``modulus``."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return [c % modulus for c in out]
-
-
-def _pow_mod(g: list[int], e: int, modulus: int) -> list[int]:
-    result = [1]
-    while e:
-        if e & 1:
-            result = _mul_mod(result, g, modulus)
-        e >>= 1
-        if e:
-            g = _mul_mod(g, g, modulus)
-    return result
 
 
 def _residue(q: Fraction, modulus: int, p: int) -> int:

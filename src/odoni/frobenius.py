@@ -3,10 +3,11 @@
 For a prime p of good reduction, f^n - x0 is squarefree mod p and its
 factor degrees are the cycle type of Frobenius acting on the d^n
 level-n preimages; distinct-degree factorization reads them off
-without splitting any factor. If the arboreal group really is the full
-wreath tower, those cycle types must equidistribute (by Chebotarev)
-according to the exact leaf-type law of the tree group, which this package can
-enumerate outright for small (d, n).
+without splitting any factor. The denominators of f^n - x0 are cleared
+once, and each prime then works on the integer coefficients mod p. If
+the arboreal group really is the full wreath tower, those cycle types
+must equidistribute (by Chebotarev) according to the exact leaf-type
+law of the tree group, its cycle index.
 
 Everything here is labeled statistical evidence: a large total-variation
 distance is suspicious, a single cycle type outside the tree group's
@@ -17,6 +18,7 @@ verdicts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -25,7 +27,7 @@ from .arith import primes_up_to, val
 from .construct import ConstructError, _frac_str
 from .permgroup import MAX_ENUMERATION, leaf_type_distribution, wreath_order
 from .poly import disc_levels, iterate
-from .polymod import PolyModP, cycle_type_mod_p
+from .polymod import cycle_type_mod_p
 
 DEFAULT_SCAN_START = 1000
 DEFAULT_SCAN_CAP = 10**7
@@ -79,9 +81,10 @@ def sample_distribution(
     """Empirical leaf cycle-type distribution over the first prime_count
     good primes above the start bound.
 
-    Requires the exact reference law to be enumerable
-    (wreath_order(d, n) <= 1e5). Every observed type is membership-checked
-    against the reachable set; an unrealizable type is a hard error.
+    Requires the tree group to be enumerable (wreath_order(d, n) <= 1e5),
+    the reach of the law's test oracle. Every observed type is
+    membership-checked against the reachable set; an unrealizable type
+    is a hard error.
     """
     d = inst.d
     if wreath_order(d, n) > MAX_ENUMERATION:
@@ -91,7 +94,11 @@ def sample_distribution(
         )
     realizable = set(leaf_type_distribution(d, n))
     discs = _good_reduction_discs(inst, n)
-    target_q = iterate(inst.f_poly(), n) - inst.x0
+    target_q = (iterate(inst.f_poly(), n) - inst.x0).coeffs
+    scale = math.lcm(*(c.denominator for c in target_q))
+    # a good prime divides no denominator, so the leading coefficient,
+    # scale, stays a unit mod p
+    target = [c.numerator * (scale // c.denominator) for c in target_q]
     counts: dict[tuple[int, ...], int] = {}
     used = skipped = 0
     block_lo = max(start + 1, 3)
@@ -110,7 +117,7 @@ def sample_distribution(
             if not _is_good_prime(inst, p, discs):
                 skipped += 1
                 continue
-            ctype = cycle_type_mod_p(PolyModP.from_rational_coeffs(target_q.coeffs, p))
+            ctype = cycle_type_mod_p(target, p)
             if ctype not in realizable:
                 raise UnrealizableTypeError(
                     f"cycle type {list(ctype)} at p={p} is not realizable in the "

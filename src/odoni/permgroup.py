@@ -1,28 +1,30 @@
-"""Permutations, subgroup closure, and d-ary rooted-tree automorphisms.
+"""Permutations, subgroup closure, the S_d generation verdict, and the
+leaf cycle-type law of the full d-ary tree group.
 
 Group elements are small enough here (d <= 8, closures of order at most
 8! = 40320) that breadth-first closure with a hash set beats anything
-asymptotically clever. Tree automorphisms are stored as portraits: one
-permutation label per internal node of the complete d-ary tree of depth
-n; the node set of every automorphism of such a tree is the full wreath
-tower, whose order is (d!)^((d^n - 1)/(d - 1)).
+asymptotically clever. The automorphism group of the complete d-ary
+tree of depth n is the n-fold iterated wreath product of S_d, of order
+(d!)^((d^n - 1)/(d - 1)); its leaf cycle-type law comes from the cycle
+index, without listing the group. Listing it is the test suite's
+oracle for that law.
 
-Conventions, pinned by tests: composition acts right-to-left, i.e.
-(a * b)(x) = a(b(x)); tree nodes
-are addressed by tuples of 0-based child indices, and a leaf's index is
-its address read as a base-d numeral (most significant digit first).
+Convention, pinned by tests: composition acts right-to-left, i.e.
+(a * b)(x) = a(b(x)).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 MAX_CLOSURE_DEGREE = 8
+# largest tree-group order whose law the Frobenius sampler and the pipeline
+# compare with, the reach of the enumeration oracle in the tests
 MAX_ENUMERATION = 10**5
 
 
@@ -110,17 +112,13 @@ class Perm:
         return f"Perm({list(self.images)})"
 
 
-def closure(generators: Sequence[Perm], cap: int | None = None) -> frozenset[Perm]:
-    """Subgroup generated by the given permutations, by BFS with dedup.
+def _closure_images(generators: Sequence[Perm], cap: int | None = None) -> set[tuple[int, ...]]:
+    """Subgroup generated by the given permutations, as image tuples
+    ((g * h)[x] = g[h[x]]), by BFS with dedup.
 
     Degree is capped at 8 and the element count at ``cap`` (default d!),
     erroring loudly past either.
     """
-    return frozenset(Perm(images) for images in _closure_images(generators, cap))
-
-
-def _closure_images(generators: Sequence[Perm], cap: int | None = None) -> set[tuple[int, ...]]:
-    """The closure as raw image tuples, (g * h)[x] = g[h[x]]."""
     if not generators:
         raise ValueError("closure: need at least one generator")
     d = generators[0].degree
@@ -231,17 +229,8 @@ def gen_sd_check(
 
 
 # ---------------------------------------------------------------------------
-# tree automorphisms
+# the tree group and its leaf cycle-type law
 # ---------------------------------------------------------------------------
-
-
-def internal_nodes(d: int, n: int) -> list[tuple[int, ...]]:
-    """Addresses of internal nodes of the depth-n complete d-ary tree:
-    all digit tuples of length < n, in (length, lexicographic) order."""
-    out: list[tuple[int, ...]] = []
-    for length in range(n):
-        out.extend(itertools.product(range(d), repeat=length))
-    return out
 
 
 def wreath_order(d: int, n: int) -> int:
@@ -251,94 +240,51 @@ def wreath_order(d: int, n: int) -> int:
     return math.factorial(d) ** ((d**n - 1) // (d - 1))
 
 
-class TreeAutomorphism:
-    """Automorphism of the complete d-ary depth-n tree, as a portrait.
-
-    The portrait maps every internal node address to a Perm of its
-    children. The image of a node (e_1, ..., e_k) is computed by
-    applying, along the original path, the label at each prefix:
-    a(v + (e,)) = a(v) + (label_v(e),).
-    """
-
-    __slots__ = ("d", "n", "portrait")
-
-    def __init__(self, d: int, n: int, portrait: dict[tuple[int, ...], Perm]):
-        expected = internal_nodes(d, n)
-        if set(portrait) != set(expected):
-            raise ValueError("portrait must label exactly the internal nodes")
-        if any(p.degree != d for p in portrait.values()):
-            raise ValueError("portrait labels must permute d children")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "portrait", dict(portrait))
-
-    def __setattr__(self, *_):
-        raise AttributeError("TreeAutomorphism is immutable")
-
-    @classmethod
-    def identity(cls, d: int, n: int) -> "TreeAutomorphism":
-        e = Perm.identity(d)
-        return cls(d, n, {v: e for v in internal_nodes(d, n)})
-
-    def node_image(self, address: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        prefix: tuple[int, ...] = ()
-        for e in address:
-            out.append(self.portrait[prefix](e))
-            prefix = prefix + (e,)
-        return tuple(out)
-
-    def leaf_action(self) -> Perm:
-        """Induced permutation of the d^n leaves (base-d address order)."""
-        d, n = self.d, self.n
-        images = []
-        for leaf in itertools.product(range(d), repeat=n):
-            img = self.node_image(leaf)
-            idx = 0
-            for e in img:
-                idx = idx * d + e
-            images.append(idx)
-        return Perm(images)
-
-    def leaf_cycle_type(self) -> tuple[int, ...]:
-        return self.leaf_action().cycle_type()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TreeAutomorphism)
-            and self.d == other.d
-            and self.n == other.n
-            and self.portrait == other.portrait
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.n, tuple(sorted(self.portrait.items()))))
-
-
-def enumerate_wreath(d: int, n: int) -> list[TreeAutomorphism]:
-    """Every automorphism exactly once; guarded by the 1e5 order cap."""
-    order = wreath_order(d, n)
-    if order > MAX_ENUMERATION:
-        raise ValueError(f"enumerate_wreath: order {order} exceeds {MAX_ENUMERATION}")
-    nodes = internal_nodes(d, n)
-    all_perms = [Perm(images) for images in itertools.permutations(range(d))]
+def _sd_cycle_index(d: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Z(S_d): each partition of d, descending, with 1/z, the share of
+    S_d with that cycle type."""
     out = []
-    for labels in itertools.product(all_perms, repeat=len(nodes)):
-        out.append(TreeAutomorphism(d, n, dict(zip(nodes, labels))))
+    stack: list[tuple[tuple[int, ...], int]] = [((), d)]
+    while stack:
+        parts, rest = stack.pop()
+        if rest == 0:
+            z = math.prod(k**c * math.factorial(c) for k, c in Counter(parts).items())
+            out.append((parts, Fraction(1, z)))
+            continue
+        for k in range(min(rest, parts[-1] if parts else rest), 0, -1):
+            stack.append((parts + (k,), rest - k))
     return out
 
 
 @lru_cache(maxsize=None)
 def leaf_type_distribution(d: int, n: int) -> dict[tuple[int, ...], Fraction]:
-    """Exact distribution of leaf cycle types over the full tree group.
+    """Exact distribution of leaf cycle types over the full tree group,
+    keyed by descending cycle types in sorted order.
 
+    The group W_n is W_(n-1) wr S_d: one W_(n-1) per subtree of the
+    root, permuted by the root label. Its law is the cycle-index
+    plethysm Z(S_d)[Z(W_(n-1))] (Polya, 1937): a k-cycle of the root
+    label carries k subtrees round one cycle, and the product of the k
+    W_(n-1) labels along it is uniform in W_(n-1), so the cycle
+    contributes a W_(n-1) type with every length times k.
     Frequencies are Fractions summing to 1; this is the reference law
     for Frobenius cycle-type sampling.
     """
-    counts: dict[tuple[int, ...], int] = {}
-    total = 0
-    for a in enumerate_wreath(d, n):
-        t = a.leaf_cycle_type()
-        counts[t] = counts.get(t, 0) + 1
-        total += 1
-    return {t: Fraction(c, total) for t, c in sorted(counts.items())}
+    if d < 2 or n < 0:
+        raise ValueError("leaf_type_distribution: need d >= 2, n >= 0")
+    if n == 0:
+        return {(1,): Fraction(1)}
+    lower = leaf_type_distribution(d, n - 1)
+    law: dict[tuple[int, ...], Fraction] = {}
+    for parts, share in _sd_cycle_index(d):
+        terms = {(): share}
+        for k in parts:
+            step: dict[tuple[int, ...], Fraction] = {}
+            for t, a in terms.items():
+                for s, b in lower.items():
+                    key = tuple(sorted(t + tuple(k * j for j in s), reverse=True))
+                    step[key] = step.get(key, 0) + a * b
+            terms = step
+        for t, a in terms.items():
+            law[t] = law.get(t, 0) + a
+    return dict(sorted(law.items()))

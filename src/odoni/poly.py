@@ -3,8 +3,7 @@
 Composition and iteration, derivatives, resultants via the fraction-free
 subresultant remainder sequence, the critical orbit of x^d - b*x^m,
 discriminants three ways (resultant oracle, trinomial closed form, and
-the iterated recursion driven by the critical orbit), and the
-closed-form product of a trinomial over its nonzero critical points.
+the iterated recursion driven by the critical orbit).
 
 Coefficients are ``fractions.Fraction``; polynomials are immutable
 tuples in ascending-degree order with trailing zeros trimmed.
@@ -317,30 +316,6 @@ def disc_trinomial(t: Trinomial) -> Fraction:
     return Fraction((-1) ** (d * (d - 1) // 2)) * t.A ** (d - m - 1) * t.C ** (m - 1) * bracket
 
 
-def crit_product(d: int, m: int, b: Scalar, w: Scalar) -> Fraction:
-    """Product of f - w over the nonzero critical points of f = x^d - b*x^m.
-
-    The nonzero critical points are the (d-m) roots of x^(d-m) = m*b/d;
-    the product of f(x) - w over them has the closed form
-
-        d^(-d) * [ d^d * (-w)^(d-m) + (-1)^(d-1) * (d-m)^(d-m) * m^m * (-b)^d ],
-
-    which never materializes a root of unity. Requires b != 0 and
-    gcd(m, d) = 1 (the coprimality is what collapses the root-of-unity
-    sum).
-    """
-    b = Fraction(b)
-    w = Fraction(w)
-    if b == 0:
-        raise ValueError("crit_product: b must be nonzero")
-    if not (d > m >= 1) or math.gcd(m, d) != 1:
-        raise ValueError("crit_product: need d > m >= 1 with gcd(m, d) = 1")
-    bracket = Fraction(d**d) * (-w) ** (d - m) + Fraction((-1) ** (d - 1)) * (
-        d - m
-    ) ** (d - m) * m**m * (-b) ** d
-    return bracket / Fraction(d**d)
-
-
 def critical_orbit(inst) -> Iterator[tuple[int, int]]:
     """The critical orbit w_1, w_2, ... of f = x^d - b*x^m, for m = d-1 or d-2,
     as integer pairs (W_k, S_k) with w_k = W_k / S_k (not reduced).
@@ -415,11 +390,11 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[in
         N_(k+1) = A~^(d^k) * N_k^d * num(sigma) * (W*v - u*S),
         D_(k+1) = D_k^d * den(sigma) * S * v,
 
-    from N_0 = D_0 = 1 (a zero discriminant stays (0, 1)), so no gcd is
-    taken. Supported shapes are m = d-1 and m = d-2 with gcd(m, d) = 1;
-    other (d, m) with 0 <= m < d fall back to the expanded resultant
-    while d^k <= 32 and raise ValueError past that (and for any other
-    d, m).
+    from N_0 = D_0 = 1, so no gcd is taken. Once a level is 0, every
+    later one is (0, 1), and the orbit is no longer stepped. Supported
+    shapes are m = d-1 and m = d-2 with gcd(m, d) = 1; other (d, m) with
+    0 <= m < d fall back to the expanded resultant while d^k <= 32 and
+    raise ValueError past that (and for any other d, m).
 
     ``inst`` is anything with attributes d, m, b, x0. Growth is doubly
     exponential in k. A level is measured by the bits of its reduced
@@ -482,6 +457,10 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[in
                     f"disc_levels: {bits} bits at level {k + 1} exceeds budget {bit_budget}"
                 )
         yield num, den
+        if not num:
+            break
+    # every later numerator has N_k^d as a factor
+    yield from itertools.repeat((0, 1))
 
 
 def disc_iterate(inst, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:

@@ -11,18 +11,167 @@ fixed-seed generator created per call, and the result is sorted, so
 identical inputs give identical outputs.
 
 p = 2 is unsupported (the equal-degree exponent (p^k - 1)/2 needs odd p).
+Polynomials here are ``PolyModP`` objects; the sampler itself works on
+plain integer lists (``odoni.polymod``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Iterable, Optional
 
 from odoni.arith import is_prime
 from odoni.frobenius import _good_reduction_discs, _is_good_prime
 from odoni.poly import Poly, compose
-from odoni.polymod import PolyModP
+
+
+class PolyModP:
+    """Immutable dense polynomial over GF(p), ascending coefficients."""
+
+    __slots__ = ("coeffs", "p")
+
+    def __init__(self, coeffs: Iterable[int], p: int):
+        reduced = [c % p for c in coeffs]
+        while len(reduced) > 1 and reduced[-1] == 0:
+            reduced.pop()
+        if not reduced:
+            reduced = [0]
+        object.__setattr__(self, "coeffs", tuple(reduced))
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, *_):
+        raise AttributeError("PolyModP is immutable")
+
+    @classmethod
+    def from_rational_coeffs(cls, coeffs: Iterable[int | Fraction], p: int) -> "PolyModP":
+        """Reduce rational coefficients mod p; denominators must be units."""
+        out = []
+        for c in coeffs:
+            c = Fraction(c)
+            if c.denominator % p == 0:
+                raise ValueError(f"coefficient denominator divisible by {p}")
+            out.append(c.numerator * pow(c.denominator, -1, p) % p)
+        return cls(out, p)
+
+    @property
+    def degree(self) -> int:
+        if self.is_zero():
+            return -1
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+
+    @property
+    def lc(self) -> int:
+        return self.coeffs[-1]
+
+    def is_monic(self) -> bool:
+        return self.coeffs[-1] == 1
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PolyModP)
+            and self.p == other.p
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.coeffs, self.p))
+
+    def __repr__(self):
+        return f"PolyModP({list(self.coeffs)}, p={self.p})"
+
+    def _check_field(self, other: "PolyModP"):
+        if self.p != other.p:
+            raise ValueError("mixed moduli")
+
+    def __add__(self, other: "PolyModP") -> "PolyModP":
+        self._check_field(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = (out[i] + c) % self.p
+        return PolyModP(out, self.p)
+
+    def __sub__(self, other: "PolyModP") -> "PolyModP":
+        self._check_field(other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * max(0, len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = (out[i] - c) % self.p
+        return PolyModP(out, self.p)
+
+    def __mul__(self, other) -> "PolyModP":
+        if isinstance(other, int):
+            return PolyModP([c * other for c in self.coeffs], self.p)
+        self._check_field(other)
+        if self.is_zero() or other.is_zero():
+            return PolyModP([0], self.p)
+        p = self.p
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, ai in enumerate(self.coeffs):
+            if ai:
+                for j, bj in enumerate(other.coeffs):
+                    if bj:
+                        out[i + j] = (out[i + j] + ai * bj) % p
+        return PolyModP(out, p)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other: "PolyModP") -> tuple["PolyModP", "PolyModP"]:
+        self._check_field(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        p = self.p
+        a = list(self.coeffs)
+        db = other.degree
+        inv = pow(other.lc, -1, p)
+        q = [0] * max(1, len(a) - db)
+        while len(a) - 1 >= db and not (len(a) == 1 and a[0] == 0):
+            da = len(a) - 1
+            c = a[-1] * inv % p
+            q[da - db] = c
+            for i in range(db + 1):
+                a[da - db + i] = (a[da - db + i] - c * other.coeffs[i]) % p
+            while len(a) > 1 and a[-1] == 0:
+                a.pop()
+        return PolyModP(q, p), PolyModP(a, p)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def monic(self) -> "PolyModP":
+        if self.is_zero() or self.is_monic():
+            return self
+        inv = pow(self.lc, -1, self.p)
+        return self * inv
+
+    def gcd(self, other: "PolyModP") -> "PolyModP":
+        """Monic gcd."""
+        self._check_field(other)
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.monic() if not a.is_zero() else a
+
+    def pow_mod(self, e: int, modulus: "PolyModP") -> "PolyModP":
+        """self^e reduced mod (modulus, p) by square and multiply."""
+        result = PolyModP([1], self.p)
+        base = self % modulus
+        while e:
+            if e & 1:
+                result = result * base % modulus
+            base = base * base % modulus
+            e >>= 1
+        return result
 
 
 def derivative(f: PolyModP) -> PolyModP:

@@ -22,7 +22,6 @@ from odoni.frobenius import chebotarev_distance, sample_distribution
 from odoni.newton import newton_polygon, predict_two_segments, ramification_tower
 from odoni.permgroup import (
     Perm,
-    enumerate_wreath,
     gen_sd_check,
     leaf_type_distribution,
     wreath_order,
@@ -35,6 +34,7 @@ from odoni.poly import (
     disc_trinomial,
     iterate,
 )
+from wreath_oracle import enumerate_wreath, enumerated_law
 
 X = Poly.x()
 
@@ -181,13 +181,17 @@ def test_criterion_6_wreath_bookkeeping():
     started = time.time()
     for d, n in ((2, 2), (2, 3), (3, 2)):
         assert len(enumerate_wreath(d, n)) == wreath_order(d, n)
+        # the cycle-index law equals the count over the enumerated group
+        law = leaf_type_distribution(d, n)
+        assert law == enumerated_law(d, n)
+        assert list(law) == list(enumerated_law(d, n))
     assert leaf_type_distribution(2, 2) == {
         (1, 1, 1, 1): Fraction(1, 8),
         (2, 1, 1): Fraction(2, 8),
         (2, 2): Fraction(3, 8),
         (4,): Fraction(2, 8),
     }
-    _report(6, "tree-group enumeration counts and the exact (2,2) leaf-type law", started)
+    _report(6, "tree-group enumeration counts, the cycle-index law against enumeration, and the exact (2,2) leaf-type law", started)
 
 
 def test_criterion_7_chebotarev_statistics():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -151,6 +152,17 @@ class TestDiscCommand:
         err = capsys.readouterr().err
         assert "2048348 bits at level 12 exceeds budget 1048576" in err
         assert "check failed" not in err
+
+    def test_zero_discriminant_deep_level(self, tmp_path, capsys):
+        # with x0 = 0 every level is 0; the critical orbit, which grows
+        # d-fold per level, is not stepped past the first zero level
+        inst = instance_to_json_dict(build_params_even(4))
+        inst["x0"] = "0"
+        path = write_params(tmp_path, inst)
+        started = time.monotonic()
+        assert cli.run(["disc", "--params", path, "--level", "40"]) == 0
+        assert time.monotonic() - started < 5
+        assert json.loads(capsys.readouterr().out)["value"] == "0"
 
 
 class TestNewtonCommand:

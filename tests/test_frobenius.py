@@ -1,26 +1,35 @@
+import hashlib
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from factor_oracle import BadReductionError, factor_cycle_type, factor_tree
+from factor_oracle import BadReductionError, PolyModP, factor_cycle_type, factor_tree
 from odoni.arith import primes_up_to
 from odoni.construct import build_params
 from odoni.frobenius import (
     _good_reduction_discs,
     _is_good_prime,
     chebotarev_distance,
+    report_to_json_dict,
     run_frobenius,
     sample_distribution,
     tv_is_enforced,
 )
 from odoni.permgroup import leaf_type_distribution
 from odoni.poly import iterate
-from odoni.polymod import PolyModP, cycle_type_mod_p
+from odoni.polymod import cycle_type_mod_p
 
 
 def reduced_target(inst, n, p):
     """f^n - x0 mod p."""
     return PolyModP.from_rational_coeffs((iterate(inst.f_poly(), n) - inst.x0).coeffs, p)
+
+
+def list_cycle_type(target):
+    """The sampler's cycle type of a PolyModP, through the list form."""
+    return cycle_type_mod_p(list(target.coeffs), target.p)
 
 
 class TestFactorTree:
@@ -39,7 +48,7 @@ class TestFactorTree:
             assert sum(tree.level_degrees(1)) == 2
             assert sum(tree.level_degrees(2)) == 4
             seen_types.add(tree.leaf_cycle_type())
-            assert cycle_type_mod_p(reduced_target(golden_even_2, 2, p)) == tree.leaf_cycle_type()
+            assert list_cycle_type(reduced_target(golden_even_2, 2, p)) == tree.leaf_cycle_type()
             for node in tree.levels[2]:
                 assert node.parent is not None
         assert good >= 40
@@ -57,7 +66,7 @@ class TestFactorTree:
                 tree = factor_tree(golden_even_2, 1, p)
             except BadReductionError:
                 continue
-            assert cycle_type_mod_p(reduced_target(golden_even_2, 1, p)) == tree.leaf_cycle_type()
+            assert list_cycle_type(reduced_target(golden_even_2, 1, p)) == tree.leaf_cycle_type()
             if tree.leaf_cycle_type() == (2,):
                 found = True
                 break
@@ -71,7 +80,7 @@ class TestFactorTree:
                 tree = factor_tree(golden_even_2, 2, p)
             except BadReductionError:
                 continue
-            assert cycle_type_mod_p(reduced_target(golden_even_2, 2, p)) == tree.leaf_cycle_type()
+            assert list_cycle_type(reduced_target(golden_even_2, 2, p)) == tree.leaf_cycle_type()
             if tree.level_degrees(1) == (1, 1) and tree.level_degrees(2) == (2, 1, 1):
                 found = True
                 break
@@ -96,7 +105,7 @@ class TestFactorTree:
                 continue
             good += 1
             assert sum(tree.level_degrees(2)) == 9
-            assert cycle_type_mod_p(reduced_target(golden_odd_3, 2, p)) == tree.leaf_cycle_type()
+            assert list_cycle_type(reduced_target(golden_odd_3, 2, p)) == tree.leaf_cycle_type()
             for k in (1, 2):
                 for j, parent in enumerate(tree.levels[k - 1]):
                     kids = sum(n.degree for n in tree.levels[k] if n.parent == j)
@@ -138,12 +147,16 @@ class TestCycleTypeAgainstOracle:
         # factorization's type at every good prime in a fixed window
         inst = build_params(d)
         discs = _good_reduction_discs(inst, n)
+        coeffs = (iterate(inst.f_poly(), n) - inst.x0).coeffs
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        cleared = [int(c * scale) for c in coeffs]
         good = 0
         for p in primes_up_to(2500):
             if p < 1000 or not _is_good_prime(inst, p, discs):
                 continue
-            target = reduced_target(inst, n, p)
-            assert cycle_type_mod_p(target) == factor_cycle_type(target), p
+            # the sampler's input: f^n - x0 with its denominators cleared,
+            # left unreduced
+            assert cycle_type_mod_p(cleared, p) == factor_cycle_type(reduced_target(inst, n, p)), p
             good += 1
         assert good >= 150
 
@@ -179,3 +192,21 @@ class TestConvergence:
         tv_a = chebotarev_distance(a.frequencies(), 2, 2)
         tv_b = chebotarev_distance(b.frequencies(), 2, 2)
         assert tv_b < tv_a + Fraction(2, 100)
+
+
+class TestGoldenFrobenius:
+    # sha256 of the canonical JSON (sorted keys, no whitespace) of the
+    # frobenius report for build_params(d) at (d, level, primes, start):
+    # counts, frequencies, the exact law and its key order all show here
+    HASHES = {
+        (2, 2, 500, 1000): "ed66c2c1f232c149380618668b5447f159bec5af6b1850bdd38946c6d39ffbe3",
+        (2, 3, 200, 1000): "d06326c3ed4181e3b860b4fd2a3e537fdc0712b18b75d44e537b8ae68febb151",
+        (8, 1, 100, 1000): "c36b0e27b480e0b3c4159c6d03ac0662e0351383e93792b9c6041f9f295e02f1",
+        (3, 1, 300, 5000): "10f8b46bfa98d5374ea7860bab16f79480c64d69e6c3b4fdd60267b80d34b05e",
+    }
+
+    @pytest.mark.parametrize("d, level, primes, start", sorted(HASHES))
+    def test_json_hash(self, d, level, primes, start):
+        report = run_frobenius(build_params(d), level, primes, start=start)
+        text = json.dumps(report_to_json_dict(report), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.HASHES[d, level, primes, start]

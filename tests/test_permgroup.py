@@ -6,15 +6,24 @@ import pytest
 from odoni.permgroup import (
     ClosureCapError,
     Perm,
-    TreeAutomorphism,
-    closure,
-    enumerate_wreath,
+    _closure_images,
     gen_sd_check,
-    internal_nodes,
     is_transitive,
     leaf_type_distribution,
     wreath_order,
 )
+from wreath_oracle import (
+    ENUMERABLE_SHAPES,
+    TreeAutomorphism,
+    enumerate_wreath,
+    enumerated_law,
+    internal_nodes,
+)
+
+
+def closure(generators, cap=None) -> frozenset:
+    """The generated subgroup as a set of Perms."""
+    return frozenset(Perm(images) for images in _closure_images(generators, cap))
 
 
 def cycles(d, *cyc):
@@ -214,6 +223,38 @@ class TestLeafTypeDistribution:
         for d, n in ((2, 3), (3, 2)):
             for t in leaf_type_distribution(d, n):
                 assert sum(t) == d**n
+
+    @pytest.mark.parametrize("d, n", ENUMERABLE_SHAPES)
+    def test_equals_enumeration(self, d, n):
+        # the cycle-index law against counting every tree automorphism,
+        # key order included
+        law = leaf_type_distribution(d, n)
+        oracle = enumerated_law(d, n)
+        assert law == oracle
+        assert list(law) == list(oracle)
+
+    @pytest.mark.parametrize("d, n", [(9, 1), (10, 1), (3, 3), (4, 2), (2, 6)])
+    def test_past_enumeration(self, d, n):
+        # shapes whose group order is over the enumeration cap
+        law = leaf_type_distribution(d, n)
+        assert wreath_order(d, n) > 10**5
+        assert sum(law.values()) == 1
+        for t in law:
+            assert sum(t) == d**n
+            assert list(t) == sorted(t, reverse=True) and min(t) >= 1
+        assert law[(1,) * d**n] == Fraction(1, wreath_order(d, n))
+        assert list(law) == sorted(law)
+
+    def test_partition_counts(self):
+        # at n = 1 the group is S_d, so every partition of d occurs
+        assert len(leaf_type_distribution(9, 1)) == 30
+        assert len(leaf_type_distribution(10, 1)) == 42
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            leaf_type_distribution(1, 2)
+        with pytest.raises(ValueError):
+            leaf_type_distribution(2, -1)
 
 
 class TestGenerationCriterionProperty:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,7 +13,6 @@ from odoni.poly import (
     Poly,
     Trinomial,
     compose,
-    crit_product,
     critical_orbit,
     _prime_support,
     disc_iterate,
@@ -166,6 +166,30 @@ class TestTrinomial:
                 beta = Fraction(rng.randint(1, 9), rng.randint(1, 4))
                 t = Trinomial(Fraction(1), -b, -beta, d, m)
                 assert disc_trinomial(t) == disc_resultant(t.expand())
+
+
+def crit_product(d: int, m: int, b, w) -> Fraction:
+    """Product of f - w over the nonzero critical points of f = x^d - b*x^m.
+
+    The nonzero critical points are the (d-m) roots of x^(d-m) = m*b/d;
+    the product of f(x) - w over them has the closed form
+
+        d^(-d) * [ d^d * (-w)^(d-m) + (-1)^(d-1) * (d-m)^(d-m) * m^m * (-b)^d ],
+
+    which never materializes a root of unity. Requires b != 0 and
+    gcd(m, d) = 1 (the coprimality is what collapses the root-of-unity
+    sum).
+    """
+    b = Fraction(b)
+    w = Fraction(w)
+    if b == 0:
+        raise ValueError("crit_product: b must be nonzero")
+    if not (d > m >= 1) or math.gcd(m, d) != 1:
+        raise ValueError("crit_product: need d > m >= 1 with gcd(m, d) = 1")
+    bracket = Fraction(d**d) * (-w) ** (d - m) + Fraction((-1) ** (d - 1)) * (
+        d - m
+    ) ** (d - m) * m**m * (-b) ** d
+    return bracket / Fraction(d**d)
 
 
 class TestCritProduct:
@@ -373,6 +397,12 @@ class TestDiscPairs:
         # has discriminant 0, kept as the pair (0, 1)
         inst = _inst(2, 1, 2, -1)
         assert list(itertools.islice(disc_levels(inst, 10), 6)) == [(0, 1)] * 6
+
+    def test_zero_level_stops_the_orbit(self):
+        # x0 = 0 zeroes level 1; the critical orbit grows 4-fold per
+        # level, so stepping it on to level 40 would never finish
+        inst = _inst(4, 3, -42, 0)
+        assert next(itertools.islice(disc_levels(inst), 39, None)) == (0, 1)
 
 
 class TestEisenstein:

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from factor_oracle import derivative, factor_mod_p, pth_root
-from odoni.polymod import PolyModP, cycle_type_mod_p
+from factor_oracle import PolyModP, derivative, factor_mod_p, pth_root
+from odoni.polymod import _mul_mod, _pow_mod, cycle_type_mod_p
 
 
 def poly(coeffs, p):
@@ -126,16 +126,24 @@ class TestFactorModP:
 class TestCycleTypeModP:
     def test_quartic_example(self):
         # x^4 + 1 mod 5 = (x^2 + 2)(x^2 + 3)
-        assert cycle_type_mod_p(poly([1, 0, 0, 0, 1], 5)) == (2, 2)
+        assert cycle_type_mod_p([1, 0, 0, 0, 1], 5) == (2, 2)
 
     def test_irreducible_and_split(self):
-        assert cycle_type_mod_p(poly([2, 0, 1], 5)) == (2,)  # x^2 + 2 has no root mod 5
-        assert cycle_type_mod_p(poly([6, 0, 1], 7)) == (1, 1)
-        assert cycle_type_mod_p(3 * poly([1, 1], 7)) == (1,)  # the leading unit is stripped
+        assert cycle_type_mod_p([2, 0, 1], 5) == (2,)  # x^2 + 2 has no root mod 5
+        assert cycle_type_mod_p([6, 0, 1], 7) == (1, 1)
+        assert cycle_type_mod_p([3, 3], 7) == (1,)  # the leading unit is stripped
+
+    def test_unreduced_integer_coefficients(self):
+        # 15 x^2 - 20 = 15 (x^2 + 2) mod 7: the same pattern as x^2 + 2
+        assert cycle_type_mod_p([-20, 0, 15], 7) == cycle_type_mod_p([2, 0, 1], 7) == (2,)
 
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
-            cycle_type_mod_p(poly([3], 7))
+            cycle_type_mod_p([3], 7)
+
+    def test_rejects_non_unit_leading_coefficient(self):
+        with pytest.raises(ValueError, match="leading coefficient"):
+            cycle_type_mod_p([1, 1, 14], 7)
 
     def test_matches_oracle_on_random_squarefree(self):
         rng = random.Random(23)
@@ -147,5 +155,33 @@ class TestCycleTypeModP:
                 if any(e > 1 for _, e in factors):
                     continue
                 expected = sorted((q.degree for q, _ in factors), reverse=True)
-                assert cycle_type_mod_p(f) == tuple(expected)
+                assert cycle_type_mod_p(list(f.coeffs), p) == tuple(expected)
                 checked += 1
+
+
+class TestListKernel:
+    def test_products_match_polymodp(self):
+        rng = random.Random(29)
+        p = 101
+        for _ in range(30):
+            a = [rng.randrange(p) for _ in range(rng.randint(1, 8))]
+            b = [rng.randrange(p) for _ in range(rng.randint(1, 8))]
+            v = [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [1]
+            product = PolyModP(a, p) * PolyModP(b, p)
+            plain = _mul_mod(a, b, p)
+            assert all(0 <= c < p for c in plain)  # reduced, as the Eisenstein check reads it
+            assert PolyModP(plain, p) == product
+            assert PolyModP(_mul_mod(a, b, p, v), p) == product % PolyModP(v, p)
+
+    def test_powers_match_polymodp(self):
+        rng = random.Random(31)
+        p = 97
+        for _ in range(20):
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 5))]
+            v = [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [1]
+            e = rng.randrange(40)
+            repeated = PolyModP([1], p)
+            for _ in range(e):
+                repeated = repeated * PolyModP(g, p)
+            assert PolyModP(_pow_mod(g, e, p), p) == repeated
+            assert PolyModP(_pow_mod(g, e, p, v), p) == repeated % PolyModP(v, p)
