@@ -5,7 +5,8 @@ whose iterated preimage trees realize the full n-fold wreath product of
 S_d at every certified depth, and emits machine-checkable certificates
 for the underlying hypotheses, cross-validated by independent oracles
 (resultants, the cycle index of the tree group, Frobenius cycle-type
-sampling).
+sampling); the polynomial algebra over Q behind several oracles lives
+in the test suite.
 """
 
 from .arith import INFINITY, Rational, crt, is_prime, is_square, legendre, val
@@ -29,16 +30,7 @@ from .permgroup import (
     leaf_type_distribution,
     wreath_order,
 )
-from .poly import (
-    Poly,
-    Trinomial,
-    compose,
-    disc_iterate,
-    disc_resultant,
-    disc_trinomial,
-    iterate,
-    resultant,
-)
+from .poly import Trinomial, disc_iterate, disc_trinomial
 
 __version__ = "0.1.0"
 
@@ -47,7 +39,6 @@ __all__ = [
     "INFINITY",
     "IterInstance",
     "Perm",
-    "Poly",
     "Rational",
     "Trinomial",
     "build_params",
@@ -55,23 +46,19 @@ __all__ = [
     "build_params_odd",
     "certify",
     "chebotarev_distance",
-    "compose",
     "compute_fn",
     "crt",
     "disc_iterate",
-    "disc_resultant",
     "disc_trinomial",
     "exhibit_odd_prime_q",
     "gen_sd_check",
     "is_prime",
     "is_square",
-    "iterate",
     "leaf_type_distribution",
     "legendre",
     "newton_polygon",
     "predict_two_segments",
     "ramification_tower",
-    "resultant",
     "sample_distribution",
     "val",
     "wreath_order",

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import newton
@@ -43,7 +42,7 @@ from .arith import (
 )
 from .construct import EVEN_CASE, ODD_CASE_1, IterInstance
 from .poly import BitBudgetExceededError, critical_orbit, disc_levels
-from .polymod import _mul_mod, _pow_mod
+from .polymod import iterates_minus_x0
 
 DEFAULT_DEPTH = 3
 FN_BIT_CAP = 2**24
@@ -431,38 +430,23 @@ def exhibit_odd_prime_q(
     )
 
 
-def _residue(q: Fraction, modulus: int, p: int) -> int:
-    """Image of a p-integral rational in Z/modulus, for modulus a power of p."""
-    if q.denominator % p == 0:
-        raise ValueError(f"eisenstein check: {q} is not {p}-integral")
-    return q.numerator * pow(q.denominator, -1, modulus) % modulus
-
-
 def _eisenstein_levels(inst: IterInstance, depth: int) -> dict[int, bool]:
     """Eisenstein test of f^n - x0 at p1 for n <= min(depth, 3).
 
-    Runs in Z/p1^2, the image of the p1-integral rationals under a ring
-    map: f^n - x0 is Eisenstein at p1 exactly when its non-leading
-    coefficients reduce to 0 mod p1 and its constant term does not
-    reduce to 0 mod p1^2. A non-p1-integral b or x0 raises ValueError.
+    Reads H_n of ``polymod.iterates_minus_x0`` mod p1^2, where
+    f^n - x0 = H_n / lc(H_n) and lc(H_n) is a p1-unit: f^n - x0 is
+    Eisenstein at p1 exactly when the non-leading coefficients of H_n
+    reduce to 0 mod p1 and its constant term does not reduce to 0 mod
+    p1^2. A non-p1-integral b or x0 raises ValueError.
     """
-    p1, d, m = inst.p1, inst.d, inst.m
-    modulus = p1 * p1
-    b = _residue(inst.b, modulus, p1)
-    x0 = _residue(inst.x0, modulus, p1)
+    p1 = inst.p1
+    for q in (inst.b, inst.x0):
+        if q.denominator % p1 == 0:
+            raise ValueError(f"eisenstein check: {q} is not {p1}-integral")
     out: dict[int, bool] = {}
-    g = [0, 1]
-    for n in range(1, min(depth, EISENSTEIN_MAX_LEVEL) + 1):
-        # f(g) = g^m * (g^(d-m) - b)
-        inner = _pow_mod(g, d - m, modulus)
-        inner[0] = (inner[0] - b) % modulus
-        g = _mul_mod(_pow_mod(g, m, modulus), inner, modulus)
-        constant = (g[0] - x0) % modulus
-        out[n] = (
-            constant % p1 == 0
-            and constant != 0
-            and all(c % p1 == 0 for c in g[1:-1])
-        )
+    levels = iterates_minus_x0(inst, p1 * p1)
+    for n, h in zip(range(1, min(depth, EISENSTEIN_MAX_LEVEL) + 1), levels):
+        out[n] = h[0] % p1 == 0 and h[0] != 0 and all(c % p1 == 0 for c in h[1:-1])
     return out
 
 

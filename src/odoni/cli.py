@@ -33,13 +33,7 @@ from .certify import (
     certify,
 )
 from .construct import _frac_str
-from .poly import (
-    BitBudgetExceededError,
-    Poly,
-    Trinomial,
-    disc_iterate,
-    disc_trinomial,
-)
+from .poly import BitBudgetExceededError, Trinomial, disc_iterate, disc_trinomial
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -63,6 +57,18 @@ def _load_params(path: str) -> construct_mod.IterInstance:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     return construct_mod.instance_from_json_dict(data)
+
+
+def _rationals(entries, what: str) -> list[Fraction]:
+    """Each entry (a string such as "-1/49", or a JSON number) as a
+    Fraction; anything else is an input error naming ``what``."""
+    out = []
+    for entry in entries:
+        try:
+            out.append(Fraction(entry))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"{what}: {entry!r} is not a rational number") from exc
+    return out
 
 
 def _cmd_construct(args) -> int:
@@ -103,11 +109,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_disc(args) -> int:
-    if args.trinomial:
+    if args.trinomial is not None:
         parts = args.trinomial.replace(",", " ").split()
         if len(parts) != 5:
             raise ValueError("--trinomial expects 5 entries: A,B,C,d,m")
-        a, b, c = (Fraction(x) for x in parts[:3])
+        a, b, c = _rationals(parts[:3], "--trinomial")
         d, m = int(parts[3]), int(parts[4])
         value = disc_trinomial(Trinomial(a, b, c, d, m))
         _emit(
@@ -139,12 +145,15 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_newton(args) -> int:
-    if args.poly_file:
+    if args.poly_file is not None:
         with open(args.poly_file, encoding="utf-8") as fh:
-            coeffs = [Fraction(c) for c in json.load(fh)["coeffs"]]
+            data = json.load(fh)
+        if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
+            raise ValueError(f'{args.poly_file}: expected {{"coeffs": [...]}}')
+        coeffs = _rationals(data["coeffs"], "--poly-file coeffs")
     else:
-        coeffs = [Fraction(c) for c in args.coeffs.replace(",", " ").split()]
-    polygon = newton_mod.newton_polygon(Poly(coeffs), args.prime)
+        coeffs = _rationals(args.coeffs.replace(",", " ").split(), "--coeffs")
+    polygon = newton_mod.newton_polygon(coeffs, args.prime)
     _emit(
         {
             "schema": "odoni-newton-v1",

@@ -72,15 +72,6 @@ class IterInstance:
             return self.d * (self.d - 1) * self.s * self.t * self.big_d
         return 2 * self.d * (self.d - 2) * self.s * self.t
 
-    def f_poly(self):
-        """x^d - b*x^m as a Poly."""
-        from .poly import Poly
-
-        coeffs = [Fraction(0)] * (self.d + 1)
-        coeffs[self.m] = -self.b
-        coeffs[self.d] = Fraction(1)
-        return Poly(coeffs)
-
     def violated_relations(self) -> list[str]:
         """Structural invariants, each named; empty list means valid."""
         if self.d < 2:
@@ -246,10 +237,6 @@ def _frac_str(q: Fraction) -> str:
     return num if q.denominator == 1 else f"{num}/{decimal_str(q.denominator)}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def instance_to_json_dict(inst: IterInstance) -> dict:
     return {
         "schema": "odoni-params-v1",
@@ -279,8 +266,8 @@ def instance_from_json_dict(data: dict) -> IterInstance:
             m=int(data["m"]),
             s=int(data["s"]),
             t=int(data["t"]),
-            x0=parse_fraction(data["x0"]),
-            b=parse_fraction(data["b"]),
+            x0=Fraction(data["x0"]),
+            b=Fraction(data["b"]),
             p=int(data["p"]),
             p1=int(data["p1"]),
             p2=int(data["p2"]),

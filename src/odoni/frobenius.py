@@ -3,8 +3,9 @@
 For a prime p of good reduction, f^n - x0 is squarefree mod p and its
 factor degrees are the cycle type of Frobenius acting on the d^n
 level-n preimages; distinct-degree factorization reads them off
-without splitting any factor. The denominators of f^n - x0 are cleared
-once, and each prime then works on the integer coefficients mod p. If
+without splitting any factor. f^n - x0 is composed once over Z, as
+H_n / lc(H_n) with ``polymod.iterates_minus_x0``, and each prime then
+works on H_n mod p. If
 the arboreal group really is the full wreath tower, those cycle types
 must equidistribute (by Chebotarev) according to the exact leaf-type
 law of the tree group, its cycle index.
@@ -18,16 +19,15 @@ verdicts.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import primes_up_to, val
+from .arith import primes_up_to
 from .construct import ConstructError, _frac_str
 from .permgroup import MAX_ENUMERATION, leaf_type_distribution, wreath_order
-from .poly import disc_levels, iterate
-from .polymod import cycle_type_mod_p
+from .poly import disc_levels
+from .polymod import cycle_type_mod_p, iterates_minus_x0
 
 DEFAULT_SCAN_START = 1000
 DEFAULT_SCAN_CAP = 10**7
@@ -45,16 +45,15 @@ class InsufficientPrimesError(RuntimeError):
     pass
 
 
-def _good_reduction_discs(inst, n: int) -> list[Fraction]:
-    return [Fraction(num, den) for num, den in itertools.islice(disc_levels(inst), n)]
-
-
-def _is_good_prime(inst, p: int, discs: list[Fraction]) -> bool:
-    if p == 2:
-        return False
-    if inst.b.denominator % p == 0 or inst.x0.denominator % p == 0:
-        return False
-    return all(val(disc, p) == 0 for disc in discs)
+def _bad_reduction_product(inst, n: int) -> int:
+    """2*den(b)*den(x0) times num*den of each reduced disc(f^k - x0),
+    k <= n: a prime is of good reduction exactly when it does not divide
+    this product (a zero discriminant makes every prime bad)."""
+    out = 2 * inst.b.denominator * inst.x0.denominator
+    for num, den in itertools.islice(disc_levels(inst), n):
+        disc = Fraction(num, den)
+        out *= disc.numerator * disc.denominator
+    return out
 
 
 @dataclass
@@ -87,18 +86,18 @@ def sample_distribution(
     is a hard error.
     """
     d = inst.d
+    if n < 1:
+        raise ValueError(f"sample_distribution: level must be >= 1, got {n}")
     if wreath_order(d, n) > MAX_ENUMERATION:
         raise ValueError(
             f"sample_distribution: tree group order {wreath_order(d, n)} "
             f"exceeds the enumerable cap {MAX_ENUMERATION}"
         )
     realizable = set(leaf_type_distribution(d, n))
-    discs = _good_reduction_discs(inst, n)
-    target_q = (iterate(inst.f_poly(), n) - inst.x0).coeffs
-    scale = math.lcm(*(c.denominator for c in target_q))
-    # a good prime divides no denominator, so the leading coefficient,
-    # scale, stays a unit mod p
-    target = [c.numerator * (scale // c.denominator) for c in target_q]
+    bad = _bad_reduction_product(inst, n)
+    # a good prime divides neither den(b) nor den(x0), so the leading
+    # coefficient of H_n stays a unit mod p
+    target = next(itertools.islice(iterates_minus_x0(inst), n - 1, None))
     counts: dict[tuple[int, ...], int] = {}
     used = skipped = 0
     block_lo = max(start + 1, 3)
@@ -114,7 +113,7 @@ def sample_distribution(
                 continue
             if used >= prime_count:
                 break
-            if not _is_good_prime(inst, p, discs):
+            if bad % p == 0:
                 skipped += 1
                 continue
             ctype = cycle_type_mod_p(target, p)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .arith import INFINITY, val
-from .poly import Poly
+from .arith import INFINITY, Rational, val
 
 
 @dataclass(frozen=True)
@@ -54,16 +53,17 @@ def _lower_hull(points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
-    """Newton polygon of f with respect to the prime p.
+def newton_polygon(coeffs: Sequence[Rational], p: int) -> NewtonPolygon:
+    """Newton polygon, with respect to the prime p, of the polynomial
+    with ascending coefficients ``coeffs`` (ints or Fractions).
 
     Zero coefficients (valuation +infinity) are simply omitted from the
     point set; a constant polynomial has no polygon and is rejected.
     """
-    if f.degree < 1:
+    if not any(coeffs[1:]):
         raise ValueError("newton_polygon: polynomial must be non-constant")
     points = []
-    for i, c in enumerate(f.coeffs):
+    for i, c in enumerate(coeffs):
         v = val(c, p)
         if v is not INFINITY:
             points.append((i, v))

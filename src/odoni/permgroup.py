@@ -80,9 +80,6 @@ class Perm:
             out[j] = i
         return Perm(out)
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def cycle_type(self) -> tuple[int, ...]:
         """Partition of the degree, sorted descending."""
         seen = [False] * self.degree
@@ -256,7 +253,6 @@ def _sd_cycle_index(d: int) -> list[tuple[tuple[int, ...], Fraction]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def leaf_type_distribution(d: int, n: int) -> dict[tuple[int, ...], Fraction]:
     """Exact distribution of leaf cycle types over the full tree group,
     keyed by descending cycle types in sorted order.
@@ -268,13 +264,20 @@ def leaf_type_distribution(d: int, n: int) -> dict[tuple[int, ...], Fraction]:
     W_(n-1) labels along it is uniform in W_(n-1), so the cycle
     contributes a W_(n-1) type with every length times k.
     Frequencies are Fractions summing to 1; this is the reference law
-    for Frobenius cycle-type sampling.
+    for Frobenius cycle-type sampling. Each call returns a fresh dict,
+    so a caller may edit it without touching the memo.
     """
     if d < 2 or n < 0:
         raise ValueError("leaf_type_distribution: need d >= 2, n >= 0")
+    return dict(_leaf_type_law(d, n))
+
+
+@lru_cache(maxsize=None)
+def _leaf_type_law(d: int, n: int) -> dict[tuple[int, ...], Fraction]:
+    """The memo behind ``leaf_type_distribution``; never handed out."""
     if n == 0:
         return {(1,): Fraction(1)}
-    lower = leaf_type_distribution(d, n - 1)
+    lower = _leaf_type_law(d, n - 1)
     law: dict[tuple[int, ...], Fraction] = {}
     for parts, share in _sd_cycle_index(d):
         terms = {(): share}

@@ -1,12 +1,13 @@
-"""Dense univariate polynomial algebra over Q.
+"""Discriminants of trinomials and of the iterates f^k - x0 of
+f = x^d - b*x^m, and the critical orbit of f.
 
-Composition and iteration, derivatives, resultants via the fraction-free
-subresultant remainder sequence, the critical orbit of x^d - b*x^m,
-discriminants three ways (resultant oracle, trinomial closed form, and
-the iterated recursion driven by the critical orbit).
-
-Coefficients are ``fractions.Fraction``; polynomials are immutable
-tuples in ascending-degree order with trailing zeros trimmed.
+The trinomial discriminant has a closed form. disc(f^k - x0) follows
+the level recursion driven by the critical orbit for m = d-1 and
+m = d-2; other small shapes take the resultant over Z (the
+fraction-free subresultant remainder sequence) of the integer list
+f^k - x0 from ``polymod.iterates_minus_x0`` and its derivative.
+Polynomials over Q, composition and the Fraction resultant are the test
+suite's oracle, not part of this module.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .arith import MR_DETERMINISTIC_BOUND, is_prime, val
-
-Scalar = Union[int, Fraction]
+from .polymod import iterates_minus_x0
 
 DEFAULT_BIT_BUDGET = 2**20
 # disc_levels looks for the primes of its denominators up to this bound
@@ -28,145 +28,6 @@ _DENOMINATOR_TRIAL_BOUND = 2**16
 
 class BitBudgetExceededError(RuntimeError):
     """An iterated-discriminant computation outgrew its bit budget."""
-
-
-def _as_fraction_tuple(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    if not out:
-        out = [Fraction(0)]
-    return tuple(out)
-
-
-class Poly:
-    """Immutable dense polynomial over Q; coeffs[i] multiplies x^i."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar]):
-        object.__setattr__(self, "coeffs", _as_fraction_tuple(coeffs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Poly":
-        return cls((c,))
-
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial reports -1."""
-        if self.is_zero():
-            return -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
-
-    @property
-    def lc(self) -> Fraction:
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Poly({[str(c) for c in self.coeffs]})"
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly((0,))
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.constant(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __call__(self, v: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
-    def derivative(self) -> "Poly":
-        if len(self.coeffs) == 1:
-            return Poly((0,))
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-
-def compose(f: Poly, g: Poly) -> Poly:
-    """f(g(x)) by Horner's scheme in g."""
-    acc = Poly.constant(f.coeffs[-1])
-    for c in reversed(f.coeffs[:-1]):
-        acc = acc * g + c
-    return acc
-
-
-def iterate(f: Poly, n: int) -> Poly:
-    """n-fold self-composition; iterate(f, 0) is x."""
-    if n < 0:
-        raise ValueError("iterate: n must be >= 0")
-    g = Poly.x()
-    for _ in range(n):
-        g = compose(f, g)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -236,40 +97,6 @@ def _int_resultant(a: list[int], b: list[int]) -> int:
             return sign * (b[0] ** da // h ** (da - 1))
 
 
-def resultant(f: Poly, g: Poly) -> Fraction:
-    """Exact resultant Res(f, g) over Q.
-
-    Denominators are cleared and the integer subresultant sequence does
-    the work, keeping intermediate coefficient growth linear in the
-    answer's size rather than exponential.
-    """
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    df, dg = f.degree, g.degree
-    if df == 0:
-        return f.coeffs[0] ** dg
-    if dg == 0:
-        return g.coeffs[0] ** df
-    af = math.lcm(*[c.denominator for c in f.coeffs])
-    ag = math.lcm(*[c.denominator for c in g.coeffs])
-    fi = [int(c * af) for c in f.coeffs]
-    gi = [int(c * ag) for c in g.coeffs]
-    r = _int_resultant(fi, gi)
-    return Fraction(r, af**dg * ag**df)
-
-
-def disc_resultant(f: Poly) -> Fraction:
-    """Discriminant via the resultant, with the sign convention
-    disc(f) = (-1)^(n(n-1)/2) * Res(f, f') / lc(f)."""
-    n = f.degree
-    if n < 1:
-        raise ValueError("disc_resultant: polynomial must be non-constant")
-    if n == 1:
-        return Fraction(1)
-    r = resultant(f, f.derivative())
-    return Fraction((-1) ** (n * (n - 1) // 2)) * r / f.lc
-
-
 @dataclass(frozen=True)
 class Trinomial:
     """A*x^d + B*x^m + C with d > m >= 1 and gcd(m, d) = 1."""
@@ -291,13 +118,6 @@ class Trinomial:
         if math.gcd(self.m, self.d) != 1:
             raise ValueError("Trinomial: need gcd(m, d) = 1")
 
-    def expand(self) -> Poly:
-        coeffs = [Fraction(0)] * (self.d + 1)
-        coeffs[0] = self.C
-        coeffs[self.m] += self.B
-        coeffs[self.d] = self.A
-        return Poly(coeffs)
-
 
 def disc_trinomial(t: Trinomial) -> Fraction:
     """Closed-form discriminant of A*x^d + B*x^m + C.
@@ -305,8 +125,8 @@ def disc_trinomial(t: Trinomial) -> Fraction:
     disc = (-1)^(d(d-1)/2) * A^(d-m-1) * C^(m-1)
            * [ (-1)^(d-1) * m^m * (d-m)^(d-m) * B^d + d^d * A^m * C^(d-m) ]
 
-    Agrees with disc_resultant(t.expand()) identically; the resultant
-    route is the independent oracle in the test suite.
+    Agrees identically with the discriminant from the resultant of the
+    expanded trinomial, the independent oracle in the test suite.
     """
     d, m = t.d, t.m
     bracket = (
@@ -393,8 +213,9 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[in
     from N_0 = D_0 = 1, so no gcd is taken. Once a level is 0, every
     later one is (0, 1), and the orbit is no longer stepped. Supported
     shapes are m = d-1 and m = d-2 with gcd(m, d) = 1; other (d, m) with
-    0 <= m < d fall back to the expanded resultant while d^k <= 32 and
-    raise ValueError past that (and for any other d, m).
+    0 <= m < d fall back to the integer resultant of f^k - x0
+    (``polymod.iterates_minus_x0``) and its derivative, reduced, while
+    d^k <= 32 and raise ValueError past that (and for any other d, m).
 
     ``inst`` is anything with attributes d, m, b, x0. Growth is doubly
     exponential in k. A level is measured by the bits of its reduced
@@ -410,13 +231,13 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[in
         raise ValueError(f"disc_levels: need d >= 2 and 0 <= m < d, got (d, m) = ({d}, {m})")
     b, x0 = Fraction(inst.b), Fraction(inst.x0)
     if m not in (d - 1, d - 2) or math.gcd(m, d) != 1:
-        coeffs = [Fraction(0)] * (d + 1)
-        coeffs[m] = -b
-        coeffs[d] = Fraction(1)
-        f, g, level = Poly(coeffs), Poly.x(), 1
+        # f^k - x0 = H/c with c = lc(H) and n = d^k, so
+        # disc = (-1)^(n(n-1)/2) * Res(H, H') / c^(2n-1)
+        levels, level = iterates_minus_x0(inst), 1
         while d**level <= 32:
-            g = compose(f, g)
-            disc = disc_resultant(g - x0)
+            h, n = next(levels), d**level
+            res = _int_resultant(h, [i * c for i, c in enumerate(h)][1:])
+            disc = Fraction((-1) ** (n * (n - 1) // 2) * res, h[-1] ** (2 * n - 1))
             yield disc.numerator, disc.denominator
             level += 1
         raise ValueError(f"disc_levels: unsupported (d, m) = ({d}, {m}) past level {level - 1}")

@@ -1,8 +1,11 @@
-"""Polynomials mod m as plain ascending coefficient lists, and the
-factor-degree pattern of a squarefree polynomial over GF(p).
+"""Polynomials over Z and Z/m as plain ascending coefficient lists:
+the iterates f^k - x0 of f = x^d - b*x^m, and the factor-degree pattern
+of a squarefree polynomial over GF(p).
 
-One product kernel, ``_mul_mod``, serves both the Eisenstein check in
-Z/p1^2 and the distinct-degree factorization below. The pattern comes
+One product kernel, ``_mul_mod``, serves the composition of f^k - x0
+(over Z for the sampler and the discriminant fallback, over Z/p1^2 for
+the Eisenstein check) and the distinct-degree factorization below. The
+pattern comes
 from distinct-degree factorization alone: for monic squarefree v over
 GF(p), gcd(v, x^(p^i) - x) is the product of the degree-i irreducible
 factors of v once the factors of degree below i are divided out, so
@@ -12,6 +15,9 @@ so there is no equal-degree (Cantor-Zassenhaus) stage.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterator, Optional
 
 
 def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -33,9 +39,12 @@ def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int
     return q, r
 
 
-def _mul_mod(a: list[int], b: list[int], modulus: int, v: list[int] | None = None) -> list[int]:
+def _mul_mod(
+    a: list[int], b: list[int], modulus: Optional[int], v: Optional[list[int]] = None
+) -> list[int]:
     """Product of two ascending coefficient lists, reduced mod ``modulus``
-    and, when ``v`` is given, mod the polynomial v (modulus prime)."""
+    (over Z when it is None) and, when ``v`` is given, mod the
+    polynomial v (modulus prime)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -43,10 +52,14 @@ def _mul_mod(a: list[int], b: list[int], modulus: int, v: list[int] | None = Non
                 out[i + j] += ai * bj
     if v is not None:
         return _divmod_mod(out, v, modulus)[1]
+    if modulus is None:
+        return out
     return [c % modulus for c in out]
 
 
-def _pow_mod(g: list[int], e: int, modulus: int, v: list[int] | None = None) -> list[int]:
+def _pow_mod(
+    g: list[int], e: int, modulus: Optional[int], v: Optional[list[int]] = None
+) -> list[int]:
     """g^e by square and multiply, reduced as ``_mul_mod`` reduces."""
     result = [1]
     while e:
@@ -56,6 +69,42 @@ def _pow_mod(g: list[int], e: int, modulus: int, v: list[int] | None = None) -> 
         if e:
             g = _mul_mod(g, g, modulus, v)
     return result
+
+
+def iterates_minus_x0(inst, modulus: Optional[int] = None) -> Iterator[list[int]]:
+    """H_k for k = 1, 2, ...: integer coefficient lists (ascending) with
+    f^k - x0 = H_k / lc(H_k) for f = x^d - b*x^m, reduced mod ``modulus``
+    when it is given.
+
+    With b = B/beta and x0 = X/xi, f^k = G_k / delta_k steps as
+
+        G_(k+1) = G_k^m * (beta*G_k^(d-m) - B*delta_k^(d-m)),
+        delta_(k+1) = delta_k^d * beta,
+
+    from G_0 = x, delta_0 = 1, and H_k = xi*G_k - X*delta_k. f^k is
+    monic, so lc(G_k) = delta_k and lc(H_k) = xi*delta_k, whose primes
+    divide den(b)*den(x0). No rational is formed and nothing is
+    inverted, so any modulus works. ``inst`` is anything with
+    attributes d, m, b, x0; m outside 0 <= m < d raises ValueError.
+    """
+    d, m = inst.d, inst.m
+    if not 0 <= m < d:
+        raise ValueError(f"iterates_minus_x0: need 0 <= m < d, got (d, m) = ({d}, {m})")
+    b, x0 = Fraction(inst.b), Fraction(inst.x0)
+    big_b, beta = b.numerator, b.denominator
+    big_x, xi = x0.numerator, x0.denominator
+    g, delta = [0, 1], 1
+    while True:
+        inner = [beta * c for c in _pow_mod(g, d - m, modulus)]
+        inner[0] -= big_b * delta ** (d - m)
+        g = _mul_mod(_pow_mod(g, m, modulus), inner, modulus)
+        delta = delta**d * beta
+        h = [xi * c for c in g]
+        h[0] -= big_x * delta
+        if modulus is not None:
+            delta %= modulus
+            h = [c % modulus for c in h]
+        yield h
 
 
 def cycle_type_mod_p(f: list[int], p: int) -> tuple[int, ...]:

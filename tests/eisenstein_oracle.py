@@ -4,7 +4,7 @@ certifier's Z/p1^2 check is compared against."""
 from __future__ import annotations
 
 from odoni.arith import INFINITY, val
-from odoni.poly import Poly
+from poly_oracle import Poly
 
 
 def eisenstein_at(f: Poly, p: int) -> bool:

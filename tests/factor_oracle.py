@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from odoni.arith import is_prime
-from odoni.frobenius import _good_reduction_discs, _is_good_prime
-from odoni.poly import Poly, compose
+from odoni.frobenius import _bad_reduction_product
+from poly_oracle import Poly, compose, f_poly
 
 
 class PolyModP:
@@ -332,16 +332,15 @@ def factor_tree(inst, n: int, p: int) -> FactorTree:
     BadReductionError. A level-k factor h is the child of the unique
     level-(k-1) factor g with g(f(x)) = 0 mod (h(x), p).
     """
-    discs = _good_reduction_discs(inst, n)
-    if not _is_good_prime(inst, p, discs):
+    if _bad_reduction_product(inst, n) % p == 0:
         raise BadReductionError(f"{p} is a bad-reduction prime for this instance")
     d = inst.d
-    f_mod = PolyModP.from_rational_coeffs(inst.f_poly().coeffs, p)
+    f_mod = PolyModP.from_rational_coeffs(f_poly(inst).coeffs, p)
     x0_mod = inst.x0.numerator * pow(inst.x0.denominator, -1, p) % p
     root = FactorNode(level=0, index=0, degree=1, parent=None, poly=PolyModP([-x0_mod, 1], p))
     levels: list[tuple[FactorNode, ...]] = [(root,)]
     g_pol = Poly.x()
-    f_pol = inst.f_poly()
+    f_pol = f_poly(inst)
     for k in range(1, n + 1):
         g_pol = compose(f_pol, g_pol)
         target = PolyModP.from_rational_coeffs((g_pol - inst.x0).coeffs, p)

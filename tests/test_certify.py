@@ -2,8 +2,10 @@ import hashlib
 import importlib
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +28,8 @@ from odoni.certify import (
     nonsquare_pair,
 )
 from odoni.construct import IterInstance, build_params
-from odoni.poly import disc_levels, disc_resultant, iterate
+from odoni.poly import disc_levels
+from poly_oracle import disc_resultant, f_poly, iterate
 
 
 class TestFnEven:
@@ -45,7 +48,7 @@ class TestFnEven:
         # independent derivation of F_1 from the discriminant:
         # disc(f - x0) = s * (s^3 + 4 t D^2) / (t^2 D^2) for d = 2
         inst = golden_even_2
-        f = inst.f_poly()
+        f = f_poly(inst)
         disc = disc_resultant(f - inst.x0)
         s, t, big_d = inst.s, inst.t, inst.big_d
         assert disc * t**2 * big_d**2 / s == -compute_fn(inst, 1).F_n
@@ -303,7 +306,7 @@ class TestCertify:
 
 
 def _q_oracle_levels(inst, depth):
-    f = inst.f_poly()
+    f = f_poly(inst)
     return {
         n: eisenstein_at(iterate(f, n) - inst.x0, inst.p1)
         for n in range(1, min(depth, EISENSTEIN_MAX_LEVEL) + 1)
@@ -353,6 +356,32 @@ class TestEisensteinLevels:
             _eisenstein_levels(bad, 3)
         with pytest.raises(ValueError):
             _q_oracle_levels(bad, 3)
+
+
+    def test_random_instances(self):
+        # any 0 <= m < d, p1 in {2, 3, 5, 7}, b and x0 with denominators
+        # prime to p1 and small p1-valuations, so every outcome occurs
+        rng = random.Random(61)
+        outcomes = set()
+        for _ in range(120):
+            d = rng.randint(2, 5)
+            p1 = rng.choice([2, 3, 5, 7])
+
+            def p1_integral():
+                den = rng.choice([x for x in range(1, 12) if x % p1])
+                return Fraction(rng.randint(-20, 20) * p1 ** rng.randint(0, 2), den)
+
+            inst = SimpleNamespace(d=d, m=rng.randrange(d), b=p1_integral(), x0=p1_integral(), p1=p1)
+            depth = 3 if d <= 3 else 2
+            levels = _eisenstein_levels(inst, depth)
+            assert levels == _q_oracle_levels(inst, depth), inst
+            outcomes.update(levels.values())
+        assert outcomes == {True, False}
+
+    def test_p1_denominator_message(self, golden_even_2):
+        bad = replace(golden_even_2, b=Fraction(2, 9))
+        with pytest.raises(ValueError, match=r"^eisenstein check: 2/9 is not 3-integral$"):
+            _eisenstein_levels(bad, 3)
 
 
 class TestTamperedPrimes:

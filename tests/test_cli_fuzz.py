@@ -3,8 +3,10 @@ and never lets a traceback out.
 
 Inputs are malformed params files (keys missing, values non-numeric,
 b = 0, t = 0, non-prime witnesses, d from 0 to 12), malformed
-group-check files, and out-of-range --depth/--level/--primes/--start/
---exhibit-effort values. Sizes are bounded so the whole module runs in seconds.
+group-check files, out-of-range --depth/--level/--primes/--start/
+--exhibit-effort values, and malformed `newton` coefficients (inline
+or in a file) and `disc --trinomial` entries. Sizes are bounded so the
+whole module runs in seconds.
 """
 
 import contextlib
@@ -155,3 +157,68 @@ def test_out_of_range_flags(workdir, command, degree, depth, level, primes, star
     else:
         run_cli(["frobenius", "--params", path, "--level", str(level), "--primes", str(primes),
                  "--start", str(start)])
+
+
+# coefficient entries as the command line spells them
+rational_texts = st.one_of(
+    st.sampled_from(["1/0", "x", "", "nan", "inf", "2.5", "-", "-1/49", "1e3", "9" * 600]),
+    st.integers(-30, 30).map(str),
+)
+
+
+@st.composite
+def poly_docs(draw):
+    """--poly-file contents: mostly {"coeffs": [...]}, entries as JSON
+    strings, numbers or junk; sometimes junk at either level."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(junk)
+    entries = st.one_of(rational_texts, st.integers(-30, 30), junk)
+    return {"coeffs": draw(st.one_of(st.lists(entries, max_size=6), junk))}
+
+
+@FUZZ
+@given(coeffs=st.lists(rational_texts, max_size=6), doc=poly_docs(), from_file=st.booleans(),
+       prime=st.integers(-3, 30))
+@example(coeffs=["1/0", "1"], doc={}, from_file=False, prime=5)
+@example(coeffs=[], doc={"coeffs": [None, 1]}, from_file=True, prime=5)
+@example(coeffs=[], doc={"coeffs": 5}, from_file=True, prime=5)
+@example(coeffs=[], doc=[1, 2], from_file=True, prime=5)
+# an empty --poly-file= once fell through to the --coeffs branch
+@example(coeffs=[], doc=None, from_file=True, prime=5)
+def test_newton_inputs(workdir, coeffs, doc, from_file, prime):
+    if from_file:
+        source = ["--poly-file=" + ("" if doc is None else write(workdir, "poly.json", doc))]
+    else:
+        source = ["--coeffs=" + ",".join(coeffs)]
+    run_cli(["newton", *source, "--prime", str(prime)])
+
+
+@FUZZ
+# d and m stay below 13: the closed form has about d*log2(d) bits
+@given(entries=st.lists(st.one_of(rational_texts.filter(lambda text: len(text) < 600),
+                                  st.integers(-3, 12).map(str)), max_size=6))
+@example(entries=["1/0", "1", "1", "3", "2"])
+# an empty --trinomial= once fell through to the params branch
+@example(entries=[])
+def test_disc_trinomial_inputs(entries):
+    run_cli(["disc", "--trinomial=" + ",".join(entries)])
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["newton", "--coeffs=1/0,1", "--prime", "5"], None),
+        (["disc", "--trinomial=1/0,1,1,3,2"], None),
+        (["newton", "--prime", "5"], {"coeffs": [None, 1]}),
+        (["newton", "--prime", "5"], {"coeffs": 5}),
+        (["newton", "--prime", "5"], [1, 2]),
+    ],
+)
+def test_malformed_rationals_are_input_errors(workdir, argv, doc):
+    # each of these once ended in a traceback with exit 1
+    if doc is not None:
+        argv = [*argv, "--poly-file", write(workdir, "poly.json", doc)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code == 2 and "input error" in err.getvalue(), (argv, err.getvalue())

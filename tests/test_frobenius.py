@@ -1,16 +1,17 @@
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from factor_oracle import BadReductionError, PolyModP, factor_cycle_type, factor_tree
-from odoni.arith import primes_up_to
+from odoni.arith import primes_up_to, val
 from odoni.construct import build_params
 from odoni.frobenius import (
-    _good_reduction_discs,
-    _is_good_prime,
+    _bad_reduction_product,
     chebotarev_distance,
     report_to_json_dict,
     run_frobenius,
@@ -18,13 +19,14 @@ from odoni.frobenius import (
     tv_is_enforced,
 )
 from odoni.permgroup import leaf_type_distribution
-from odoni.poly import iterate
+from odoni.poly import disc_levels
 from odoni.polymod import cycle_type_mod_p
+from poly_oracle import f_poly, iterate
 
 
 def reduced_target(inst, n, p):
     """f^n - x0 mod p."""
-    return PolyModP.from_rational_coeffs((iterate(inst.f_poly(), n) - inst.x0).coeffs, p)
+    return PolyModP.from_rational_coeffs((iterate(f_poly(inst), n) - inst.x0).coeffs, p)
 
 
 def list_cycle_type(target):
@@ -146,19 +148,41 @@ class TestCycleTypeAgainstOracle:
         # the sampler's distinct-degree type equals the complete
         # factorization's type at every good prime in a fixed window
         inst = build_params(d)
-        discs = _good_reduction_discs(inst, n)
-        coeffs = (iterate(inst.f_poly(), n) - inst.x0).coeffs
+        bad = _bad_reduction_product(inst, n)
+        coeffs = (iterate(f_poly(inst), n) - inst.x0).coeffs
         scale = math.lcm(*(c.denominator for c in coeffs))
         cleared = [int(c * scale) for c in coeffs]
         good = 0
         for p in primes_up_to(2500):
-            if p < 1000 or not _is_good_prime(inst, p, discs):
+            if p < 1000 or bad % p == 0:
                 continue
-            # the sampler's input: f^n - x0 with its denominators cleared,
-            # left unreduced
+            # f^n - x0 with its denominators cleared, left unreduced: a
+            # unit multiple of the sampler's input H_n
             assert cycle_type_mod_p(cleared, p) == factor_cycle_type(reduced_target(inst, n, p)), p
             good += 1
         assert good >= 150
+
+
+class TestGoodReductionProduct:
+    @pytest.mark.parametrize("d, n", [(2, 2), (3, 1), (2, 3), (8, 1), (3, 2)])
+    def test_matches_per_level_valuations(self, d, n):
+        # one product against the definition: p odd, p away from den(b)
+        # and den(x0), and v_p(disc(f^k - x0)) = 0 at every level k <= n
+        inst = build_params(d)
+        bad = _bad_reduction_product(inst, n)
+        discs = [Fraction(num, den) for num, den in itertools.islice(disc_levels(inst), n)]
+        for p in primes_up_to(6000):
+            good = (
+                p != 2
+                and inst.b.denominator % p != 0
+                and inst.x0.denominator % p != 0
+                and all(val(disc, p) == 0 for disc in discs)
+            )
+            assert (bad % p != 0) == good, p
+
+    def test_zero_discriminant_makes_every_prime_bad(self):
+        inst = SimpleNamespace(d=2, m=1, b=Fraction(2), x0=Fraction(-1))
+        assert _bad_reduction_product(inst, 2) == 0
 
 
 class TestChebotarevDistance:

@@ -250,6 +250,20 @@ class TestLeafTypeDistribution:
         assert len(leaf_type_distribution(9, 1)) == 30
         assert len(leaf_type_distribution(10, 1)) == 42
 
+    def test_edited_result_leaves_the_law(self):
+        # every call hands out a fresh dict: editing one, also at the
+        # level the plethysm recurses on, changes no later answer
+        leaf_type_distribution(2, 2)[(4,)] = 0
+        leaf_type_distribution(2, 1).clear()
+        assert leaf_type_distribution(2, 2) == {
+            (1, 1, 1, 1): Fraction(1, 8),
+            (2, 1, 1): Fraction(2, 8),
+            (2, 2): Fraction(3, 8),
+            (4,): Fraction(2, 8),
+        }
+        assert leaf_type_distribution(2, 2) is not leaf_type_distribution(2, 2)
+        assert leaf_type_distribution(2, 3) == enumerated_law(2, 3)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             leaf_type_distribution(1, 2)

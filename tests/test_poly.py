@@ -10,18 +10,14 @@ from eisenstein_oracle import eisenstein_at
 from odoni.construct import build_params
 from odoni.poly import (
     BitBudgetExceededError,
-    Poly,
     Trinomial,
-    compose,
     critical_orbit,
     _prime_support,
     disc_iterate,
     disc_levels,
-    disc_resultant,
     disc_trinomial,
-    iterate,
-    resultant,
 )
+from poly_oracle import Poly, compose, disc_resultant, expand, f_poly, iterate, resultant
 
 X = Poly.x()
 
@@ -165,7 +161,7 @@ class TestTrinomial:
                 b = Fraction(rng.randint(1, 9), rng.randint(1, 4))
                 beta = Fraction(rng.randint(1, 9), rng.randint(1, 4))
                 t = Trinomial(Fraction(1), -b, -beta, d, m)
-                assert disc_trinomial(t) == disc_resultant(t.expand())
+                assert disc_trinomial(t) == disc_resultant(expand(t))
 
 
 def crit_product(d: int, m: int, b, w) -> Fraction:
@@ -367,6 +363,26 @@ class TestDiscPairs:
             assert type(num) is int and type(den) is int and den > 0
             assert Fraction(num, den) == disc_resultant(iterate(f, n) - Fraction(5, 2))
 
+    @pytest.mark.parametrize(
+        "d, m, b, x0",
+        [(2, 0, Fraction(-3, 2), Fraction(5, 7)), (3, 0, Fraction(7, 6), Fraction(-1, 4)),
+         (4, 2, Fraction(-2, 9), Fraction(3, 5)), (5, 1, Fraction(4, 3), Fraction(2)),
+         (5, 2, Fraction(3, 2), Fraction(-7, 2)), (6, 3, Fraction(1, 10), Fraction(3, 8))],
+    )
+    def test_fallback_levels_until_the_cap(self, d, m, b, x0):
+        # the integer-list route against the expanded Fraction resultant
+        # at every level with d^k <= 32, then the named error
+        inst = _inst(d, m, b, x0)
+        f = f_poly(inst)
+        levels = disc_levels(inst)
+        k = 1
+        while d**k <= 32:
+            expected = disc_resultant(iterate(f, k) - x0)
+            assert next(levels) == (expected.numerator, expected.denominator), k
+            k += 1
+        with pytest.raises(ValueError, match=f"past level {k - 1}"):
+            next(levels)
+
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 9])
     def test_budget_trip_matches_reduced_size(self, d):
         # budgets at each level's reduced size and one bit below it: the
@@ -423,7 +439,7 @@ class TestEisenstein:
 
     def test_golden_iterates(self, golden_even_2, golden_odd_3):
         for inst in (golden_even_2, golden_odd_3):
-            f = inst.f_poly()
+            f = f_poly(inst)
             for n in (1, 2, 3):
                 assert eisenstein_at(iterate(f, n) - inst.x0, inst.p1)
 

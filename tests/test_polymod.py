@@ -1,10 +1,15 @@
+import itertools
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from factor_oracle import PolyModP, derivative, factor_mod_p, pth_root
-from odoni.polymod import _mul_mod, _pow_mod, cycle_type_mod_p
+from odoni.construct import build_params
+from odoni.polymod import _mul_mod, _pow_mod, cycle_type_mod_p, iterates_minus_x0
+from poly_oracle import Poly, f_poly, iterate
 
 
 def poly(coeffs, p):
@@ -185,3 +190,54 @@ class TestListKernel:
                 repeated = repeated * PolyModP(g, p)
             assert PolyModP(_pow_mod(g, e, p), p) == repeated
             assert PolyModP(_pow_mod(g, e, p, v), p) == repeated % PolyModP(v, p)
+
+
+def _check_iterates(inst, depth, moduli=()):
+    """H_k / lc(H_k) equals the oracle's f^k - x0 for k <= depth, and
+    the modular form equals the integer form reduced."""
+    f = f_poly(inst)
+    levels = list(itertools.islice(iterates_minus_x0(inst), depth))
+    for k, h in enumerate(levels, start=1):
+        assert all(type(c) is int for c in h)
+        assert len(h) == inst.d**k + 1 and h[-1] != 0
+        assert Poly(Fraction(c, h[-1]) for c in h) == iterate(f, k) - inst.x0, k
+    for modulus in moduli:
+        reduced = list(itertools.islice(iterates_minus_x0(inst, modulus), depth))
+        assert reduced == [[c % modulus for c in h] for h in levels], modulus
+
+
+class TestIteratesMinusX0:
+    """The one composition of f^k - x0 against Horner composition over Q."""
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_constructed_instances(self, d):
+        inst = build_params(d)
+        _check_iterates(inst, 3 if d <= 4 else 2, moduli=(inst.p1**2, 2**61 - 1, 10**6))
+
+    def test_random_instances(self):
+        # any 0 <= m < d, gcd(m, d) > 1 included, with b and x0 carrying
+        # denominators (so dropping den(b) or den(x0) shows) and zero b
+        rng = random.Random(53)
+        shapes_with_common_factor = 0
+        for _ in range(60):
+            d = rng.randint(2, 6)
+            m = rng.randrange(d)
+            shapes_with_common_factor += math.gcd(m, d) > 1
+            b = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            x0 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            inst = SimpleNamespace(d=d, m=m, b=b, x0=x0)
+            depth = 3 if d**3 <= 64 else 2
+            _check_iterates(inst, depth, moduli=(rng.choice([4, 9, 25, 49]), rng.randint(2, 10**4)))
+        assert shapes_with_common_factor >= 10
+
+    def test_leading_coefficient(self):
+        # lc(H_k) = den(x0) * den(b)^((d^k - 1)/(d - 1))
+        inst = SimpleNamespace(d=3, m=1, b=Fraction(5, 4), x0=Fraction(-2, 9))
+        for k, h in enumerate(itertools.islice(iterates_minus_x0(inst), 3), start=1):
+            assert h[-1] == 9 * 4 ** ((3**k - 1) // 2)
+
+    @pytest.mark.parametrize("d, m", [(3, 3), (3, 5), (2, -1)])
+    def test_rejects_m_outside_range(self, d, m):
+        inst = SimpleNamespace(d=d, m=m, b=Fraction(1), x0=Fraction(1))
+        with pytest.raises(ValueError, match="0 <= m < d"):
+            next(iterates_minus_x0(inst))
