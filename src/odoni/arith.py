@@ -352,18 +352,48 @@ def _smooth_gcd(n: int, bound: int) -> int:
     return math.gcd(n, r)
 
 
+def _smooth_primes(g: int, bound: int) -> list[int]:
+    """The primes of g, ascending, for a squarefree g >= 1 whose primes
+    are all <= bound.
+
+    Walks the primes in slices of 256: the primes of a slice that divide
+    g are those of h = gcd(g, Q), Q the slice's product, and g is divided
+    by h. So g shrinks as its primes are found, one reduction of g by a
+    product of a few thousand bits replaces 256 divisions of g, and the
+    walk stops once g is below the square of the next slice's first
+    prime, where g is 1 or a prime.
+    """
+    primes = _primes_up_to_cached(bound)
+    out = []
+    for i in range(0, len(primes), 256):
+        if g < primes[i] ** 2:
+            break
+        chunk = primes[i : i + 256]
+        h = math.gcd(g, math.prod(chunk))
+        if h > 1:
+            g //= h
+            out.extend(p for p in chunk if h % p == 0)
+    if g > 1:
+        out.append(g)
+    return out
+
+
 def trial_factor(n: int, bound: int = DEFAULT_SEARCH_CAP) -> tuple[dict[int, int], int]:
     """Partial factorization by trial division with primes <= bound.
 
-    Returns (factors, cofactor) with factors a prime -> exponent map and
-    cofactor the unfactored remainder (1 if fully factored). The
-    cofactor is deliberately not classified here; callers decide how
-    much primality evidence they want on it.
+    Returns (factors, cofactor) with factors a prime -> exponent map, in
+    ascending order of the primes, and cofactor the unfactored remainder
+    (1 if fully factored). The cofactor is deliberately not classified
+    here; callers decide how much primality evidence they want on it.
 
-    The primes <= bound that divide n are those of g = gcd(n, P), with P
-    the product of all of them (``_smooth_gcd``), so n is divided only by
-    the primes of g (the smooth-part step of D. J. Bernstein, "How to
-    find smooth parts of integers", 2004).
+    The primes <= bound that divide n are those of g_0 = gcd(n, P), with
+    P the product of all of them (``_smooth_gcd``; the smooth-part step
+    of D. J. Bernstein, "How to find smooth parts of integers", 2004).
+    Whole products are then peeled off: n_1 = n / g_0, g_1 = gcd(n_1, g_0),
+    n_2 = n_1 / g_1, and so on until g_k = 1. So g_i is the product of
+    the primes of g_0 that divide n at least i + 1 times, a prime's
+    exponent is the number of g_i it divides, and n is divided once per
+    g_i rather than once per prime factor.
     """
     if bound < 0:
         raise ValueError(f"trial_factor: bound {bound} is negative")
@@ -374,22 +404,14 @@ def trial_factor(n: int, bound: int = DEFAULT_SEARCH_CAP) -> tuple[dict[int, int
     factors: dict[int, int] = {}
     if bound >= 2 and n > 1:
         g = _smooth_gcd(n, bound)
-        divisors = []
-        # g is squarefree with all its primes <= bound
-        for p in _primes_up_to_cached(bound):
-            if p * p > g:
-                break
-            if g % p == 0:
-                divisors.append(p)
-                g //= p
-        if g > 1:
-            divisors.append(g)
-        for p in divisors:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors[p] = e
+        peeled = []
+        while g > 1:
+            peeled.append(g)
+            n //= g
+            g = math.gcd(n, g)
+        for g in peeled:
+            for p in _smooth_primes(g, bound):
+                factors[p] = factors.get(p, 0) + 1
     # all prime factors <= bound are divided out, so a remainder below
     # bound^2 cannot be composite
     if 1 < n <= bound * bound:

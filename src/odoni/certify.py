@@ -141,7 +141,7 @@ class FnValue:
 
     @property
     def bits(self) -> int:
-        return abs(self.F_n).bit_length()
+        return self.F_n.bit_length()
 
 
 def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
@@ -155,6 +155,11 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
       odd cases, M_1 = 1:
         F_n = 4^((d-2)^(n-1)) (d-2)^((d-2)^n) s^(2 e_n - 2) M_n^2 - d^(d^n) t^(2 d^n - 2),
         M_(n+1) = M_n^(d-2) F_n.
+
+    The sequence steps lazily: M_n and e_n are formed at the top of
+    depth n from depth n - 1's values, so a run to depth N never builds
+    M_(N+1), the largest product of the run, and a caller that stops
+    early (at a bit cap) builds nothing past the depth it stopped at.
 
     Each F_n is checked against its defining value
     s^(-(d-m)) (dtc)^(d^n) [w_n - x0^(d-m)], evaluated exactly on the
@@ -179,15 +184,20 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
         )
     m_n, e_n = (-1 if even else 1), d
     for n, (w, scale) in zip(range(1, depth + 1), critical_orbit(inst)):
+        if n > 1:
+            # M_n from depth n - 1's unit, tail and F_(n-1)
+            if even:
+                m_n = m_n ** (d - 1) * (unit * s ** (d * (e_n - 1)) * m_n - tail)
+            else:
+                m_n = m_n ** (d - 2) * f_rec
+            e_n = m * e_n + (d - m)
         if even:
             unit = (d - 1) ** ((d - 1) ** n)
             tail = d ** (d**n) * (t * c) ** (d**n - 1)
             f_rec = s ** (d * e_n - 1) * unit * m_n - tail * c
-            m_next = m_n ** (d - 1) * (unit * s ** (d * (e_n - 1)) * m_n - tail)
         else:
             sq_coeff = 4 ** ((d - 2) ** (n - 1)) * (d - 2) ** ((d - 2) ** n) * s ** (2 * e_n - 2)
             f_rec = sq_coeff * m_n * m_n - d ** (d**n) * t ** (2 * d**n - 2)
-            m_next = m_n ** (d - 2) * f_rec
         # f_def = F_rec, cross-multiplied with w_n = w / scale and
         # (dtc)^(d^n) = scale cancelled
         if w * v - u * scale != f_rec * s_shift * v:
@@ -195,7 +205,6 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
                 f"depth{n}.dual_path_Fn: recursion and direct evaluation disagree"
             )
         yield FnValue(n, e_n, m_n, f_rec)
-        m_n, e_n = m_next, m * e_n + (d - m)
 
 
 def compute_fn(inst: IterInstance, n: int) -> FnValue:
@@ -225,22 +234,34 @@ def congruence_holds(inst: IterInstance, value: FnValue) -> bool:
     hence F_n = -d^(d^n) t^(2 d^n - 2) mod p1). Odd case 2:
     4^(...) (d-2)^(...) s^(2 e_n) M_n^2 = (4 (d-2)^(d-2) s^(2d))^(d^(n-1))
     mod d*t^2.
+
+    Every side is evaluated on residues: each power by three-argument
+    ``pow`` modulo the absolute value of the modulus, and M_n and F_n
+    reduced once, so no factor is formed at full size. The exact-integer
+    evaluation of the same relations is the test suite's oracle.
     """
     d, s, t = inst.d, inst.s, inst.t
-    n, e_n, m_n = value.n, value.e_n, value.M_n
+    n, e_n = value.n, value.e_n
     if inst.parity_case == EVEN_CASE:
-        lhs = s ** (d * e_n) * (d - 1) ** ((d - 1) ** n) * m_n
-        rhs = (-((d - 1) ** (d - 1)) * s ** (d * d)) ** (d ** (n - 1))
-        return (lhs - rhs) % (d * t * inst.big_d) == 0
-    square_term = (
-        4 ** ((d - 2) ** (n - 1)) * (d - 2) ** ((d - 2) ** n) * s ** (2 * e_n - 2) * m_n * m_n
-    )
+        k = abs(d * t * inst.big_d)
+        lhs = pow(s, d * e_n, k) * pow(d - 1, (d - 1) ** n, k) * (value.M_n % k)
+        rhs = pow(-pow(d - 1, d - 1, k) * pow(s, d * d, k), d ** (n - 1), k)
+        return (lhs - rhs) % k == 0
+
+    def square_term(k: int) -> int:
+        m_n = value.M_n % k
+        return (
+            pow(4, (d - 2) ** (n - 1), k) * pow(d - 2, (d - 2) ** n, k)
+            * pow(s, 2 * e_n - 2, k) * m_n * m_n
+        )
+
     if inst.parity_case == ODD_CASE_1:
-        reduced = (value.F_n + d ** (d**n) * t ** (2 * d**n - 2)) % inst.p1
-        return square_term % s == 0 and reduced == 0
-    lhs = square_term * s * s
-    rhs = (4 * (d - 2) ** (d - 2) * s ** (2 * d)) ** (d ** (n - 1))
-    return (lhs - rhs) % (d * t * t) == 0
+        k = abs(inst.p1)
+        reduced = value.F_n % k + pow(d, d**n, k) * pow(t, 2 * d**n - 2, k)
+        return square_term(abs(s)) % s == 0 and reduced % k == 0
+    k = abs(d * t * t)
+    rhs = pow(4 * pow(d - 2, d - 2, k) * pow(s, 2 * d, k), d ** (n - 1), k)
+    return (square_term(k) * s * s - rhs) % k == 0
 
 
 def nonsquare_pair(inst: IterInstance, f_n: int) -> tuple[bool, bool]:

@@ -8,13 +8,20 @@ progress and the --verbose check log go to stderr, so piped output
 stays parseable. A resource cap that is hit (a discriminant past its
 bit budget, too few good primes below the scan cap, a prime search or
 subgroup closure past its cap) exits 2, not 1: it is not a failed
-relation.
+relation. Two caps are checked before the value they bound is built: a
+rational entry (``newton`` coefficients, ``disc --trinomial`` A, B, C)
+of more than RATIONAL_BIT_CAP bits, estimated from the literal's digits
+and exponent, is an input error, and a trinomial discriminant whose
+bound ``poly.disc_trinomial_bits`` exceeds ``poly.DEFAULT_BIT_BUDGET``
+is a resource cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 
@@ -33,7 +40,14 @@ from .certify import (
     certify,
 )
 from .construct import _frac_str
-from .poly import BitBudgetExceededError, Trinomial, disc_iterate, disc_trinomial
+from .poly import (
+    DEFAULT_BIT_BUDGET,
+    BitBudgetExceededError,
+    Trinomial,
+    disc_iterate,
+    disc_trinomial,
+    disc_trinomial_bits,
+)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -59,11 +73,47 @@ def _load_params(path: str) -> construct_mod.IterInstance:
     return construct_mod.instance_from_json_dict(data)
 
 
+# the most bits a rational entry's numerator or denominator may have:
+# ``newton`` takes under 0.3 s on the largest entry, since a valuation
+# strips one factor of p per division
+RATIONAL_BIT_CAP = 2**15
+# a superset of the literals ``Fraction`` accepts: sign, integer part,
+# then a denominator or a fractional part and an exponent (compiled by
+# ``re`` on first use, so commands that read no rational never pay for it)
+_RATIONAL_LITERAL = (
+    r"\s*[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
+)
+
+
+def _entry_bits(entry) -> float:
+    """An upper bound on the bit length of the numerator and of the
+    denominator of Fraction(entry), read off the literal's digits and
+    exponent before any integer is built (a D-digit integer has at most
+    ceil(D log2 10) bits). 0 for a float (at most 1075 bits) and for
+    anything Fraction rejects."""
+    if isinstance(entry, int):
+        return entry.bit_length()
+    match = re.fullmatch(_RATIONAL_LITERAL, entry) if isinstance(entry, str) else None
+    if match is None:
+        return 0
+    whole, den, frac, exp = ((text or "").replace("_", "") for text in match.groups())
+    if len(exp.lstrip("+-")) > 12:
+        return math.inf
+    shift = int(exp or 0) - len(frac)
+    digits = max(len(whole) + len(frac) + max(shift, 0), len(den) + max(-shift, 0))
+    return math.ceil(digits * math.log2(10))
+
+
 def _rationals(entries, what: str) -> list[Fraction]:
     """Each entry (a string such as "-1/49", or a JSON number) as a
-    Fraction; anything else is an input error naming ``what``."""
+    Fraction; anything else, or an entry over RATIONAL_BIT_CAP bits, is
+    an input error naming ``what``."""
     out = []
     for entry in entries:
+        if _entry_bits(entry) > RATIONAL_BIT_CAP:
+            shown = str(entry)
+            shown = shown if len(shown) <= 24 else shown[:24] + "..."
+            raise ValueError(f"{what}: {shown!r} exceeds the {RATIONAL_BIT_CAP}-bit cap on a rational")
         try:
             out.append(Fraction(entry))
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -115,7 +165,14 @@ def _cmd_disc(args) -> int:
             raise ValueError("--trinomial expects 5 entries: A,B,C,d,m")
         a, b, c = _rationals(parts[:3], "--trinomial")
         d, m = int(parts[3]), int(parts[4])
-        value = disc_trinomial(Trinomial(a, b, c, d, m))
+        trinomial = Trinomial(a, b, c, d, m)
+        bits = disc_trinomial_bits(trinomial)
+        if bits > DEFAULT_BIT_BUDGET:
+            raise BitBudgetExceededError(
+                f"disc --trinomial: the discriminant may need {bits} bits, "
+                f"over the bit budget {DEFAULT_BIT_BUDGET}"
+            )
+        value = disc_trinomial(trinomial)
         _emit(
             {
                 "schema": "odoni-disc-v1",

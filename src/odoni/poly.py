@@ -136,6 +136,34 @@ def disc_trinomial(t: Trinomial) -> Fraction:
     return Fraction((-1) ** (d * (d - 1) // 2)) * t.A ** (d - m - 1) * t.C ** (m - 1) * bracket
 
 
+def disc_trinomial_bits(t: Trinomial) -> int:
+    """An upper bound on the bit length of the numerator and of the
+    denominator of ``disc_trinomial(t)``, from d, m and the bit lengths
+    of A, B and C alone, so that a caller can refuse an oversized value
+    before any of it is built.
+
+    With lg(x) = ceil(log2 x) (and lg(0) = 0), lg of a product is at
+    most the sum of the factors' lg, and the two bracket terms
+    a1/b1 + a2/b2 = (a1 b2 + a2 b1) / (b1 b2) add one bit to the larger
+    cross product.
+    """
+    d, m = t.d, t.m
+
+    def lg(x: int) -> int:
+        return max(abs(x) - 1, 0).bit_length()
+
+    num = {k: lg(getattr(t, k).numerator) for k in "ABC"}
+    den = {k: lg(getattr(t, k).denominator) for k in "ABC"}
+    num1 = m * lg(m) + (d - m) * lg(d - m) + d * num["B"]
+    den1 = d * den["B"]
+    num2 = d * lg(d) + m * num["A"] + (d - m) * num["C"]
+    den2 = m * den["A"] + (d - m) * den["C"]
+    bracket_num = max(num1 + den2, num2 + den1) + 1
+    outer_num = (d - m - 1) * num["A"] + (m - 1) * num["C"]
+    outer_den = (d - m - 1) * den["A"] + (m - 1) * den["C"]
+    return max(outer_num + bracket_num, outer_den + den1 + den2) + 1
+
+
 def critical_orbit(inst) -> Iterator[tuple[int, int]]:
     """The critical orbit w_1, w_2, ... of f = x^d - b*x^m, for m = d-1 or d-2,
     as integer pairs (W_k, S_k) with w_k = W_k / S_k (not reduced).

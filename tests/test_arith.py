@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,49 @@ class TestTrialFactorOracle:
         for f_n in _critical_orbit_integers():
             for bound in BOUNDS + [10**6]:
                 assert trial_factor(f_n, bound) == plain_trial_factor(f_n, bound)
+
+
+class TestTrialFactorPeeling:
+    """Whole products peeled off n, against division by each prime in turn."""
+
+    def test_repeated_and_large_exponents(self):
+        rng = random.Random(7)
+        primes = primes_up_to(10**4)
+        inputs = [
+            2**3000,
+            3**700 * 999983**5 * 1000003,
+            2**64 * 3**40 * 10007**12 * (2**89 - 1),
+            math.prod(primes[:300]) ** 3 * math.prod(primes[300:600]),
+        ]
+        for _ in range(30):
+            chosen = rng.sample(primes, rng.randint(1, 12))
+            inputs.append(math.prod(p ** rng.choice([1, 1, 2, 3, 17, 120]) for p in chosen))
+        for index, n in enumerate(inputs):
+            for bound in (1000, 10**4) if index >= 4 else (1000, 10**4, 10**6):
+                got, want = trial_factor(n, bound), plain_trial_factor(n, bound)
+                assert got == want, (n.bit_length(), bound)
+                # same keys in the same (ascending) order
+                assert list(got[0].items()) == list(want[0].items())
+
+    def test_smooth_primes(self):
+        primes = primes_up_to(10**6)
+        for chosen in ([2], [999983], primes[250:262], primes[::997], primes[-300:]):
+            g = math.prod(chosen)
+            assert arith._smooth_primes(g, 10**6) == sorted(chosen)
+        assert arith._smooth_primes(1, 10**6) == []
+
+    def test_prime_product_time(self):
+        # the product of the 17984 primes <= 2*10^5 (288 kbit): dividing
+        # n by each prime in turn took about 4 s on a 2-core box with
+        # CPython 3.11; peeling and the slice walk take about 0.5 s
+        primes = primes_up_to(2 * 10**5)
+        n = math.prod(primes)
+        started = time.perf_counter()
+        factors, cofactor = trial_factor(n, 10**6)
+        elapsed = time.perf_counter() - started
+        assert cofactor == 1 and list(factors) == primes
+        assert set(factors.values()) == {1}
+        assert elapsed < 2.0, elapsed
 
 
 def _prime_product(bound):

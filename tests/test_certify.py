@@ -3,17 +3,20 @@ import importlib
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from congruence_oracle import exact_congruence_holds
 from eisenstein_oracle import eisenstein_at
 from odoni.arith import INFINITY, legendre, val
 from odoni.certify import (
     EISENSTEIN_MAX_LEVEL,
     CertifyError,
+    FnValue,
     _eisenstein_levels,
     _pair_val,
     certificate_to_json_dict,
@@ -27,7 +30,7 @@ from odoni.certify import (
     fn_sequence,
     nonsquare_pair,
 )
-from odoni.construct import IterInstance, build_params
+from odoni.construct import EVEN_CASE, ODD_CASE_1, ODD_CASE_2, IterInstance, build_params
 from odoni.poly import disc_levels
 from poly_oracle import disc_resultant, f_poly, iterate
 
@@ -116,6 +119,103 @@ class TestDualPath:
         assert not [r for r in inst.violated_relations() if r.startswith(("b ==", "gcd"))]
         values = list(fn_sequence(inst, 4))
         assert [v.n for v in values] == [1, 2, 3, 4]
+
+
+class TestLazySequence:
+    def test_peak_memory(self):
+        # M_6 (3.1 Mbit) is never formed: the sequence stops at depth 5,
+        # and the peak is set by depth 5's own values
+        inst = build_params(6)
+        tracemalloc.start()
+        try:
+            for _ in fn_sequence(inst, 5):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+    def test_bit_cap_ends_the_run(self, golden_even_2, monkeypatch):
+        # the first depth over the cap fails the run and is not recorded;
+        # the sequence is not stepped past it
+        certify_module = importlib.import_module("odoni.certify")
+        bits = [v.bits for v in fn_sequence(golden_even_2, 3)]
+        monkeypatch.setattr(certify_module, "FN_BIT_CAP", bits[1])
+        cert = certify(golden_even_2, 8, exhibit=False)
+        assert not cert.verdict_pass
+        assert cert.first_failure == "depth3.bit_cap"
+        assert [r.n for r in cert.records] == [1, 2]
+
+
+def _congruence_modulus(inst):
+    """The modulus whose multiples leave M_n's congruence unchanged."""
+    if inst.parity_case == EVEN_CASE:
+        return abs(inst.d * inst.t * inst.big_d)
+    if inst.parity_case == ODD_CASE_1:
+        return abs(inst.s)
+    return abs(inst.d * inst.t * inst.t)
+
+
+class TestResidueCongruence:
+    """congruence_holds on residues against the exact-integer oracle."""
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_matches_exact_oracle(self, d):
+        inst = build_params(d)
+        depth = {2: 9, 3: 7}.get(d, 4 if d <= 8 else 3)
+        flipped = 0
+        for value in fn_sequence(inst, depth):
+            assert congruence_holds(inst, value) is exact_congruence_holds(inst, value) is True
+            k = _congruence_modulus(inst)
+            perturbed = [
+                replace(value, M_n=value.M_n + 1),
+                replace(value, M_n=value.M_n - 1),
+                replace(value, M_n=value.M_n + 7 * k),
+                replace(value, M_n=value.M_n - k),
+            ]
+            if inst.parity_case == ODD_CASE_1:
+                perturbed.append(replace(value, F_n=value.F_n + 1))
+            for other in perturbed:
+                verdict = congruence_holds(inst, other)
+                assert verdict == exact_congruence_holds(inst, other), (d, value.n)
+                flipped += not verdict
+            assert congruence_holds(inst, perturbed[2]) and congruence_holds(inst, perturbed[3])
+        assert flipped > 0
+
+    @pytest.mark.parametrize("case", [EVEN_CASE, ODD_CASE_1, ODD_CASE_2])
+    def test_random_signs_and_moduli(self, case):
+        # negative s, t or D, moduli of 1, and values that are not F_n
+        # of any instance: the two routes agree on all of them
+        rng = random.Random(case)
+        seen = set()
+        for _ in range(300):
+            d = rng.choice([2, 4, 6] if case == EVEN_CASE else [3, 5, 7, 9])
+            inst = SimpleNamespace(
+                d=d,
+                s=rng.choice([-1, 1, rng.randint(-30, 30) or 2]),
+                t=rng.choice([-1, 1, rng.randint(-9, 9) or 3]),
+                big_d=rng.choice([-1, 1, rng.randint(-40, 40) or 5]),
+                p1=rng.choice([2, 3, 5, 7, 11, -3, 1]),
+                parity_case=case,
+            )
+            n = rng.randint(1, 4)
+            value = FnValue(
+                n=n,
+                e_n=rng.randint(1, 40),
+                M_n=rng.randint(-(10**30), 10**30),
+                F_n=rng.randint(-(10**30), 10**30),
+            )
+            verdict = congruence_holds(inst, value)
+            assert verdict == exact_congruence_holds(inst, value), (inst, value)
+            seen.add(verdict)
+        assert seen == {True, False}
+
+    def test_unit_modulus_odd_case_1(self, golden_odd_3):
+        # s = +-1 makes the square-term test read mod 1
+        for s in (1, -1):
+            inst = replace(golden_odd_3, s=s)
+            for value in (compute_fn(golden_odd_3, 2), FnValue(2, 5, 12345, -678)):
+                assert congruence_holds(inst, value) == exact_congruence_holds(inst, value)
 
 
 class TestClosedFormEn:
@@ -423,6 +523,8 @@ class TestGoldenCertificates:
     DEEP_HASHES = {
         (2, 13): "193369b43e3adf56de81d3ae18fcdd8d6ad045faac5d00d361c237286b76fb82",
         (3, 9): "bb53ebde5ddbfb6094ec52794dc5fdf1480f5cd2d72cf9700b4edc36f5970f81",
+        # the even d >= 4 branch of fn_sequence and of the congruence
+        (6, 5): "f5cfe5dfd30a363266dc789cc03d44e348877d79c3fb122f7a40fcb279d0c2f5",
     }
 
     @staticmethod

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -179,6 +180,60 @@ class TestNewtonCommand:
             {"slope": "0", "length": 3},
             {"slope": "1", "length": 2},
         ]
+
+
+class TestRationalCap:
+    """Rational entries are capped from the literal, before Fraction runs."""
+
+    def test_oversized_literal_is_input_error(self, capsys):
+        # Fraction("1e300000") is a 1 Mbit integer that val() then strips
+        # of 300000 factors of 5 one division at a time
+        started = time.monotonic()
+        assert cli.run(["newton", "--coeffs=1e300000,1", "--prime", "5"]) == 2
+        assert time.monotonic() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error" in captured.err and f"{cli.RATIONAL_BIT_CAP}-bit cap" in captured.err
+
+    @pytest.mark.parametrize(
+        "entry", ["1e300000", "1e-300000", "1.5e99999999999999", "1/1" + "0" * 9900, "3e9864"]
+    )
+    def test_over_cap_entries(self, entry):
+        with pytest.raises(ValueError, match="-bit cap"):
+            cli._rationals([entry], "--coeffs")
+
+    def test_largest_accepted_literal(self, capsys):
+        # 10^9863 has 32765 bits; 10^9864 is over the cap
+        assert cli._entry_bits("1e9863") <= cli.RATIONAL_BIT_CAP < cli._entry_bits("1e9864")
+        for prime in ("2", "5"):
+            started = time.monotonic()
+            assert cli.run(["newton", "--coeffs=1e9863,1", "--prime", prime]) == 0
+            assert time.monotonic() - started < 1
+
+    def test_bound_holds(self):
+        entries = ["0", "-9", "99", "999", "10", "-1/49", "7/1_000", "2.5", "-0.0625", "1e3",
+                   "1.25E-2", " 12_345/6 ", "+.5e+1", "9" * 600, "1" + "0" * 4000, 2**70,
+                   -1, True, 0.1, 5e-324]
+        for entry in entries:
+            q = Fraction(entry)
+            bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+            # a float reads 0: its value has at most 1075 bits, under the cap
+            bound = 1075 if isinstance(entry, float) else cli._entry_bits(entry)
+            assert bits <= bound, entry
+
+    def test_disc_trinomial_cap(self, capsys):
+        # the value would have about 20 Mbit and took 18.5 s to build
+        started = time.monotonic()
+        assert cli.run(["disc", "--trinomial=1,1,1,1000000,1"]) == 2
+        assert time.monotonic() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resource cap" in captured.err and "bit budget 1048576" in captured.err
+
+    def test_disc_trinomial_below_cap(self, capsys):
+        assert cli.run(["disc", "--trinomial=1,1,1,20000,1"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert len(value) > 20000 * 4  # 20000^20000 has 86021 digits
 
 
 class TestGroupCheckCommand:

@@ -5,8 +5,9 @@ Inputs are malformed params files (keys missing, values non-numeric,
 b = 0, t = 0, non-prime witnesses, d from 0 to 12), malformed
 group-check files, out-of-range --depth/--level/--primes/--start/
 --exhibit-effort values, and malformed `newton` coefficients (inline
-or in a file) and `disc --trinomial` entries. Sizes are bounded so the
-whole module runs in seconds.
+or in a file) and `disc --trinomial` entries with degrees up to 10^6,
+whose oversized values the CLI's caps refuse before building them.
+Sizes are bounded so the whole module runs in seconds.
 """
 
 import contextlib
@@ -185,6 +186,8 @@ def poly_docs(draw):
 @example(coeffs=[], doc=[1, 2], from_file=True, prime=5)
 # an empty --poly-file= once fell through to the --coeffs branch
 @example(coeffs=[], doc=None, from_file=True, prime=5)
+# once hung: a 1 Mbit integer stripped of one factor 5 per division
+@example(coeffs=["1e300000", "1"], doc={}, from_file=False, prime=5)
 def test_newton_inputs(workdir, coeffs, doc, from_file, prime):
     if from_file:
         source = ["--poly-file=" + ("" if doc is None else write(workdir, "poly.json", doc))]
@@ -194,12 +197,15 @@ def test_newton_inputs(workdir, coeffs, doc, from_file, prime):
 
 
 @FUZZ
-# d and m stay below 13: the closed form has about d*log2(d) bits
+# d and m reach 10^6: the discriminant's bits are bounded before it is
+# built, so a degree over the bit budget exits 2 at once
 @given(entries=st.lists(st.one_of(rational_texts.filter(lambda text: len(text) < 600),
-                                  st.integers(-3, 12).map(str)), max_size=6))
+                                  st.integers(-3, 10**6).map(str)), max_size=6))
 @example(entries=["1/0", "1", "1", "3", "2"])
 # an empty --trinomial= once fell through to the params branch
 @example(entries=[])
+# once ran for 18.5 s and wrote 6 MB
+@example(entries=["1", "1", "1", "1000000", "1"])
 def test_disc_trinomial_inputs(entries):
     run_cli(["disc", "--trinomial=" + ",".join(entries)])
 

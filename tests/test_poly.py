@@ -16,6 +16,7 @@ from odoni.poly import (
     disc_iterate,
     disc_levels,
     disc_trinomial,
+    disc_trinomial_bits,
 )
 from poly_oracle import Poly, compose, disc_resultant, expand, f_poly, iterate, resultant
 
@@ -162,6 +163,43 @@ class TestTrinomial:
                 beta = Fraction(rng.randint(1, 9), rng.randint(1, 4))
                 t = Trinomial(Fraction(1), -b, -beta, d, m)
                 assert disc_trinomial(t) == disc_resultant(expand(t))
+
+
+class TestTrinomialBits:
+    """The bound the CLI checks before it builds a trinomial discriminant."""
+
+    @staticmethod
+    def _bits(q: Fraction) -> int:
+        return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+    def test_bounds_the_value(self):
+        rng = random.Random(13)
+        coeffs = [0, 1, -1, 2, 3, 10**9, -(2**70), Fraction(1, 3), Fraction(-7, 1024),
+                  Fraction(10**12, 7**9), Fraction(1, 2**65)]
+        shapes = [(2, 1), (3, 1), (3, 2), (5, 2), (8, 3), (12, 7), (40, 1), (97, 96)]
+        slack = []
+        for d, m in shapes:
+            for _ in range(25):
+                a, b, c = rng.choice(coeffs[1:]), rng.choice(coeffs), rng.choice(coeffs)
+                t = Trinomial(a, b, c, d, m)
+                bound = disc_trinomial_bits(t)
+                assert self._bits(disc_trinomial(t)) <= bound, t
+                slack.append(bound - self._bits(disc_trinomial(t)))
+        assert min(slack) <= 3
+
+    @pytest.mark.parametrize("d", [2, 3, 101, 5000, 65536])
+    def test_close_for_unit_coefficients(self, d):
+        # A = B = C = 1: the value is about d log2 d bits, and the bound
+        # is within a few percent of it
+        t = Trinomial(1, 1, 1, d, 1)
+        actual = self._bits(disc_trinomial(t))
+        assert actual <= disc_trinomial_bits(t) <= 1.1 * actual + 8
+
+    def test_no_value_is_built(self):
+        # a degree whose discriminant has about 6.6e13 bits is bounded
+        # from the bit lengths alone
+        t = Trinomial(1, Fraction(-3, 7), 5, 10**12 + 1, 10**12)
+        assert disc_trinomial_bits(t) > 10**13
 
 
 def crit_product(d: int, m: int, b, w) -> Fraction:
