@@ -10,12 +10,7 @@ in the test suite.
 """
 
 from .arith import INFINITY, Rational, crt, is_prime, is_square, legendre, val
-from .certify import (
-    Certificate,
-    certify,
-    compute_fn,
-    exhibit_odd_prime_q,
-)
+from .certify import Certificate, certify, exhibit_odd_prime_q
 from .construct import (
     IterInstance,
     build_params,
@@ -46,7 +41,6 @@ __all__ = [
     "build_params_odd",
     "certify",
     "chebotarev_distance",
-    "compute_fn",
     "crt",
     "disc_iterate",
     "disc_trinomial",

@@ -157,16 +157,30 @@ def val(q: Union[int, Fraction], p: int) -> Valuation:
     q = Fraction(q)
     if q == 0:
         return INFINITY
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return multiplicity(q.numerator, p) - multiplicity(q.denominator, p)
+
+
+def multiplicity(n: int, p: int) -> int:
+    """The largest e with p^e | n, for n != 0 and |p| >= 2; p need not
+    be prime, and it is not checked.
+
+    Divides by p, p^2, p^4, ... while they divide, then by the same
+    powers in descending order while they divide, so the number of
+    divisions grows with log(e), not with e.
+    """
+    powers = []
+    power = p
+    while n % power == 0:
+        n //= power
+        powers.append(power)
+        power *= power
+    # e = 2^len(powers) - 1 so far, and p^(2^len(powers)) does not divide n
+    e = (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            e += 1 << k
+    return e
 
 
 def legendre(a: int, p: int) -> int:

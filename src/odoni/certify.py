@@ -16,6 +16,15 @@ A certificate records, for an instance (d, m, b, x0, witness primes):
     optionally an exhibited odd-valuation prime q found by trial
     division.
 
+The witness check builds no discriminant. Once the structural relations
+hold (they are checked before any depth), a prime q outside the bad set
+divides none of d, s, t or den(b), so the critical-orbit factorization
+of the discriminant gives
+v_q(disc(f^n - x0)) = sum over k <= n of d^(n-k) v_q(F_k), and both of
+the witness's discriminant facts are read off F_1, ..., F_n
+(``exhibit_odd_prime_q``). ``poly.disc_levels`` is the test suite's
+oracle for this identity.
+
 Passing depth n for all n <= N certifies that the Galois group of the
 n-th preimage field is the full n-fold wreath product of S_d for every
 n <= N. The certificate claims exactly the checked depths; the
@@ -27,27 +36,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import newton
 from .arith import (
-    Valuation,
     decimal_str,
     is_prime,
     is_square,
     legendre,
+    multiplicity,
     primality_evidence,
     trial_factor,
     val,
 )
 from .construct import EVEN_CASE, ODD_CASE_1, IterInstance
-from .poly import BitBudgetExceededError, critical_orbit, disc_levels
+from .poly import critical_orbit
 from .polymod import iterates_minus_x0
 
 DEFAULT_DEPTH = 3
 FN_BIT_CAP = 2**24
 EXHIBIT_TRIAL_BOUND = 10**6
-EXHIBIT_DISC_BIT_BUDGET = 2**22
 COFACTOR_PRIMALITY_BIT_LIMIT = 4096
 EISENSTEIN_MAX_LEVEL = 3
 
@@ -207,15 +215,6 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
         yield FnValue(n, e_n, m_n, f_rec)
 
 
-def compute_fn(inst: IterInstance, n: int) -> FnValue:
-    """F_n, M_n, e_n at a single depth (recomputed from depth 1)."""
-    value = None
-    for value in fn_sequence(inst, n):
-        pass
-    assert value is not None
-    return value
-
-
 def expected_e_n(inst: IterInstance, n: int) -> int:
     """e_n by direct summation of the defining geometric sum."""
     d = inst.d
@@ -346,60 +345,38 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
     )
 
 
-class DiscLevels:
-    """disc(f^l - x0) for l = 1, 2, ..., as the integer pairs of one
-    pass of ``poly.disc_levels``, extended only as deep as a caller asks.
-
-    A level over EXHIBIT_DISC_BIT_BUDGET bits, and every level past it,
-    reads None: the witness check is optional evidence, so an oversized
-    discriminant leaves it undecided rather than failing the run.
-    """
-
-    def __init__(self, inst: IterInstance):
-        self._source: Optional[Iterator[tuple[int, int]]] = disc_levels(
-            inst, bit_budget=EXHIBIT_DISC_BIT_BUDGET
-        )
-        self._known: list[tuple[int, int]] = []
-
-    def level(self, level: int) -> Optional[tuple[int, int]]:
-        while self._source is not None and len(self._known) < level:
-            try:
-                self._known.append(next(self._source))
-            except BitBudgetExceededError:
-                self._source = None
-        return self._known[level - 1] if level <= len(self._known) else None
-
-
-def _pair_val(pair: tuple[int, int], q: int) -> Valuation:
-    """v_q(N / D) of an unreduced pair (N, D) with D != 0."""
-    num, den = pair
-    if num == 0:
-        return newton.INFINITY
-    return val(num, q) - val(den, q)
-
-
 def exhibit_odd_prime_q(
     inst: IterInstance,
     n: int,
     effort_bound: int = EXHIBIT_TRIAL_BOUND,
-    f_n: Optional[int] = None,
-    discs: Optional[DiscLevels] = None,
+    fns: Optional[Sequence[int]] = None,
 ) -> ExhibitReport:
     """Try to exhibit a concrete prime q with odd valuation in F_n.
 
     Trial division up to effort_bound; a surviving cofactor is
     primality-tested only when small enough to make that cheap. The
-    witness, when found, is double-checked to avoid the bad primes and
-    to leave every lower level's discriminant untouched
-    (v_q(disc(f^l - x0)) = 0 for l < n), and the discriminant valuation
-    at level n itself is confirmed odd. A discriminant beyond the bit
-    budget leaves the check it feeds at None, with a note. Finding
-    nothing is not a failure: the nonsquare test already certifies
-    existence. ``discs`` carries the discriminants across depths of one
-    run; a fresh one is made when it is not given.
+    witness, when found, avoids the bad primes, and two facts about the
+    discriminants disc_l = disc(f^l - x0) are read off F_1, ..., F_n:
+    whether every lower level is untouched (v_q(disc_l) = 0 for l < n)
+    and whether v_q(disc_n) is odd. Finding nothing is not a failure:
+    the nonsquare test already certifies existence.
+
+    The rule, for q prime to the bad product on an instance whose
+    structural relations hold (``certify`` checks them before any
+    depth): q then divides none of d, s, t or den(b), so the level
+    recursion of ``poly.disc_levels`` gives
+    v_q(disc_n) = d v_q(disc_(n-1)) + v_q(F_n), that is,
+    v_q(disc_n) = sum over k <= n of d^(n-k) v_q(F_k). So the lower
+    levels are untouched exactly when q divides no F_k with k < n, and
+    the sum is positive because q divides F_n. A zero F_k with k < n
+    makes every later level's discriminant 0: not clean, not odd.
+
+    ``fns`` is F_1, ..., F_n, as ``certify`` already holds them; a
+    standalone call computes them with ``fn_sequence``.
     """
-    if f_n is None:
-        f_n = compute_fn(inst, n).F_n
+    if fns is None:
+        fns = [value.F_n for value in fn_sequence(inst, n)]
+    f_n = fns[n - 1]
     bad = inst.bad_product
     factors, cofactor = trial_factor(abs(f_n), effort_bound)
     evidence = "deterministic"
@@ -422,24 +399,18 @@ def exhibit_odd_prime_q(
     if not candidates:
         return ExhibitReport(found=False, evidence=evidence, note=note or "no witness within effort bound")
     q = candidates[0]
-    if discs is None:
-        discs = DiscLevels(inst)
-    lower = [discs.level(level) for level in range(1, n)]
-    top = discs.level(n)
-    clean: Optional[bool] = True
-    if any(disc is not None and _pair_val(disc, q) != 0 for disc in lower):
-        clean = False
-    elif None in lower:
-        clean = None
-    if top is None:
-        beyond = "level-n discriminant"
-        if None in lower:
-            beyond = "lower-level and level-n discriminants"
-        note = (note + "; " if note else "") + f"{beyond} beyond bit budget"
-        disc_odd = None
+    lower = fns[: n - 1]
+    clean = all(f_k % q for f_k in lower)
+    if 0 in lower:
+        disc_odd = False
     else:
-        v_disc = _pair_val(top, q)
-        disc_odd = v_disc is not newton.INFINITY and v_disc > 0 and v_disc % 2 == 1
+        # v_q(disc_n) = sum over k <= n of d^(n-k) v_q(F_k)
+        v_disc = factors[q] + sum(
+            inst.d ** (n - k) * multiplicity(f_k, q)
+            for k, f_k in enumerate(lower, 1)
+            if f_k % q == 0
+        )
+        disc_odd = v_disc % 2 == 1
     return ExhibitReport(
         found=True,
         q=q,
@@ -533,7 +504,6 @@ def certify(
     evidence_level = "deterministic"
     if not failures:
         eisenstein = _eisenstein_levels(inst, depth)
-        discs = DiscLevels(inst)
         try:
             for value in fn_sequence(inst, depth):
                 n = value.n
@@ -554,7 +524,7 @@ def certify(
                 exhibit_report = None
                 if exhibit:
                     exhibit_report = exhibit_odd_prime_q(
-                        inst, n, exhibit_effort, f_n=value.F_n, discs=discs
+                        inst, n, exhibit_effort, [r.F_n for r in records] + [value.F_n]
                     )
                     if exhibit_report.evidence != "deterministic":
                         evidence_level = "probabilistic-primality"

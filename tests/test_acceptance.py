@@ -10,9 +10,10 @@ from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
+from fn_helpers import compute_fn
 from odoni import cli
 from odoni.arith import legendre
-from odoni.certify import certify, compute_fn, expected_e_n, fn_sequence
+from odoni.certify import certify, expected_e_n, fn_sequence
 from odoni.construct import (
     IterInstance,
     build_params,

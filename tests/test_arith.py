@@ -17,6 +17,7 @@ from odoni.arith import (
     is_prime,
     is_square,
     legendre,
+    multiplicity,
     next_prime_where,
     primality_evidence,
     primes_up_to,
@@ -46,6 +47,32 @@ class TestVal:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             val(Fraction(1, 2), 6)
+
+    @staticmethod
+    def _one_factor_loop(n, p):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        return e
+
+    @pytest.mark.parametrize("p", [2, 3, 1009])
+    def test_equals_one_factor_loop(self, p):
+        exponents = [0, 1, 2] + [2**k + j for k in range(1, 12) for j in (-1, 1)] + [9000]
+        for e in exponents:
+            assert self._one_factor_loop(p**e * (p + 1), p) == e
+            for unit in (p + 1, -(2 * p + 1)):
+                n = unit * p**e
+                assert multiplicity(n, p) == val(n, p) == e
+                assert val(Fraction(n, 3 * p + 1), p) == e
+                assert val(Fraction(3 * p + 1, n), p) == -e
+                assert val(Fraction(n, p**7), p) == e - 7
+
+    def test_huge_valuation(self):
+        # about 18 divisions each way; stripping one factor of 2 per
+        # division would take minutes
+        assert val(3 * 2**300001, 2) == 300001
+        assert val(Fraction(-5, 2**300001), 2) == -300001
 
     @given(a=rationals, b=rationals, p=st.sampled_from(SMALL_PRIMES))
     @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import random
@@ -12,18 +13,17 @@ import pytest
 
 from congruence_oracle import exact_congruence_holds
 from eisenstein_oracle import eisenstein_at
-from odoni.arith import INFINITY, legendre, val
+from fn_helpers import compute_fn, pair_val
+from odoni.arith import INFINITY, is_prime, legendre, val
 from odoni.certify import (
     EISENSTEIN_MAX_LEVEL,
     CertifyError,
     FnValue,
     _eisenstein_levels,
-    _pair_val,
     certificate_to_json_dict,
     certify,
     check_condition1,
     check_condition2,
-    compute_fn,
     congruence_holds,
     exhibit_odd_prime_q,
     expected_e_n,
@@ -31,7 +31,7 @@ from odoni.certify import (
     nonsquare_pair,
 )
 from odoni.construct import EVEN_CASE, ODD_CASE_1, ODD_CASE_2, IterInstance, build_params
-from odoni.poly import disc_levels
+from odoni.poly import critical_orbit, disc_levels
 from poly_oracle import disc_resultant, f_poly, iterate
 
 
@@ -305,10 +305,10 @@ class TestNonsquare:
 class TestExhibit:
     def test_pair_valuation(self):
         # v_q(N / D) read off an unreduced pair
-        assert _pair_val((12 * 5, 18 * 5), 3) == val(Fraction(12, 18), 3) == -1
-        assert _pair_val((-(7**5), 7**2 * 3), 7) == 3
-        assert _pair_val((10, 4), 5) == 1
-        assert _pair_val((0, 9), 3) is INFINITY
+        assert pair_val((12 * 5, 18 * 5), 3) == val(Fraction(12, 18), 3) == -1
+        assert pair_val((-(7**5), 7**2 * 3), 7) == 3
+        assert pair_val((10, 4), 5) == 1
+        assert pair_val((0, 9), 3) is INFINITY
 
     def test_golden_even_witness(self, golden_even_2):
         report = exhibit_odd_prime_q(golden_even_2, 1)
@@ -331,6 +331,46 @@ class TestExhibit:
         # 62327 survives trial division by 2 but is classified as a
         # prime cofactor, so the witness is still found
         assert report.found and report.q == 62327
+
+    def test_rule_on_lower_levels(self, golden_even_2, golden_odd_3):
+        # 11 divides neither bad product; with F_1, F_2 given, q = 11 and
+        # v_11(disc_2) = d v_11(F_1) + v_11(F_2)
+        for inst, fns, clean, odd in [
+            (golden_odd_3, [13, 11], True, True),  # 0 + 1
+            (golden_odd_3, [11, 11], False, False),  # 3 + 1
+            (golden_odd_3, [121, 11 * 13], False, True),  # 6 + 1
+            (golden_even_2, [11, 11], False, True),  # 2 + 1
+            (golden_odd_3, [0, 11], False, False),  # disc_1 = disc_2 = 0
+        ]:
+            assert inst.bad_product % 11 != 0
+            report = exhibit_odd_prime_q(inst, 2, fns=fns)
+            assert report.found and report.q == 11
+            assert (report.lower_levels_clean, report.disc_valuation_odd) == (clean, odd)
+
+
+class TestDiscValuationRule:
+    # the witness check's rule against disc_levels, the oracle: at every
+    # prime q outside the bad set, v_q(disc(f^n - x0)) equals
+    # sum over k <= n of d^(n-k) v_q(F_k), and the exhibited witness's
+    # two booleans match the ones read off the discriminant pairs
+    PRIMES = [q for q in range(2, 2001) if is_prime(q)]
+
+    @pytest.mark.parametrize("d, depth", [(2, 7), (3, 5), (4, 4), (5, 3), (6, 3), (9, 2)])
+    def test_matches_disc_levels(self, d, depth):
+        inst = build_params(d)
+        fns = [value.F_n for value in fn_sequence(inst, depth)]
+        pairs = list(itertools.islice(disc_levels(inst, 2**30), depth))
+        primes = [q for q in self.PRIMES if inst.bad_product % q]
+        for n in range(1, depth + 1):
+            report = exhibit_odd_prime_q(inst, n, fns=fns[:n])
+            for q in primes + ([report.q] if report.found else []):
+                rule = sum(d ** (n - k) * val(f_k, q) for k, f_k in enumerate(fns[:n], 1))
+                assert pair_val(pairs[n - 1], q) == rule, (n, q)
+            if report.found:
+                lower = [pair_val(pair, report.q) for pair in pairs[: n - 1]]
+                top = pair_val(pairs[n - 1], report.q)
+                assert report.lower_levels_clean == all(v == 0 for v in lower)
+                assert report.disc_valuation_odd == (top > 0 and top % 2 == 1)
 
 
 class TestCertify:
@@ -542,8 +582,8 @@ class TestGoldenCertificates:
         assert self._hash(cert) == self.DEEP_HASHES[d, depth]
 
     # certificates at the default effort: the witness search factors F_n
-    # of up to 88 kbit (d = 2) and 141 kbit (d = 3) and reads the
-    # discriminant levels up to 12 and 9
+    # of up to 88 kbit (d = 2) and 141 kbit (d = 3) and decides each
+    # witness's discriminant fields from F_1..F_n
     WITNESS_HASHES = {
         (2, 12): "300dc36665932ac6bd58f79a924a5ad1ff19c9cd64550e72d24b736c709a6b37",
         (3, 9): "816ac5a1e5c715162ff07565e4944747be2fca3e4c32084c7dcf110e045d9dd5",
@@ -556,38 +596,35 @@ class TestGoldenCertificates:
 
 
 class TestExhibitBitBudget:
-    def test_oversized_discriminant_never_flips_verdict(self, golden_even_2, monkeypatch):
-        # the d = 2 level discriminants have 81, 324, 979, ... bits, so
-        # level 2 is over this budget: depth 2 cannot check its own level
-        # and depth 3 cannot check a lower one
-        certify_module = importlib.import_module("odoni.certify")
-        monkeypatch.setattr(certify_module, "EXHIBIT_DISC_BIT_BUDGET", 300)
+    def test_oversized_discriminant_never_flips_verdict(self, golden_even_2):
+        # the witness check reads F_1..F_n and builds no discriminant, so
+        # no level is too large for it to decide
         cert = certify(golden_even_2, 4)
         plain = certify(golden_even_2, 4, exhibit=False)
         assert cert.verdict_pass
         assert [r.n for r in cert.records] == [r.n for r in plain.records] == [1, 2, 3, 4]
         witness = cert.records[2].exhibited_q
         assert witness.found and witness.q == 1439
-        assert witness.lower_levels_clean is None
-        assert witness.disc_valuation_odd is None
-        assert "beyond bit budget" in witness.note
-        assert cert.records[1].exhibited_q.disc_valuation_odd is None
-        assert cert.records[0].exhibited_q.disc_valuation_odd is True
+        assert witness.lower_levels_clean is True
+        assert witness.disc_valuation_odd is True
 
-    @pytest.mark.parametrize("effort, levels", [(1, 0), (10**6, 8)])
-    def test_one_discriminant_pass_per_run(self, golden_even_2, monkeypatch, effort, levels):
-        # levels are computed once each, and only as deep as the deepest
-        # depth with a witness candidate (none at effort 1, depth 8 at 10^6)
-        certify_module = importlib.import_module("odoni.certify")
-        computed = []
+    @pytest.mark.parametrize("effort, deepest", [(1, 0), (10**6, 8)])
+    def test_no_discriminant_pass(self, golden_even_2, monkeypatch, effort, deepest):
+        # certify steps the critical orbit through its own binding (for
+        # fn_sequence) only; poly's binding is the one disc_levels reads,
+        # and no depth, with or without a witness candidate, reaches it
+        poly_module = importlib.import_module("odoni.poly")
+        steps = 0
 
-        def counting(inst, bit_budget):
-            for disc in disc_levels(inst, bit_budget):
-                computed.append(disc)
-                yield disc
+        def counting(inst):
+            nonlocal steps
+            for step in critical_orbit(inst):
+                steps += 1
+                yield step
 
-        monkeypatch.setattr(certify_module, "disc_levels", counting)
+        monkeypatch.setattr(poly_module, "critical_orbit", counting)
         cert = certify(golden_even_2, 8, exhibit_effort=effort)
         found = [r.n for r in cert.records if r.exhibited_q.found]
-        assert max(found, default=0) == levels
-        assert len(computed) == levels
+        assert cert.verdict_pass
+        assert max(found, default=0) == deepest
+        assert steps == 0

@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,19 @@ class TestCertifyCommand:
 
     def test_unknown_flag_is_usage_error(self, params_d2):
         assert cli.run(["certify", "--params", params_d2, "--nope"]) == 2
+
+    def test_deep_witness_decided(self, tmp_path):
+        # the depth-13 discriminant has over 4 Mbit, but the witness
+        # check reads F_1..F_13 and answers both of its questions
+        params = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "params_d2.json"
+        out = tmp_path / "cert.json"
+        assert cli.run(["certify", "--params", str(params), "--depth", "13", "--out", str(out)]) == 0
+        record = json.loads(out.read_text())["records"][12]
+        assert record["n"] == 13
+        witness = record["exhibited_q"]
+        assert witness["found"] is True
+        assert witness["lower_levels_clean"] is True
+        assert witness["disc_valuation_odd"] is True
 
 
     def test_non_prime_witnesses_fail_cleanly(self, tmp_path, capsys):
