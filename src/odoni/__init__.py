@@ -18,7 +18,7 @@ from .construct import (
     build_params_odd,
 )
 from .frobenius import chebotarev_distance, sample_distribution
-from .newton import newton_polygon, predict_two_segments, ramification_tower
+from .newton import newton_polygon, ramification_tower
 from .permgroup import (
     Perm,
     gen_sd_check,
@@ -51,7 +51,6 @@ __all__ = [
     "leaf_type_distribution",
     "legendre",
     "newton_polygon",
-    "predict_two_segments",
     "ramification_tower",
     "sample_distribution",
     "val",

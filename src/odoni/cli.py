@@ -290,7 +290,7 @@ def pipeline_level(d: int, depth: int) -> int | None:
     """Deepest statistically checkable level: largest n <= min(depth, 2)
     whose exact reference law is enumerable."""
     for n in range(min(depth, 2), 0, -1):
-        if permgroup.wreath_order(d, n) <= permgroup.MAX_ENUMERATION:
+        if not permgroup.wreath_order_exceeds(d, n, permgroup.MAX_ENUMERATION):
             return n
     return None
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .arith import primes_up_to
 from .construct import ConstructError, _frac_str
-from .permgroup import MAX_ENUMERATION, leaf_type_distribution, wreath_order
+from .permgroup import MAX_ENUMERATION, leaf_type_distribution, wreath_order_exceeds
 from .poly import disc_levels
 from .polymod import cycle_type_mod_p, iterates_minus_x0
 
@@ -80,18 +80,19 @@ def sample_distribution(
     """Empirical leaf cycle-type distribution over the first prime_count
     good primes above the start bound.
 
-    Requires the tree group to be enumerable (wreath_order(d, n) <= 1e5),
-    the reach of the law's test oracle. Every observed type is
+    Requires the tree group to be enumerable (order at most
+    ``MAX_ENUMERATION``, the reach of the law's test oracle), which is
+    decided without building the order. Every observed type is
     membership-checked against the reachable set; an unrealizable type
     is a hard error.
     """
     d = inst.d
     if n < 1:
         raise ValueError(f"sample_distribution: level must be >= 1, got {n}")
-    if wreath_order(d, n) > MAX_ENUMERATION:
+    if wreath_order_exceeds(d, n, MAX_ENUMERATION):
         raise ValueError(
-            f"sample_distribution: tree group order {wreath_order(d, n)} "
-            f"exceeds the enumerable cap {MAX_ENUMERATION}"
+            f"sample_distribution: the depth-{n} tree group of degree {d} has "
+            f"order above the enumerable cap {MAX_ENUMERATION}"
         )
     realizable = set(leaf_type_distribution(d, n))
     bad = _bad_reduction_product(inst, n)

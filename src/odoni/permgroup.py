@@ -9,8 +9,8 @@ tree of depth n is the n-fold iterated wreath product of S_d, of order
 index, without listing the group. Listing it is the test suite's
 oracle for that law.
 
-Convention, pinned by tests: composition acts right-to-left, i.e.
-(a * b)(x) = a(b(x)).
+Products of permutations are formed only inside the closure, on image
+tuples, acting right-to-left: (g * h)[x] = g[h[x]].
 """
 
 from __future__ import annotations
@@ -46,58 +46,12 @@ class Perm:
     def __setattr__(self, *_):
         raise AttributeError("Perm is immutable")
 
-    @classmethod
-    def identity(cls, d: int) -> "Perm":
-        return cls(range(d))
-
-    @classmethod
-    def from_cycles(cls, d: int, *cycles: Sequence[int]) -> "Perm":
-        """Build from disjoint cycles in 1-based notation, e.g. (1, 2, 3)."""
-        images = list(range(d))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
-                if not 1 <= a <= d:
-                    raise ValueError(f"cycle point {a} outside 1..{d}")
-                images[a - 1] = b - 1
-        return cls(images)
-
     @property
     def degree(self) -> int:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        # (a * b)(x) = a(b(x)): b acts first
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Perm(tuple(self.images[j] for j in other.images))
-
-    def inverse(self) -> "Perm":
-        out = [0] * self.degree
-        for i, j in enumerate(self.images):
-            out[j] = i
-        return Perm(out)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Partition of the degree, sorted descending."""
-        seen = [False] * self.degree
-        lengths = []
-        for i in range(self.degree):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths, reverse=True))
-
-    def is_transposition(self) -> bool:
-        return self.cycle_type() == (2,) + (1,) * (self.degree - 2)
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -235,6 +189,30 @@ def wreath_order(d: int, n: int) -> int:
     if d < 2 or n < 0:
         raise ValueError("wreath_order: need d >= 2, n >= 0")
     return math.factorial(d) ** ((d**n - 1) // (d - 1))
+
+
+def wreath_order_exceeds(d: int, n: int, cap: int) -> bool:
+    """wreath_order(d, n) > cap, decided without forming the order.
+
+    The exponent e = 1 + d + ... + d^(n-1) is grown one level at a time
+    and stops once it passes bits(cap): then (d!)^e >= 2^e > cap. Below
+    that, d! is built only until it passes cap, so the last power is
+    small.
+    """
+    if d < 2 or n < 0:
+        raise ValueError("wreath_order_exceeds: need d >= 2, n >= 0")
+    e, power = 0, 1
+    for _ in range(n):
+        e += power
+        if e > cap.bit_length():
+            return True
+        power *= d
+    fact = 1
+    for j in range(2, d + 1):
+        fact *= j
+        if fact > cap:
+            break
+    return fact**e > cap
 
 
 def _sd_cycle_index(d: int) -> list[tuple[tuple[int, ...], Fraction]]:

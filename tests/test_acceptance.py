@@ -20,7 +20,7 @@ from odoni.construct import (
     instance_to_json_dict,
 )
 from odoni.frobenius import chebotarev_distance, sample_distribution
-from odoni.newton import newton_polygon, predict_two_segments, ramification_tower
+from odoni.newton import newton_polygon, ramification_tower
 from odoni.permgroup import (
     Perm,
     gen_sd_check,
@@ -28,6 +28,7 @@ from odoni.permgroup import (
     wreath_order,
 )
 from odoni.poly import Trinomial, disc_iterate, disc_trinomial
+from newton_helpers import predict_two_segments
 from poly_oracle import Poly, disc_resultant, expand, f_poly, iterate
 from wreath_oracle import enumerate_wreath, enumerated_law
 

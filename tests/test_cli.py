@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -315,6 +316,25 @@ class TestFrobeniusCommand:
     def test_seed_flag_is_usage_error(self, argv, capsys):
         assert cli.run(argv) == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", [16, 40])
+    def test_unenumerable_level_exits_before_the_order(self, params_d2, level, capsys):
+        # the tree group's order (2!)^(2^level - 1) is never built: the cap
+        # is decided on the exponent (at level 40 the order has 2^40 bits)
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            code = cli.run(["frobenius", "--params", params_d2, "--level", str(level), "--primes", "5"])
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"depth-{level} tree group of degree 2" in err
+        assert "enumerable cap 100000" in err
+        assert elapsed < 1.0
+        assert peak < 1e6
 
     def test_degenerate_instance_names_relation(self, tmp_path, capsys):
         # b = 0 breaks b == x0^2; sampling such an instance proves nothing

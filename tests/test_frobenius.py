@@ -143,7 +143,7 @@ class TestSampleDistribution:
 
 
 class TestCycleTypeAgainstOracle:
-    @pytest.mark.parametrize("d, n", [(2, 2), (3, 1), (2, 3), (8, 1)])
+    @pytest.mark.parametrize("d, n", [(2, 2), (3, 1), (2, 3), (8, 1), (2, 4)])
     def test_every_good_prime_in_window(self, d, n):
         # the sampler's distinct-degree type equals the complete
         # factorization's type at every good prime in a fixed window
@@ -227,6 +227,9 @@ class TestGoldenFrobenius:
         (2, 3, 200, 1000): "d06326c3ed4181e3b860b4fd2a3e537fdc0712b18b75d44e537b8ae68febb151",
         (8, 1, 100, 1000): "c36b0e27b480e0b3c4159c6d03ac0662e0351383e93792b9c6041f9f295e02f1",
         (3, 1, 300, 5000): "10f8b46bfa98d5374ea7860bab16f79480c64d69e6c3b4fdd60267b80d34b05e",
+        # degree 16, and p above 10^6 (20-bit exponents)
+        (2, 4, 200, 1000): "f0575e92f365054aac09f0a4d5c96422ebcc4ccf56438189fab742d65f9fedc8",
+        (2, 2, 300, 10**6): "bd8d9800f30e7e349cc7ff681e2c4707dc3942472d8cd0c9986d15fa6caf1d4c",
     }
 
     @pytest.mark.parametrize("d, level, primes, start", sorted(HASHES))

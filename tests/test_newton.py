@@ -6,10 +6,10 @@ import pytest
 from odoni.newton import (
     Segment,
     newton_polygon,
-    predict_two_segments,
     ramification_tower,
     tower_from_valuations,
 )
+from newton_helpers import predict_two_segments
 from poly_oracle import Poly
 
 X = Poly.x()

@@ -11,7 +11,9 @@ from odoni.permgroup import (
     is_transitive,
     leaf_type_distribution,
     wreath_order,
+    wreath_order_exceeds,
 )
+from perm_helpers import compose, cycle_type, from_cycles, identity, inverse, is_transposition
 from wreath_oracle import (
     ENUMERABLE_SHAPES,
     TreeAutomorphism,
@@ -27,12 +29,12 @@ def closure(generators, cap=None) -> frozenset:
 
 
 def cycles(d, *cyc):
-    return Perm.from_cycles(d, *cyc)
+    return from_cycles(d, *cyc)
 
 
 def compose_tree(a: TreeAutomorphism, b: TreeAutomorphism) -> TreeAutomorphism:
     """Composition acting by b first: label_v(a o b) = label_{b(v)}(a) * label_v(b)."""
-    portrait = {v: a.portrait[b.node_image(v)] * b.portrait[v] for v in a.portrait}
+    portrait = {v: compose(a.portrait[b.node_image(v)], b.portrait[v]) for v in a.portrait}
     return TreeAutomorphism(a.d, a.n, portrait)
 
 
@@ -45,7 +47,7 @@ class TestPerm:
         # (a * b)(x) = a(b(x)): b acts first; pinned convention
         a = cycles(3, (1, 2))
         b = cycles(3, (2, 3))
-        ab = a * b
+        ab = compose(a, b)
         # b sends 3 -> 2, then a sends 2 -> 1
         assert ab(2) == 0
         assert ab.images == (1, 2, 0)
@@ -56,16 +58,16 @@ class TestPerm:
             images = list(range(6))
             rng.shuffle(images)
             p = Perm(images)
-            assert p * p.inverse() == Perm.identity(6)
+            assert compose(p, inverse(p)) == identity(6)
 
     def test_cycle_type(self):
-        assert cycles(4, (1, 2)).cycle_type() == (2, 1, 1)
-        assert cycles(4, (1, 2, 3, 4)).cycle_type() == (4,)
-        assert Perm.identity(4).cycle_type() == (1, 1, 1, 1)
+        assert cycle_type(cycles(4, (1, 2))) == (2, 1, 1)
+        assert cycle_type(cycles(4, (1, 2, 3, 4))) == (4,)
+        assert cycle_type(identity(4)) == (1, 1, 1, 1)
 
     def test_transposition_detection(self):
-        assert cycles(5, (2, 4)).is_transposition()
-        assert not cycles(5, (1, 2, 3)).is_transposition()
+        assert is_transposition(cycles(5, (2, 4)))
+        assert not is_transposition(cycles(5, (1, 2, 3)))
 
     def test_invalid_images(self):
         with pytest.raises(ValueError):
@@ -78,7 +80,7 @@ class TestClosure:
         assert len(group) == 6
 
     def test_identity_only(self):
-        assert closure([Perm.identity(4)]) == frozenset({Perm.identity(4)})
+        assert closure([identity(4)]) == frozenset({identity(4)})
 
     def test_s5_generators(self):
         group = closure([cycles(5, (1, 2, 3, 4, 5)), cycles(5, (1, 2))])
@@ -90,7 +92,7 @@ class TestClosure:
 
     def test_degree_limit(self):
         with pytest.raises(ValueError):
-            closure([Perm.identity(9)])
+            closure([identity(9)])
 
     def test_closure_is_a_group(self):
         group = closure([cycles(4, (1, 2, 3)), cycles(4, (3, 4))])
@@ -98,8 +100,8 @@ class TestClosure:
         elems = sorted(group, key=lambda p: p.images)
         for _ in range(30):
             a, b = rng.choice(elems), rng.choice(elems)
-            assert a * b in group
-            assert a.inverse() in group
+            assert compose(a, b) in group
+            assert inverse(a) in group
 
 
 class TestGenSdCheck:
@@ -153,6 +155,20 @@ class TestWreath:
         assert wreath_order(3, 2) == 1296
         assert wreath_order(5, 0) == 1
 
+    def test_exceeds_matches_exact_order(self):
+        for cap in (0, 1, 2, 7, 8, 1295, 1296, 10**5, 10**40):
+            for d in range(2, 12):
+                for n in range(6):
+                    assert wreath_order_exceeds(d, n, cap) == (wreath_order(d, n) > cap), (d, n, cap)
+
+    def test_exceeds_never_builds_the_order(self):
+        # (2!)^(2^60 - 1) and (1000!)^1 are decided on bounds alone
+        assert wreath_order_exceeds(2, 60, 10**5)
+        assert wreath_order_exceeds(1000, 1, 10**5)
+        assert not wreath_order_exceeds(2, 4, 10**5)
+        with pytest.raises(ValueError):
+            wreath_order_exceeds(1, 2, 10)
+
     def test_enumeration_counts(self):
         assert len(enumerate_wreath(2, 2)) == 8
         assert len(enumerate_wreath(2, 3)) == 128
@@ -164,20 +180,20 @@ class TestWreath:
 
     def test_portrait_validation(self):
         with pytest.raises(ValueError):
-            TreeAutomorphism(2, 2, {(): Perm.identity(2)})  # missing child labels
+            TreeAutomorphism(2, 2, {(): identity(2)})  # missing child labels
 
     def test_identity_leaf_type(self):
         assert TreeAutomorphism.identity(2, 2).leaf_cycle_type() == (1, 1, 1, 1)
 
     def test_root_swap_leaf_type(self):
         swap = cycles(2, (1, 2))
-        ident = Perm.identity(2)
+        ident = identity(2)
         a = TreeAutomorphism(2, 2, {(): swap, (0,): ident, (1,): ident})
         assert a.leaf_cycle_type() == (2, 2)
 
     def test_root_swap_one_child_swap(self):
         swap = cycles(2, (1, 2))
-        ident = Perm.identity(2)
+        ident = identity(2)
         a = TreeAutomorphism(2, 2, {(): swap, (0,): swap, (1,): ident})
         assert a.leaf_cycle_type() == (4,)
         b = TreeAutomorphism(2, 2, {(): swap, (0,): ident, (1,): swap})
@@ -190,7 +206,7 @@ class TestWreath:
             for _ in range(25):
                 a, b = rng.choice(pool), rng.choice(pool)
                 composed = compose_tree(a, b)
-                assert composed.leaf_action() == a.leaf_action() * b.leaf_action()
+                assert composed.leaf_action() == compose(a.leaf_action(), b.leaf_action())
 
     def test_internal_node_count(self):
         assert len(internal_nodes(3, 2)) == 4  # root + 3 children

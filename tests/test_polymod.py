@@ -8,7 +8,13 @@ import pytest
 
 from factor_oracle import PolyModP, derivative, factor_mod_p, pth_root
 from odoni.construct import build_params
-from odoni.polymod import _mul_mod, _pow_mod, cycle_type_mod_p, iterates_minus_x0
+from odoni.polymod import (
+    _mul_mod,
+    _PackedRing,
+    _pow_mod,
+    cycle_type_mod_p,
+    iterates_minus_x0,
+)
 from poly_oracle import Poly, f_poly, iterate
 
 
@@ -151,17 +157,56 @@ class TestCycleTypeModP:
             cycle_type_mod_p([1, 1, 14], 7)
 
     def test_matches_oracle_on_random_squarefree(self):
+        # p below the degree (x^p needs no squaring) and long exponents;
+        # leading coefficients that are units other than 1, and integer
+        # coefficients left unreduced
         rng = random.Random(23)
-        for p in (3, 5, 101):
+        for p in (3, 5, 7, 101, 10007, 65537):
             checked = 0
             while checked < 20:
-                f = poly([rng.randrange(p) for _ in range(rng.randint(1, 10))] + [1], p)
-                factors = factor_mod_p(f)
+                degree = rng.randint(1, 24)
+                lc = rng.randrange(1, p) + p * rng.randint(0, 3)
+                coeffs = [rng.randrange(-5 * p, 5 * p) for _ in range(degree)] + [lc]
+                factors = factor_mod_p(PolyModP(coeffs, p))
                 if any(e > 1 for _, e in factors):
                     continue
                 expected = sorted((q.degree for q, _ in factors), reverse=True)
-                assert cycle_type_mod_p(list(f.coeffs), p) == tuple(expected)
+                assert cycle_type_mod_p(coeffs, p) == tuple(expected), (coeffs, p)
                 checked += 1
+
+    def test_many_factors_of_each_degree(self):
+        # products of distinct irreducibles of degrees 1..4, so every
+        # DDF step divides something out of v while the powers stay mod u
+        rng = random.Random(37)
+        p = 7
+        for _ in range(10):
+            factors: set[tuple[int, ...]] = set()
+            while len(factors) < 6:
+                k = rng.randint(1, 4)
+                q = PolyModP([rng.randrange(p) for _ in range(k)] + [1], p)
+                if is_irreducible_by_frobenius(q):
+                    factors.add(q.coeffs)
+            f = product_with_multiplicity([(PolyModP(q, p), 1) for q in factors], p)
+            f = f * PolyModP([rng.randrange(1, p)], p)
+            expected = sorted((len(q) - 1 for q in factors), reverse=True)
+            assert cycle_type_mod_p(list(f.coeffs), p) == tuple(expected)
+
+
+class TestXPowMod:
+    @pytest.mark.parametrize("p", [3, 5, 101, 10007, 65537])
+    def test_matches_square_and_multiply(self, p):
+        # the left-to-right packed powering against the list kernel's
+        # right-to-left _pow_mod, for moduli of degree 1..20, monic or not
+        rng = random.Random(41 + p)
+        for degree in range(1, 21):
+            v = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+            ring = _PackedRing(v, p)
+            for e in (0, 1, 2, p, p * p, rng.randrange(10**12)):
+                got = ring.coeffs(ring.x_pow(e))
+                assert len(got) == degree and all(0 <= c < p for c in got)
+                while got and not got[-1]:
+                    got.pop()
+                assert got == _pow_mod([0, 1], e, p, v), (e, v)
 
 
 class TestListKernel:

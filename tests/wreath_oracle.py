@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from odoni.permgroup import MAX_ENUMERATION, Perm, wreath_order
+from perm_helpers import cycle_type, identity as perm_identity
 
 
 def internal_nodes(d: int, n: int) -> list[tuple[int, ...]]:
@@ -53,7 +54,7 @@ class TreeAutomorphism:
 
     @classmethod
     def identity(cls, d: int, n: int) -> "TreeAutomorphism":
-        e = Perm.identity(d)
+        e = perm_identity(d)
         return cls(d, n, {v: e for v in internal_nodes(d, n)})
 
     def node_image(self, address: tuple[int, ...]) -> tuple[int, ...]:
@@ -77,7 +78,7 @@ class TreeAutomorphism:
         return Perm(images)
 
     def leaf_cycle_type(self) -> tuple[int, ...]:
-        return self.leaf_action().cycle_type()
+        return cycle_type(self.leaf_action())
 
     def __eq__(self, other):
         return (
