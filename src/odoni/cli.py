@@ -6,9 +6,10 @@ check fails (the violated relation is named on stderr), 2 for usage or
 input errors. JSON always goes to --out or stdout; human-readable
 progress and the --verbose check log go to stderr, so piped output
 stays parseable. A resource cap that is hit (a discriminant past its
-bit budget, too few good primes below the scan cap, a prime search or
-subgroup closure past its cap) exits 2, not 1: it is not a failed
-relation. Two caps are checked before the value they bound is built: a
+bit budget, too few good primes below the scan cap, a prime search
+past its cap) exits 2, not 1: it is not a failed relation. Three caps
+are checked before the value they bound is built: a group-check degree
+above ``permgroup.MAX_CLOSURE_DEGREE`` is an input error, a
 rational entry (``newton`` coefficients, ``disc --trinomial`` A, B, C)
 of more than RATIONAL_BIT_CAP bits, estimated from the literal's digits
 and exponent, is an input error, and a trinomial discriminant whose
@@ -262,11 +263,11 @@ def _cmd_group_check(args) -> int:
         return EXIT_CHECK_FAILED
     if not verdict.conclusion_holds:
         _log(
-            "group-check: hypotheses hold but the closure is NOT the full "
+            "group-check: hypotheses hold but the generated group is NOT the full "
             "symmetric group, contradicting the generation criterion"
         )
         return EXIT_CHECK_FAILED
-    _log(f"group-check passes: closure is S_{d} (order {verdict.group_order})")
+    _log(f"group-check passes: the generated group is S_{d} (order {verdict.group_order})")
     return EXIT_PASS
 
 
@@ -450,7 +451,6 @@ def run(argv: list[str] | None = None) -> int:
     except (
         BitBudgetExceededError,
         frobenius_mod.InsufficientPrimesError,
-        permgroup.ClosureCapError,
         CapExceededError,
     ) as exc:
         # a cap bounds the work asked for; hitting it proves nothing

@@ -46,35 +46,28 @@ def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int
     return q, r
 
 
-def _mul_mod(
-    a: list[int], b: list[int], modulus: Optional[int], v: Optional[list[int]] = None
-) -> list[int]:
+def _mul_mod(a: list[int], b: list[int], modulus: Optional[int]) -> list[int]:
     """Product of two ascending coefficient lists, reduced mod ``modulus``
-    (over Z when it is None) and, when ``v`` is given, mod the
-    polynomial v (modulus prime)."""
+    (over Z when it is None)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    if v is not None:
-        return _divmod_mod(out, v, modulus)[1]
     if modulus is None:
         return out
     return [c % modulus for c in out]
 
 
-def _pow_mod(
-    g: list[int], e: int, modulus: Optional[int], v: Optional[list[int]] = None
-) -> list[int]:
+def _pow_mod(g: list[int], e: int, modulus: Optional[int]) -> list[int]:
     """g^e by square and multiply, reduced as ``_mul_mod`` reduces."""
     result = [1]
     while e:
         if e & 1:
-            result = _mul_mod(result, g, modulus, v)
+            result = _mul_mod(result, g, modulus)
         e >>= 1
         if e:
-            g = _mul_mod(g, g, modulus, v)
+            g = _mul_mod(g, g, modulus)
     return result
 
 

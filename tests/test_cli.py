@@ -1,4 +1,5 @@
 import json
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from odoni import cli
+from odoni import cli, permgroup
 from odoni.construct import build_params_even, build_params_odd, instance_to_json_dict
 
 
@@ -272,6 +273,35 @@ class TestGroupCheckCommand:
         assert cli.run(["group-check", "--file", str(path)]) == 1
         err = capsys.readouterr().err
         assert "g_contains_transposition" in err
+
+    @staticmethod
+    def sd_generators(d, m):
+        """(1 2) and (1 2 ... d) for g, the head cycle (1 2 ... m) for h,
+        as 1-based image lists."""
+        return {
+            "d": d,
+            "m": m,
+            "g_gens": [[2, 1] + list(range(3, d + 1)), list(range(2, d + 1)) + [1]],
+            "h_gens": [list(range(2, m + 1)) + [1] + list(range(m + 1, d + 1))],
+        }
+
+    @pytest.mark.parametrize("d", [9, 10, 30])
+    def test_past_degree_eight(self, tmp_path, capsys, d):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(self.sd_generators(d, d - 1)))
+        assert cli.run(["group-check", "--file", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["group_order"] == math.factorial(d)
+        assert data["hypotheses_hold"] is True and data["conclusion_holds"] is True
+
+    def test_degree_over_cap_exit_two(self, tmp_path, capsys):
+        d = permgroup.MAX_CLOSURE_DEGREE + 1
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(self.sd_generators(d, d - 1)))
+        assert cli.run(["group-check", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err and f"exceeds {d - 1}" in captured.err
 
 
 class TestFrobeniusCommand:

@@ -3,8 +3,8 @@ and never lets a traceback out.
 
 Inputs are malformed params files (keys missing, values non-numeric,
 b = 0, t = 0, non-prime witnesses, d from 0 to 12), malformed
-group-check files, out-of-range --depth/--level/--primes/--start/
---exhibit-effort values, and malformed `newton` coefficients (inline
+group-check files (d from 2 to 12 and one past the degree cap),
+out-of-range --depth/--level/--primes/--start/--exhibit-effort values, and malformed `newton` coefficients (inline
 or in a file) and `disc --trinomial` entries with degrees up to 10^6,
 whose oversized values the CLI's caps refuse before building them.
 Sizes are bounded so the whole module runs in seconds.
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from odoni import cli
 from odoni.construct import build_params, instance_to_json_dict
+from odoni.permgroup import MAX_CLOSURE_DEGREE
 
 BASES = [instance_to_json_dict(build_params(d)) for d in (2, 3)]
 KEYS = ["d", "m", "case", "s", "t", "x0", "b", "p", "p1", "p2"]
@@ -52,11 +53,11 @@ def param_docs(draw):
 
 @st.composite
 def group_docs(draw):
-    """Mostly well-formed generator files of degree 2..7, then a few
-    fields dropped or replaced by junk."""
+    """Mostly well-formed generator files of degree 2..12 or one above
+    the degree cap, then a few fields dropped or replaced by junk."""
     if draw(st.integers(0, 9)) == 0:
         return draw(junk)
-    d = draw(st.integers(2, 7))
+    d = draw(st.one_of(st.integers(2, 12), st.just(MAX_CLOSURE_DEGREE + 1)))
     perms = st.permutations(list(range(1, d + 1)))
     # (1 2) and the d-cycle generate S_d; the head cycle fixes the tail
     swap, cycle = [2, 1] + list(range(3, d + 1)), list(range(2, d + 1)) + [1]

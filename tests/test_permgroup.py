@@ -1,19 +1,32 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odoni.permgroup import (
-    ClosureCapError,
+    MAX_CLOSURE_DEGREE,
     Perm,
-    _closure_images,
+    _StabilizerChain,
     gen_sd_check,
     is_transitive,
     leaf_type_distribution,
     wreath_order,
     wreath_order_exceeds,
 )
-from perm_helpers import compose, cycle_type, from_cycles, identity, inverse, is_transposition
+from perm_helpers import (
+    ClosureCapError,
+    _closure_images,
+    compose,
+    cycle_type,
+    from_cycles,
+    identity,
+    inverse,
+    is_transposition,
+)
 from wreath_oracle import (
     ENUMERABLE_SHAPES,
     TreeAutomorphism,
@@ -146,6 +159,133 @@ class TestGenSdCheck:
             gen_sd_check(5, 2, [], [])  # m <= d/2
         with pytest.raises(ValueError):
             gen_sd_check(2, 1, [], [])  # d < 3
+        with pytest.raises(ValueError, match="at least one generator"):
+            gen_sd_check(5, 3, [], [])
+        with pytest.raises(ValueError, match="degree 5"):
+            gen_sd_check(5, 3, [cycles(5, (1, 2))], [cycles(4, (1, 2, 3))])
+
+    def test_degree_cap_checked_first(self):
+        # a degree over the cap is refused before any generator is read
+        d = MAX_CLOSURE_DEGREE + 1
+        with pytest.raises(ValueError, match=f"exceeds {MAX_CLOSURE_DEGREE}"):
+            gen_sd_check(d, d - 1, None, None)
+        assert MAX_CLOSURE_DEGREE >= 30
+
+
+def reference_verdict(d, m, g_gens, h_gens) -> dict:
+    """gen_sd_check's outputs from the BFS closure alone: the order,
+    transpositions and h's membership read off the listed group, the
+    orbits from the listed groups of g and h."""
+    group = _closure_images(g_gens)
+    ident = tuple(range(d))
+    head = {h[0] for h in _closure_images(h_gens)} if h_gens else {0}
+    return {
+        "group_order": len(group),
+        "g_contains_transposition": any(sum(map(int.__ne__, g, ident)) == 2 for g in group),
+        "g_transitive": len({g[0] for g in group}) == d,
+        "h_subset_of_g": all(h.images in group for h in h_gens),
+        "h_fixes_tail_pointwise": all(h.images[m:] == ident[m:] for h in h_gens),
+        "h_transitive_on_head": head == set(range(m)),
+        "conclusion_holds": len(group) == math.factorial(d),
+    }
+
+
+def verdict_fields(verdict) -> dict:
+    return {"group_order": verdict.group_order, **verdict.hypotheses,
+            "conclusion_holds": verdict.conclusion_holds}
+
+
+@st.composite
+def perms(draw, d, moved=None):
+    """A random permutation, a random cycle or the identity of degree d,
+    moving only points below ``moved`` when it is given."""
+    points = list(range(d if moved is None else moved))
+    kind = draw(st.sampled_from(["perm", "cycle", "identity"]))
+    images = list(range(d))
+    if kind == "perm":
+        images[: len(points)] = draw(st.permutations(points))
+    elif kind == "cycle" and len(points) > 1:
+        cycle = draw(st.lists(st.sampled_from(points), min_size=2, unique=True))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return Perm(images)
+
+
+# (d, m) with d/2 < m < d and gcd(m, d) = 1, for d = 3..8
+SHAPES = [(d, m) for d in range(3, 9) for m in range(d // 2 + 1, d) if math.gcd(m, d) == 1]
+
+
+class TestChainAgainstClosure:
+    """The stabilizer chain against the BFS closure, the oracle it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_verdict_equals_bfs(self, data):
+        d, m = data.draw(st.sampled_from(SHAPES))
+        g_gens = data.draw(st.lists(perms(d), min_size=1, max_size=4))
+        h_gens = data.draw(st.lists(st.one_of(perms(d), perms(d, moved=m)), max_size=3))
+        verdict = gen_sd_check(d, m, g_gens, h_gens)
+        assert verdict_fields(verdict) == reference_verdict(d, m, g_gens, h_gens)
+        assert verdict.hypotheses_hold == all(verdict.hypotheses.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_order_and_membership(self, data):
+        # degree 2 included, which gen_sd_check refuses; every element of
+        # S_d is sifted up to d = 6, a sample of it above
+        d = data.draw(st.integers(2, 8))
+        gens = data.draw(st.lists(perms(d), min_size=1, max_size=4))
+        group = _closure_images(gens)
+        chain = _StabilizerChain(d, [g.images for g in gens])
+        assert chain.order() == len(group)
+        if d <= 6:
+            sample = [Perm(p).images for p in itertools.permutations(range(d))]
+        else:
+            sample = [data.draw(perms(d)).images for _ in range(20)] + list(group)[:20]
+        for x in sample:
+            assert chain.contains(x) == (x in group), x
+
+    # generators of subgroups of S_8 that are not S_8, in 1-based cycles
+    NAMED_D8 = {
+        # A_8: (1 2 3) and a 7-cycle, both even
+        "A_8": ([(1, 2, 3)], [(2, 3, 4, 5, 6, 7, 8)]),
+        # PGL(2,7) on the projective line {0..6, oo} -> points 1..7, 8:
+        # x+1, 3x and -1/x
+        "PGL(2,7)": ([(1, 2, 3, 4, 5, 6, 7)], [(2, 4, 3, 7, 5, 6)], [(1, 8), (2, 7), (3, 4), (5, 6)]),
+        # blocks {1..4}, {5..8}
+        "S_4 wr S_2": ([(1, 2)], [(1, 2, 3, 4)], [(1, 5), (2, 6), (3, 7), (4, 8)]),
+        "S_3 x S_5": ([(1, 2)], [(1, 2, 3)], [(4, 5)], [(4, 5, 6, 7, 8)]),
+        # the symmetries of the octagon 1..8
+        "D_8": ([(1, 2, 3, 4, 5, 6, 7, 8)], [(2, 8), (3, 7), (4, 6)]),
+        "trivial": ([],),
+    }
+
+    @pytest.mark.parametrize(
+        "name, order, transposition",
+        [("A_8", 20160, False), ("PGL(2,7)", 336, False), ("S_4 wr S_2", 1152, True),
+         ("S_3 x S_5", 720, True), ("D_8", 16, False), ("trivial", 1, False)],
+    )
+    def test_named_subgroups_of_s8(self, name, order, transposition):
+        g_gens = [cycles(8, *gen) for gen in self.NAMED_D8[name]]
+        h_gens = [cycles(8, (1, 2, 3, 4, 5))]
+        verdict = gen_sd_check(8, 5, g_gens, h_gens)
+        assert verdict.group_order == order
+        assert verdict.hypotheses["g_contains_transposition"] is transposition
+        assert not verdict.conclusion_holds
+        assert verdict_fields(verdict) == reference_verdict(8, 5, g_gens, h_gens)
+
+    @pytest.mark.parametrize("d", [9, 10, 30])
+    def test_symmetric_and_alternating_past_the_oracle(self, d):
+        # A_d from (1 2 3) and an even long cycle: (1..d) for odd d, (2..d) for even d
+        long_cycle = tuple(range(1, d + 1)) if d % 2 else tuple(range(2, d + 1))
+        h_gens = [cycles(d, tuple(range(1, d)))]
+        s_d = gen_sd_check(d, d - 1, [cycles(d, (1, 2)), cycles(d, tuple(range(1, d + 1)))], h_gens)
+        a_d = gen_sd_check(d, d - 1, [cycles(d, (1, 2, 3)), cycles(d, long_cycle)], h_gens)
+        assert s_d.group_order == math.factorial(d) and s_d.conclusion_holds and s_d.hypotheses_hold
+        assert a_d.group_order == math.factorial(d) // 2 and not a_d.conclusion_holds
+        assert not a_d.hypotheses["g_contains_transposition"]
+        # the head (d-1)-cycle is odd exactly when d - 1 is even
+        assert a_d.hypotheses["h_subset_of_g"] is (d % 2 == 0)
 
 
 class TestWreath:
