@@ -13,8 +13,9 @@ A certificate records, for an instance (d, m, b, x0, witness primes):
     the quadratic-nonresidue test of +-F_n at the unit-square prime
     (which certifies that a fresh odd-valuation ramified prime exists at
     this depth), an Eisenstein check of f^n - x0 at p1 for n <= 3, and
-    optionally an exhibited odd-valuation prime q found by trial
-    division.
+    optionally an exhibited odd-valuation prime q, found among the
+    primes up to a bound by stepping the critical orbit modulo products
+    of 16 primes (``orbit_prime_divisors``).
 
 The witness check builds no discriminant. Once the structural relations
 hold (they are checked before any depth), a prime q outside the bad set
@@ -34,19 +35,22 @@ is re-verified at each certified depth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import newton
 from .arith import (
+    CapExceededError,
     decimal_str,
     is_prime,
     is_square,
     legendre,
     multiplicity,
     primality_evidence,
-    trial_factor,
+    primes_array,
     val,
 )
 from .construct import EVEN_CASE, ODD_CASE_1, IterInstance
@@ -55,7 +59,10 @@ from .polymod import iterates_minus_x0
 
 DEFAULT_DEPTH = 3
 FN_BIT_CAP = 2**24
-EXHIBIT_TRIAL_BOUND = 10**6
+EXHIBIT_PRIME_BOUND = 10**6
+# the largest witness-search bound: its sieve of bound + 1 bytes and its
+# 664579 primes (5.3 MB) are the most the search may allocate
+EXHIBIT_EFFORT_CAP = 10**7
 COFACTOR_PRIMALITY_BIT_LIMIT = 4096
 EISENSTEIN_MAX_LEVEL = 3
 
@@ -345,21 +352,96 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
     )
 
 
-def exhibit_odd_prime_q(
-    inst: IterInstance,
-    n: int,
-    effort_bound: int = EXHIBIT_TRIAL_BOUND,
-    fns: Optional[Sequence[int]] = None,
-) -> ExhibitReport:
-    """Try to exhibit a concrete prime q with odd valuation in F_n.
+def orbit_prime_divisors(inst: IterInstance, bound: int) -> Iterator[list[int]]:
+    """For n = 1, 2, ...: the primes q <= bound that divide
+    G_n = W_n v - u S_n, ascending, where w_n = W_n / S_n is the critical
+    orbit (``poly.critical_orbit``) and x0^(d-m) = u/v.
 
-    Trial division up to effort_bound; a surviving cofactor is
-    primality-tested only when small enough to make that cheap. The
-    witness, when found, avoids the bad primes, and two facts about the
-    discriminants disc_l = disc(f^l - x0) are read off F_1, ..., F_n:
-    whether every lower level is untouched (v_q(disc_l) = 0 for l < n)
-    and whether v_q(disc_n) is odd. Finding nothing is not a failure:
-    the nonsquare test already certifies existence.
+    ``fn_sequence`` checks the integer identity F_n s^(d-m) v = G_n at
+    every depth, so every prime of F_n is among these, and so is every
+    prime <= bound of s*v that divides G_n; ``factor_over`` tests each
+    on F_n itself.
+
+    The primes <= bound are taken in groups of 16, and each group's
+    product Q holds W and Y = S / L modulo Q, with L = d den(b). From
+    W_0 = m num(b), Y_0 = 1, the orbit's step is
+    W_(k+1) = W^m (W - d num(b) Y)^(d-m) and Y_(k+1) = Y^d L^(d-1): the
+    pair recursion of ``poly.critical_orbit`` with S_k = L Y_k, which
+    divides by nothing, so every prime of Q is decided. A group holds a
+    prime of G_n exactly when gcd(W v - u L Y, Q) > 1. So each depth
+    costs the same few operations on 320-bit residues per group,
+    whatever the size of F_n. A bound below 2 builds no sieve, and one
+    above EXHIBIT_EFFORT_CAP raises CapExceededError before any is built.
+    """
+    if bound < 0:
+        raise ValueError(f"orbit_prime_divisors: bound {bound} is negative")
+    if bound > EXHIBIT_EFFORT_CAP:
+        raise CapExceededError(
+            f"witness search bound {bound} is over the cap {EXHIBIT_EFFORT_CAP}"
+        )
+    if bound < 2:
+        while True:
+            yield []
+    d, m, b = inst.d, inst.m, Fraction(inst.b)
+    x0_shift = Fraction(inst.x0) ** (d - m)
+    u, v = x0_shift.numerator, x0_shift.denominator
+    big_l = d * b.denominator
+    primes = primes_array(bound)
+    qs = [math.prod(primes[i : i + 16]) for i in range(0, len(primes), 16)]
+    lift = [pow(big_l, d - 1, q) for q in qs]  # L^(d-1) mod Q
+    ws = [m * b.numerator % q for q in qs]
+    ys = [1] * len(qs)
+    scale, target = d * b.numerator, u * big_l
+    while True:
+        ws = [pow(w, m, q) * (w - scale * y) ** (d - m) % q for w, y, q in zip(ws, ys, qs)]
+        ys = [pow(y, d, q) * c % q for y, c, q in zip(ys, lift, qs)]
+        found = []
+        for i, (w, y, q) in enumerate(zip(ws, ys, qs)):
+            g = math.gcd(w * v - target * y, q)
+            if g > 1:
+                found.extend(p for p in primes[16 * i : 16 * i + 16] if g % p == 0)
+        yield found
+
+
+def factor_over(n: int, primes: Iterable[int], bound: int) -> tuple[dict[int, int], int]:
+    """(factors, cofactor) of |n| over ``primes``: a prime -> exponent map
+    in the order given, and the part of |n| left after dividing them out.
+
+    When ``primes`` holds every prime <= bound that divides n, this is
+    trial division to bound, with its rule that a cofactor c with
+    1 < c <= bound^2 has no prime factor below its square root and so is
+    a prime factor. The cofactor is deliberately not classified further;
+    callers decide how much primality evidence they want on it. 0 has
+    no factorization and raises ValueError.
+    """
+    n = abs(n)
+    if n == 0:
+        raise ValueError("factor_over: 0 has no factorization")
+    factors: dict[int, int] = {}
+    for q in primes:
+        if n % q == 0:
+            e = multiplicity(n, q)
+            factors[q] = e
+            n //= q**e
+    if 1 < n <= bound * bound:
+        factors[n] = 1
+        n = 1
+    return factors, n
+
+
+def witness_report(
+    inst: IterInstance, factorization: tuple[dict[int, int], int], lower: Sequence[int]
+) -> ExhibitReport:
+    """The witness rule: given the (factors, cofactor) of |F_n| and the
+    lower levels F_1, ..., F_(n-1), exhibit a prime q with odd valuation
+    in F_n, if there is one, and decide its two discriminant facts.
+
+    A cofactor is primality-tested only when small enough to make that
+    cheap. The witness, when found, is the least such q prime to the
+    bad product, and the two facts about the discriminants
+    disc_l = disc(f^l - x0) are read off F_1, ..., F_n: whether every
+    lower level is untouched (v_q(disc_l) = 0 for l < n) and whether
+    v_q(disc_n) is odd.
 
     The rule, for q prime to the bad product on an instance whose
     structural relations hold (``certify`` checks them before any
@@ -370,15 +452,11 @@ def exhibit_odd_prime_q(
     levels are untouched exactly when q divides no F_k with k < n, and
     the sum is positive because q divides F_n. A zero F_k with k < n
     makes every later level's discriminant 0: not clean, not odd.
-
-    ``fns`` is F_1, ..., F_n, as ``certify`` already holds them; a
-    standalone call computes them with ``fn_sequence``.
     """
-    if fns is None:
-        fns = [value.F_n for value in fn_sequence(inst, n)]
-    f_n = fns[n - 1]
+    factors, cofactor = factorization
+    factors = dict(factors)
+    n = len(lower) + 1
     bad = inst.bad_product
-    factors, cofactor = trial_factor(abs(f_n), effort_bound)
     evidence = "deterministic"
     note = ""
     if cofactor > 1:
@@ -399,7 +477,6 @@ def exhibit_odd_prime_q(
     if not candidates:
         return ExhibitReport(found=False, evidence=evidence, note=note or "no witness within effort bound")
     q = candidates[0]
-    lower = fns[: n - 1]
     clean = all(f_k % q for f_k in lower)
     if 0 in lower:
         disc_odd = False
@@ -420,6 +497,34 @@ def exhibit_odd_prime_q(
         evidence=evidence,
         note=note,
     )
+
+
+def exhibit_odd_prime_q(
+    inst: IterInstance,
+    n: int,
+    effort_bound: int = EXHIBIT_PRIME_BOUND,
+    fns: Optional[Sequence[int]] = None,
+    divisors: Optional[Iterator[list[int]]] = None,
+) -> ExhibitReport:
+    """Try to exhibit a concrete prime q with odd valuation in F_n.
+
+    F_n is factored over the primes <= effort_bound, which
+    ``orbit_prime_divisors`` finds on the critical orbit, and
+    ``witness_report`` applies the witness rule. Finding nothing is not
+    a failure: the nonsquare test already certifies existence.
+
+    ``fns`` is F_1, ..., F_n of this instance, as ``certify`` already
+    holds them; a standalone call computes them with ``fn_sequence``.
+    ``divisors`` is an ``orbit_prime_divisors(inst, effort_bound)``
+    iterator whose next item is depth n's, as ``certify`` advances it
+    once per depth; a standalone call steps a new one n times.
+    """
+    if fns is None:
+        fns = [value.F_n for value in fn_sequence(inst, n)]
+    if divisors is None:
+        divisors = itertools.islice(orbit_prime_divisors(inst, effort_bound), n - 1, None)
+    factorization = factor_over(fns[n - 1], next(divisors), effort_bound)
+    return witness_report(inst, factorization, fns[: n - 1])
 
 
 def _eisenstein_levels(inst: IterInstance, depth: int) -> dict[int, bool]:
@@ -445,7 +550,7 @@ def _eisenstein_levels(inst: IterInstance, depth: int) -> dict[int, bool]:
 def certify(
     inst: IterInstance,
     depth: int = DEFAULT_DEPTH,
-    exhibit_effort: int = EXHIBIT_TRIAL_BOUND,
+    exhibit_effort: int = EXHIBIT_PRIME_BOUND,
     exhibit: bool = True,
 ) -> Certificate:
     """Run every check to the requested depth and assemble the verdict.
@@ -504,6 +609,7 @@ def certify(
     evidence_level = "deterministic"
     if not failures:
         eisenstein = _eisenstein_levels(inst, depth)
+        divisors = orbit_prime_divisors(inst, exhibit_effort) if exhibit else None
         try:
             for value in fn_sequence(inst, depth):
                 n = value.n
@@ -524,7 +630,7 @@ def certify(
                 exhibit_report = None
                 if exhibit:
                     exhibit_report = exhibit_odd_prime_q(
-                        inst, n, exhibit_effort, [r.F_n for r in records] + [value.F_n]
+                        inst, n, exhibit_effort, [r.F_n for r in records] + [value.F_n], divisors
                     )
                     if exhibit_report.evidence != "deterministic":
                         evidence_level = "probabilistic-primality"

@@ -33,7 +33,8 @@ from . import permgroup
 from .arith import CapExceededError
 from .certify import (
     DEFAULT_DEPTH,
-    EXHIBIT_TRIAL_BOUND,
+    EXHIBIT_EFFORT_CAP,
+    EXHIBIT_PRIME_BOUND,
     FN_BIT_CAP,
     Certificate,
     CertifyError,
@@ -375,8 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exhibit-effort",
         type=_positive_int,
-        default=EXHIBIT_TRIAL_BOUND,
-        help="trial-division bound for the optional explicit witness prime",
+        default=EXHIBIT_PRIME_BOUND,
+        help=(
+            "bound on the primes searched for the optional explicit witness "
+            f"prime (at most {EXHIBIT_EFFORT_CAP})"
+        ),
     )
     p.add_argument("--verbose", action="store_true", help="echo each checked relation")
     p.add_argument("--out", default=None)

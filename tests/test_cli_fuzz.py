@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from odoni import cli
+from odoni.certify import EXHIBIT_EFFORT_CAP
 from odoni.construct import build_params, instance_to_json_dict
 from odoni.permgroup import MAX_CLOSURE_DEGREE
 
@@ -82,7 +83,10 @@ def group_docs(draw):
 depths = st.integers(-2, 3)
 levels = st.integers(-1, 3)
 prime_counts = st.integers(-2, 12)
-efforts = st.one_of(st.integers(-2, 300), st.sampled_from([-100000, 10**4]))
+efforts = st.one_of(
+    st.integers(-2, 300),
+    st.sampled_from([-100000, 10**4, EXHIBIT_EFFORT_CAP - 1, EXHIBIT_EFFORT_CAP + 1]),
+)
 starts = st.one_of(st.integers(-50, 3000), st.sampled_from([10**7 - 5, 10**7, 10**12]))
 
 FUZZ = settings(
