@@ -7,52 +7,30 @@ for the underlying hypotheses, cross-validated by independent oracles
 (resultants, the cycle index of the tree group, Frobenius cycle-type
 sampling); the polynomial algebra over Q behind several oracles lives
 in the test suite.
+
+The package root exports the engine behind each ``odoni`` subcommand
+(``construct``, ``certify``, ``disc``, ``newton``, ``group-check``,
+``frobenius``) and the two per-parity constructors; everything else is
+imported from its own module.
 """
 
-from .arith import INFINITY, Rational, crt, is_prime, is_square, legendre, val
-from .certify import Certificate, certify, exhibit_odd_prime_q
-from .construct import (
-    IterInstance,
-    build_params,
-    build_params_even,
-    build_params_odd,
-)
-from .frobenius import chebotarev_distance, sample_distribution
-from .newton import newton_polygon, ramification_tower
-from .permgroup import (
-    Perm,
-    gen_sd_check,
-    leaf_type_distribution,
-    wreath_order,
-)
-from .poly import Trinomial, disc_iterate, disc_trinomial
+from .certify import certify
+from .construct import build_params, build_params_even, build_params_odd
+from .frobenius import run_frobenius
+from .newton import newton_polygon
+from .permgroup import gen_sd_check
+from .poly import disc_iterate, disc_trinomial
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate",
-    "INFINITY",
-    "IterInstance",
-    "Perm",
-    "Rational",
-    "Trinomial",
     "build_params",
     "build_params_even",
     "build_params_odd",
     "certify",
-    "chebotarev_distance",
-    "crt",
     "disc_iterate",
     "disc_trinomial",
-    "exhibit_odd_prime_q",
     "gen_sd_check",
-    "is_prime",
-    "is_square",
-    "leaf_type_distribution",
-    "legendre",
     "newton_polygon",
-    "ramification_tower",
-    "sample_distribution",
-    "val",
-    "wreath_order",
+    "run_frobenius",
 ]

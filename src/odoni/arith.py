@@ -6,6 +6,13 @@ tests, and a cached prime sieve. Everything is pure, exact, and
 reentrant: no floats, and no global state but caches that never change
 a result.
 
+The certifier holds its large integers as integral ``decimal.Decimal``
+values (C libmpdec, whose multiplication is a number-theoretic
+transform). Every operation on them runs in ``EXACT``, entered by the
+function that operates, never read from the caller's context. Such a
+value is read only through ``residue`` and ``bit_length``, since
+converting a large one to or from ``int`` is quadratic.
+
 Rationals are ``fractions.Fraction`` throughout (re-exported as
 ``Rational``); the valuation of 0 is the ``INFINITY`` sentinel, a
 dedicated object with ordering but no arithmetic, so that accidentally
@@ -20,10 +27,29 @@ import itertools
 import math
 import random
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Union
 
 Rational = Fraction
+
+# integers of any size stay exact in this context, and any rounding raises
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    rounding=decimal.ROUND_HALF_EVEN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero],
+)
+# bit_length's estimate: log2 to about 39 significant digits, so an
+# estimate within _NEAR_INTEGER of an integer k is settled against 2^k
+_LOG_CONTEXT = decimal.Context(
+    prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, rounding=decimal.ROUND_HALF_EVEN
+)
+_LOG10_2 = Decimal(2).log10(_LOG_CONTEXT.copy())
+_NEAR_INTEGER = Decimal("1e-20")
+
+Number = Union[int, Decimal]
 
 # Miller-Rabin with the first 13 prime bases is a proven deterministic
 # primality test below this bound (Sorenson-Webster), which comfortably
@@ -158,27 +184,66 @@ def val(q: Union[int, Fraction], p: int) -> Valuation:
     return multiplicity(q.numerator, p) - multiplicity(q.denominator, p)
 
 
-def multiplicity(n: int, p: int) -> int:
-    """The largest e with p^e | n, for n != 0 and |p| >= 2; p need not
-    be prime, and it is not checked.
+def multiplicity(n: Number, p: int) -> int:
+    """The largest e with p^e | n, for an int or integral Decimal n != 0
+    and |p| >= 2; p need not be prime, and it is not checked.
 
     Divides by p, p^2, p^4, ... while they divide, then by the same
     powers in descending order while they divide, so the number of
-    divisions grows with log(e), not with e.
+    divisions grows with log(e), not with e. The powers of p take n's
+    type, so a Decimal n is never mixed with a large int.
     """
     powers = []
-    power = p
-    while n % power == 0:
-        n //= power
-        powers.append(power)
-        power *= power
-    # e = 2^len(powers) - 1 so far, and p^(2^len(powers)) does not divide n
-    e = (1 << len(powers)) - 1
-    for k in reversed(range(len(powers))):
-        if n % powers[k] == 0:
-            n //= powers[k]
-            e += 1 << k
+    power = p if isinstance(n, int) else Decimal(p)
+    with decimal.localcontext(EXACT):
+        while n % power == 0:
+            n //= power
+            powers.append(power)
+            power *= power
+        # e = 2^len(powers) - 1 so far, and p^(2^len(powers)) does not divide n
+        e = (1 << len(powers)) - 1
+        for k in reversed(range(len(powers))):
+            if n % powers[k] == 0:
+                n //= powers[k]
+                e += 1 << k
     return e
+
+
+def residue(x: Number, k: int) -> int:
+    """x mod k as an int, in Python's floor convention (the result has
+    the sign of k), for an int or integral Decimal x and an int k != 0.
+
+    Decimal's % truncates toward zero, so its remainder is moved by k
+    when its sign differs from k's; only the remainder, which is
+    smaller than k, is converted to int.
+    """
+    if isinstance(x, int):
+        return x % k
+    with decimal.localcontext(EXACT):
+        r = int(x % k)
+    return r + k if r and (r < 0) != (k < 0) else r
+
+
+def bit_length(x: Number) -> int:
+    """The bit length of |x|, exactly, for an int or integral Decimal x.
+
+    A Decimal is measured without converting it: log2|x| from a
+    40-digit ``log10``, whose error stays below 10^-20 while x has fewer
+    than 10^15 bits, gives floor(log2|x|) + 1 unless it lies within
+    10^-20 of an integer k; then |x| is compared with 2^k exactly.
+    """
+    if isinstance(x, int):
+        return x.bit_length()
+    if not x:
+        return 0
+    x = x.copy_abs()
+    with decimal.localcontext(_LOG_CONTEXT):
+        estimate = x.log10() / _LOG10_2
+        k = int(estimate.to_integral_value())
+        if abs(estimate - k) > _NEAR_INTEGER:
+            return int(estimate.to_integral_value(decimal.ROUND_FLOOR)) + 1
+    with decimal.localcontext(EXACT):
+        return k + 1 if x >= Decimal(2) ** k else k
 
 
 def legendre(a: int, p: int) -> int:
@@ -267,31 +332,26 @@ def decimal_str(n: int) -> str:
     guard the interpreter allows, 640) go through ``str``. Larger ones
     are converted by divide and conquer over ``decimal`` (C libmpdec,
     whose multiplication is subquadratic): split at half the bit width,
-    convert both halves, and combine them as lo + hi * 2^h in a context
-    wide enough that every operation is exact, with Inexact trapped so
-    that any rounding raises. ``str(int)`` is quadratic in CPython before
+    convert both halves, and combine them as lo + hi * 2^h in ``EXACT``,
+    where any rounding raises. ``str(int)`` is quadratic in CPython before
     3.12 and guarded by the interpreter-wide digit limit; this route
     needs neither, and gives the same digits.
     """
     if n.bit_length() <= _DIRECT_STR_BITS:
         return str(n)
-    powers: dict[int, decimal.Decimal] = {}  # 2^h, shared by the halves
+    powers: dict[int, Decimal] = {}  # 2^h, shared by the halves
 
-    def convert(v: int, width: int) -> decimal.Decimal:
+    def convert(v: int, width: int) -> Decimal:
         # 0 <= v < 2^width
         if width <= _DECIMAL_LEAF_BITS:
-            return decimal.Decimal(v)
+            return Decimal(v)
         h = width // 2
         hi = v >> h
         if h not in powers:
-            powers[h] = decimal.Decimal(2) ** h
+            powers[h] = Decimal(2) ** h
         return convert(v - (hi << h), h) + convert(hi, width - h) * powers[h]
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
+    with decimal.localcontext(EXACT):
         value = convert(abs(n), n.bit_length())
         powers.clear()
     text = str(value)

@@ -35,22 +35,27 @@ is re-verified at each certified depth.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import newton
 from .arith import (
+    EXACT,
     CapExceededError,
-    decimal_str,
+    Number,
+    bit_length,
     is_prime,
     is_square,
     legendre,
     multiplicity,
     primality_evidence,
     primes_array,
+    residue,
     val,
 )
 from .construct import EVEN_CASE, ODD_CASE_1, IterInstance
@@ -114,8 +119,8 @@ class ExhibitReport:
 class CertDepthRecord:
     n: int
     e_n: int
-    M_n: int
-    F_n: int
+    M_n: Decimal
+    F_n: Decimal
     F_n_bits: int
     F_n_mod_p: int
     nonsquare_f: bool
@@ -149,14 +154,18 @@ class Certificate:
 
 @dataclass(frozen=True)
 class FnValue:
+    """Depth n's e_n, M_n and F_n; ``fn_sequence`` yields M_n and F_n
+    as integral Decimals, and the congruence and nonsquare checks read
+    them through ``arith.residue``, so int values are accepted too."""
+
     n: int
     e_n: int
-    M_n: int
-    F_n: int
+    M_n: Number
+    F_n: Number
 
     @property
     def bits(self) -> int:
-        return self.F_n.bit_length()
+        return bit_length(self.F_n)
 
 
 def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
@@ -176,6 +185,13 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
     M_(N+1), the largest product of the run, and a caller that stops
     early (at a bit cap) builds nothing past the depth it stopped at.
 
+    M_n, F_n and the critical orbit are exact Decimals: libmpdec's
+    transform multiplication is many times faster than CPython's
+    Karatsuba at Mbit sizes, and the certificate reads these values
+    only as residues, bit lengths and decimal strings, none of which
+    converts them to int. Only small ints (d, s, t, c, u, v and the
+    exponents) are converted, and every step runs in ``arith.EXACT``.
+
     Each F_n is checked against its defining value
     s^(-(d-m)) (dtc)^(d^n) [w_n - x0^(d-m)], evaluated exactly on the
     critical orbit w_n (``poly.critical_orbit``), with c = D in the even
@@ -189,7 +205,6 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
     d, m, s, t = inst.d, inst.m, inst.s, inst.t
     even = inst.parity_case == EVEN_CASE
     c = inst.big_d if even else t
-    s_shift = s ** (d - m)
     x0_shift = inst.x0 ** (d - m)
     u, v = x0_shift.numerator, x0_shift.denominator
     if (t * c) ** d != inst.b.denominator**d:
@@ -197,25 +212,33 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
             f"depth1.dual_path_Fn: t*c = {t * c} is not den(b) = {inst.b.denominator} "
             "(up to sign for even d), so the recursion cannot match direct evaluation"
         )
-    m_n, e_n = (-1 if even else 1), d
-    for n, (w, scale) in zip(range(1, depth + 1), critical_orbit(inst)):
-        if n > 1:
-            # M_n from depth n - 1's unit, tail and F_(n-1)
+    dec_s, dec_d, dec_t, dec_c, dec_tc = (Decimal(k) for k in (s, d, t, c, t * c))
+    dec_u, dec_v, rhs_scale = Decimal(u), Decimal(v), Decimal(s ** (d - m) * v)
+    m_n, e_n = Decimal(-1 if even else 1), d
+    for n, (w, scale) in zip(range(1, depth + 1), critical_orbit(inst, Decimal)):
+        with decimal.localcontext(EXACT):
+            if n > 1:
+                # M_n from depth n - 1's unit, tail and F_(n-1)
+                if even:
+                    m_n = m_n ** (d - 1) * (unit * dec_s ** (d * (e_n - 1)) * m_n - tail)
+                else:
+                    m_n = m_n ** (d - 2) * f_rec
+                e_n = m * e_n + (d - m)
             if even:
-                m_n = m_n ** (d - 1) * (unit * s ** (d * (e_n - 1)) * m_n - tail)
+                unit = Decimal(d - 1) ** ((d - 1) ** n)
+                tail = dec_d ** (d**n) * dec_tc ** (d**n - 1)
+                f_rec = dec_s ** (d * e_n - 1) * unit * m_n - tail * dec_c
             else:
-                m_n = m_n ** (d - 2) * f_rec
-            e_n = m * e_n + (d - m)
-        if even:
-            unit = (d - 1) ** ((d - 1) ** n)
-            tail = d ** (d**n) * (t * c) ** (d**n - 1)
-            f_rec = s ** (d * e_n - 1) * unit * m_n - tail * c
-        else:
-            sq_coeff = 4 ** ((d - 2) ** (n - 1)) * (d - 2) ** ((d - 2) ** n) * s ** (2 * e_n - 2)
-            f_rec = sq_coeff * m_n * m_n - d ** (d**n) * t ** (2 * d**n - 2)
-        # f_def = F_rec, cross-multiplied with w_n = w / scale and
-        # (dtc)^(d^n) = scale cancelled
-        if w * v - u * scale != f_rec * s_shift * v:
+                sq_coeff = (
+                    Decimal(4) ** ((d - 2) ** (n - 1))
+                    * Decimal(d - 2) ** ((d - 2) ** n)
+                    * dec_s ** (2 * e_n - 2)
+                )
+                f_rec = sq_coeff * m_n * m_n - dec_d ** (d**n) * dec_t ** (2 * d**n - 2)
+            # f_def = F_rec, cross-multiplied with w_n = w / scale and
+            # (dtc)^(d^n) = scale cancelled
+            agree = w * dec_v - dec_u * scale == f_rec * rhs_scale
+        if not agree:
             raise CertifyError(
                 f"depth{n}.dual_path_Fn: recursion and direct evaluation disagree"
             )
@@ -230,8 +253,9 @@ def expected_e_n(inst: IterInstance, n: int) -> int:
     return (d - 2) ** n + 2 * sum((d - 2) ** k for k in range(n))
 
 
-def fn_coprimality_ok(inst: IterInstance, f_n: int) -> bool:
-    return math.gcd(f_n, inst.bad_product) == 1
+def fn_coprimality_ok(inst: IterInstance, f_n: Number) -> bool:
+    bad = inst.bad_product
+    return math.gcd(residue(f_n, bad), bad) == 1
 
 
 def congruence_holds(inst: IterInstance, value: FnValue) -> bool:
@@ -243,19 +267,20 @@ def congruence_holds(inst: IterInstance, value: FnValue) -> bool:
 
     Every side is evaluated on residues: each power by three-argument
     ``pow`` modulo the absolute value of the modulus, and M_n and F_n
-    reduced once, so no factor is formed at full size. The exact-integer
-    evaluation of the same relations is the test suite's oracle.
+    reduced once (``arith.residue``), so no factor is formed at full
+    size. The exact-integer evaluation of the same relations is the
+    test suite's oracle.
     """
     d, s, t = inst.d, inst.s, inst.t
     n, e_n = value.n, value.e_n
     if inst.parity_case == EVEN_CASE:
         k = abs(d * t * inst.big_d)
-        lhs = pow(s, d * e_n, k) * pow(d - 1, (d - 1) ** n, k) * (value.M_n % k)
+        lhs = pow(s, d * e_n, k) * pow(d - 1, (d - 1) ** n, k) * residue(value.M_n, k)
         rhs = pow(-pow(d - 1, d - 1, k) * pow(s, d * d, k), d ** (n - 1), k)
         return (lhs - rhs) % k == 0
 
     def square_term(k: int) -> int:
-        m_n = value.M_n % k
+        m_n = residue(value.M_n, k)
         return (
             pow(4, (d - 2) ** (n - 1), k) * pow(d - 2, (d - 2) ** n, k)
             * pow(s, 2 * e_n - 2, k) * m_n * m_n
@@ -263,14 +288,14 @@ def congruence_holds(inst: IterInstance, value: FnValue) -> bool:
 
     if inst.parity_case == ODD_CASE_1:
         k = abs(inst.p1)
-        reduced = value.F_n % k + pow(d, d**n, k) * pow(t, 2 * d**n - 2, k)
+        reduced = residue(value.F_n, k) + pow(d, d**n, k) * pow(t, 2 * d**n - 2, k)
         return square_term(abs(s)) % s == 0 and reduced % k == 0
     k = abs(d * t * t)
     rhs = pow(4 * pow(d - 2, d - 2, k) * pow(s, 2 * d, k), d ** (n - 1), k)
     return (square_term(k) * s * s - rhs) % k == 0
 
 
-def nonsquare_pair(inst: IterInstance, f_n: int) -> tuple[bool, bool]:
+def nonsquare_pair(inst: IterInstance, f_n: Number) -> tuple[bool, bool]:
     """legendre(F_n | p) = legendre(-F_n | p) = -1 at the unit-square prime.
 
     Since p = 1 (mod 4), -1 is a square mod p and the two symbols agree;
@@ -280,7 +305,8 @@ def nonsquare_pair(inst: IterInstance, f_n: int) -> tuple[bool, bool]:
     set divides disc(f^n - x0) to an odd power.
     """
     p = inst.p
-    return legendre(f_n, p) == -1, legendre(-f_n, p) == -1
+    f = residue(f_n, p)
+    return legendre(f, p) == -1, legendre(-f, p) == -1
 
 
 def check_condition1(inst: IterInstance) -> ConditionOneReport:
@@ -403,9 +429,10 @@ def orbit_prime_divisors(inst: IterInstance, bound: int) -> Iterator[list[int]]:
         yield found
 
 
-def factor_over(n: int, primes: Iterable[int], bound: int) -> tuple[dict[int, int], int]:
-    """(factors, cofactor) of |n| over ``primes``: a prime -> exponent map
-    in the order given, and the part of |n| left after dividing them out.
+def factor_over(n: Number, primes: Iterable[int], bound: int) -> tuple[dict[int, int], Number]:
+    """(factors, cofactor) of |n| over ``primes``, for an int or integral
+    Decimal n: a prime -> exponent map in the order given, and the part
+    of |n| left after dividing them out, of n's type.
 
     When ``primes`` holds every prime <= bound that divides n, this is
     trial division to bound, with its rule that a cofactor c with
@@ -414,23 +441,24 @@ def factor_over(n: int, primes: Iterable[int], bound: int) -> tuple[dict[int, in
     callers decide how much primality evidence they want on it. 0 has
     no factorization and raises ValueError.
     """
-    n = abs(n)
     if n == 0:
         raise ValueError("factor_over: 0 has no factorization")
+    n = abs(n) if isinstance(n, int) else n.copy_abs()
     factors: dict[int, int] = {}
     for q in primes:
-        if n % q == 0:
+        if residue(n, q) == 0:
             e = multiplicity(n, q)
             factors[q] = e
-            n //= q**e
+            with decimal.localcontext(EXACT):
+                n //= q**e
     if 1 < n <= bound * bound:
-        factors[n] = 1
+        factors[int(n)] = 1
         n = 1
     return factors, n
 
 
 def witness_report(
-    inst: IterInstance, factorization: tuple[dict[int, int], int], lower: Sequence[int]
+    inst: IterInstance, factorization: tuple[dict[int, int], Number], lower: Sequence[Number]
 ) -> ExhibitReport:
     """The witness rule: given the (factors, cofactor) of |F_n| and the
     lower levels F_1, ..., F_(n-1), exhibit a prime q with odd valuation
@@ -460,24 +488,26 @@ def witness_report(
     evidence = "deterministic"
     note = ""
     if cofactor > 1:
-        if cofactor.bit_length() <= COFACTOR_PRIMALITY_BIT_LIMIT and not is_square(
-            cofactor
-        ):
+        bits = bit_length(cofactor)
+        small = bits <= COFACTOR_PRIMALITY_BIT_LIMIT
+        if small:
+            cofactor = int(cofactor)
+        if small and not is_square(cofactor):
             if is_prime(cofactor):
                 factors[cofactor] = factors.get(cofactor, 0) + 1
                 evidence = primality_evidence(cofactor)
-                note = f"cofactor of {cofactor.bit_length()} bits classified prime"
+                note = f"cofactor of {bits} bits classified prime"
             else:
                 note = "composite cofactor left unfactored"
         else:
-            note = f"cofactor of {cofactor.bit_length()} bits left unclassified"
+            note = f"cofactor of {bits} bits left unclassified"
     candidates = sorted(
         q for q, e in factors.items() if e % 2 == 1 and bad % q != 0
     )
     if not candidates:
         return ExhibitReport(found=False, evidence=evidence, note=note or "no witness within effort bound")
     q = candidates[0]
-    clean = all(f_k % q for f_k in lower)
+    clean = all(residue(f_k, q) for f_k in lower)
     if 0 in lower:
         disc_odd = False
     else:
@@ -485,7 +515,7 @@ def witness_report(
         v_disc = factors[q] + sum(
             inst.d ** (n - k) * multiplicity(f_k, q)
             for k, f_k in enumerate(lower, 1)
-            if f_k % q == 0
+            if residue(f_k, q) == 0
         )
         disc_odd = v_disc % 2 == 1
     return ExhibitReport(
@@ -503,7 +533,7 @@ def exhibit_odd_prime_q(
     inst: IterInstance,
     n: int,
     effort_bound: int = EXHIBIT_PRIME_BOUND,
-    fns: Optional[Sequence[int]] = None,
+    fns: Optional[Sequence[Number]] = None,
     divisors: Optional[Iterator[list[int]]] = None,
 ) -> ExhibitReport:
     """Try to exhibit a concrete prime q with odd valuation in F_n.
@@ -612,20 +642,21 @@ def certify(
         divisors = orbit_prime_divisors(inst, exhibit_effort) if exhibit else None
         try:
             for value in fn_sequence(inst, depth):
-                n = value.n
-                if value.bits > FN_BIT_CAP:
+                n, bits = value.n, value.bits
+                if bits > FN_BIT_CAP:
                     checks.append(
                         CheckResult(
                             f"depth{n}.bit_cap",
                             False,
-                            f"F_{n} needs {value.bits} bits > cap {FN_BIT_CAP}",
+                            f"F_{n} needs {bits} bits > cap {FN_BIT_CAP}",
                         )
                     )
                     failures.append(f"depth{n}.bit_cap")
                     break
                 coprime_ok = fn_coprimality_ok(inst, value.F_n)
                 congruence_ok = congruence_holds(inst, value)
-                ns_f, ns_neg_f = nonsquare_pair(inst, value.F_n)
+                f_mod_p = residue(value.F_n, inst.p)
+                ns_f, ns_neg_f = nonsquare_pair(inst, f_mod_p)
                 e_ok = value.e_n == expected_e_n(inst, n)
                 exhibit_report = None
                 if exhibit:
@@ -639,8 +670,8 @@ def certify(
                     e_n=value.e_n,
                     M_n=value.M_n,
                     F_n=value.F_n,
-                    F_n_bits=value.bits,
-                    F_n_mod_p=value.F_n % inst.p,
+                    F_n_bits=bits,
+                    F_n_mod_p=f_mod_p,
                     nonsquare_f=ns_f,
                     nonsquare_neg_f=ns_neg_f,
                     coprimality_ok=coprime_ok,
@@ -651,14 +682,14 @@ def certify(
                 )
                 records.append(record)
                 depth_checks = [
-                    CheckResult(f"depth{n}.dual_path_Fn", True, f"{value.bits} bits"),
+                    CheckResult(f"depth{n}.dual_path_Fn", True, f"{bits} bits"),
                     CheckResult(f"depth{n}.e_n_closed_form", e_ok, f"e_{n}={value.e_n}"),
                     CheckResult(f"depth{n}.Fn_coprime_to_bad_primes", coprime_ok),
                     CheckResult(f"depth{n}.step3_congruence", congruence_ok),
                     CheckResult(
                         f"depth{n}.Fn_nonsquare_mod_p",
                         ns_f and ns_neg_f,
-                        f"F_{n} mod {inst.p} = {value.F_n % inst.p}",
+                        f"F_{n} mod {inst.p} = {f_mod_p}",
                     ),
                 ]
                 if n in eisenstein:
@@ -694,14 +725,19 @@ def certify(
 BIG_VALUE_DIGEST_BITS = 4096
 
 
-def _big_int_json(value: int, full: bool) -> object:
-    """Decimal string, or digest + bit length above the 4096-bit cutoff."""
-    bits = abs(value).bit_length()
+def _big_int_json(value: Decimal, full: bool) -> object:
+    """Decimal string, or digest + bit length above the 4096-bit cutoff.
+
+    ``str`` of an integral Decimal is its decimal digits, in linear
+    time; zero is written "0" whatever its sign.
+    """
+    text = str(value) if value else "0"
+    bits = bit_length(value)
     if full or bits <= BIG_VALUE_DIGEST_BITS:
-        return decimal_str(value)
+        return text
     import hashlib
 
-    digest = hashlib.sha256(decimal_str(value).encode()).hexdigest()
+    digest = hashlib.sha256(text.encode()).hexdigest()
     return {"bits": bits, "sha256_of_decimal": digest, "sign": -1 if value < 0 else 1}
 
 

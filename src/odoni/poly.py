@@ -12,13 +12,14 @@ suite's oracle, not part of this module.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .arith import MR_DETERMINISTIC_BOUND, is_prime, val
+from .arith import EXACT, MR_DETERMINISTIC_BOUND, Number, is_prime, val
 from .polymod import iterates_minus_x0
 
 DEFAULT_BIT_BUDGET = 2**20
@@ -164,7 +165,7 @@ def disc_trinomial_bits(t: Trinomial) -> int:
     return max(outer_num + bracket_num, outer_den + den1 + den2) + 1
 
 
-def critical_orbit(inst) -> Iterator[tuple[int, int]]:
+def critical_orbit(inst, number: Callable[[int], Number] = int) -> Iterator[tuple[Number, Number]]:
     """The critical orbit w_1, w_2, ... of f = x^d - b*x^m, for m = d-1 or d-2,
     as integer pairs (W_k, S_k) with w_k = W_k / S_k (not reduced).
 
@@ -179,15 +180,20 @@ def critical_orbit(inst) -> Iterator[tuple[int, int]]:
     W_(k+1) = W_k^m * (W_k - (S_k / den(b))*num(b))^(d-m), S_(k+1) = S_k^d,
     exact because d^(k+1) = m*d^k + (d-m)*d^k and den(b) divides S_k.
     No Fraction is formed, so no gcd is taken.
-    ``inst`` is anything with attributes d, m, b.
+
+    ``number`` is the caller's integer type, ``int`` or
+    ``decimal.Decimal``: the starting values are converted to it, and
+    every step runs in ``arith.EXACT``. ``inst`` is anything with
+    attributes d, m, b.
     """
     d, m, b = inst.d, inst.m, Fraction(inst.b)
     if m not in (d - 1, d - 2):
         raise ValueError(f"critical_orbit: unsupported (d, m) = ({d}, {m})")
-    num, den = b.numerator, b.denominator
-    w, scale = m * num, d * den
+    num, den = number(b.numerator), number(b.denominator)
+    w, scale = number(m * b.numerator), number(d * b.denominator)
     while True:
-        w, scale = w**m * (w - scale // den * num) ** (d - m), scale**d
+        with decimal.localcontext(EXACT):
+            w, scale = w**m * (w - scale // den * num) ** (d - m), scale**d
         yield w, scale
 
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
-from fn_helpers import compute_fn
+from fn_helpers import compute_fn, fn_sequence_oracle
 from odoni import cli
 from odoni.arith import legendre
 from odoni.certify import certify, expected_e_n, fn_sequence
@@ -102,8 +102,9 @@ def test_criterion_3_dual_path_fn():
     # fn_sequence raises on any recursion/direct-evaluation mismatch
     for d in (2, 3, 4, 5, 6, 9):
         inst = build_params(d)
-        for value in fn_sequence(inst, 3):
-            assert math.gcd(value.F_n, inst.bad_product) == 1
+        for value, exact in zip(fn_sequence(inst, 3), fn_sequence_oracle(inst, 3)):
+            assert value.F_n == exact.F_n and value.M_n == exact.M_n
+            assert math.gcd(exact.F_n, inst.bad_product) == 1
             assert value.e_n == expected_e_n(inst, value.n)
     elapsed = time.time() - started
     assert elapsed < 60

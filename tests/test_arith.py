@@ -1,7 +1,9 @@
+import decimal
 import math
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odoni.arith import (
+    EXACT,
     INFINITY,
     CapExceededError,
+    bit_length,
     crt,
     decimal_str,
     is_prime,
@@ -21,9 +25,10 @@ from odoni.arith import (
     next_prime_where,
     primality_evidence,
     primes_up_to,
+    residue,
     val,
 )
-from odoni.certify import fn_sequence
+from fn_helpers import compute_fn, fn_sequence_oracle
 from odoni.construct import build_params
 from trial_oracle import trial_factor
 
@@ -64,6 +69,8 @@ class TestVal:
             for unit in (p + 1, -(2 * p + 1)):
                 n = unit * p**e
                 assert multiplicity(n, p) == val(n, p) == e
+                if e <= 2049:
+                    assert multiplicity(Decimal(n), p) == e
                 assert val(Fraction(n, 3 * p + 1), p) == e
                 assert val(Fraction(3 * p + 1, n), p) == -e
                 assert val(Fraction(n, p**7), p) == e - 7
@@ -73,6 +80,9 @@ class TestVal:
         # division would take minutes
         assert val(3 * 2**300001, 2) == 300001
         assert val(Fraction(-5, 2**300001), 2) == -300001
+        with decimal.localcontext(EXACT):
+            n = -3 * Decimal(2) ** 300001
+        assert multiplicity(n, 2) == 300001
 
     @given(a=rationals, b=rationals, p=st.sampled_from(SMALL_PRIMES))
     @settings(max_examples=150, deadline=None)
@@ -260,7 +270,9 @@ def _edge_inputs(bound):
 
 
 def _critical_orbit_integers():
-    return [v.F_n for d, depth in ((2, 10), (3, 7)) for v in fn_sequence(build_params(d), depth)]
+    return [
+        v.F_n for d, depth in ((2, 10), (3, 7)) for v in fn_sequence_oracle(build_params(d), depth)
+    ]
 
 
 class TestTrialFactorOracle:
@@ -349,7 +361,7 @@ def prime_product():
 
 
 def _last_fn(d, n):
-    return abs(list(fn_sequence(build_params(d), n))[-1].F_n)
+    return abs(compute_fn(build_params(d), n).F_n)
 
 
 def _assert_smooth_part(n, bound, product):
@@ -402,6 +414,54 @@ class TestTrialFactorBarrett:
             values += [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(3)]
             for n in values:
                 assert trial_oracle._reciprocal(n) == (1 << 2 * n.bit_length()) // n, bits
+
+
+class TestDecimalHelpers:
+    """bit_length and residue on integral Decimals, which the certifier
+    reads only through them, against int."""
+
+    @pytest.mark.parametrize("k", [1, 64, 4096, 10**6])
+    def test_bit_length_around_powers_of_two(self, k):
+        with decimal.localcontext(EXACT):
+            power = Decimal(2) ** k
+            cases = [(power - 1, k), (power, k + 1), (power + 1, k + 1)]
+            cases += [(-x, bits) for x, bits in cases]
+        for x, bits in cases:
+            assert bit_length(x) == bits, (k, bits)
+
+    def test_bit_length_equals_int(self):
+        rng = random.Random(11)
+        values = [0, 1, -1, 2, 3, 10**40, -(10**40), 10**40 - 1, 2**133 - 1]
+        values += [rng.getrandbits(bits) * rng.choice((1, -1)) for bits in range(1, 3000, 37)]
+        for n in values:
+            assert bit_length(Decimal(n)) == bit_length(n) == n.bit_length(), n
+
+    def test_residue_floor_convention(self):
+        # Decimal's % truncates toward zero; residue follows int's %
+        rng = random.Random(13)
+        values = [0, 1, -1, -7547704993, 7547704993, 10**50 + 3, -(10**50 + 3)]
+        values += [rng.randrange(-(2**3000), 2**3000) for _ in range(40)]
+        for n in values:
+            for k in (1, -1, 2, 5, -5, 97, 2**64 + 13, -(2**64 + 13), 171397860):
+                assert residue(Decimal(n), k) == residue(n, k) == n % k, (n, k)
+
+    def test_residue_of_a_huge_value(self):
+        with decimal.localcontext(EXACT):
+            n = -(Decimal(3) ** 700_000) - 4
+        assert residue(n, 3) == (-4) % 3 == 2
+        assert residue(n, -3) == (-4) % -3 == -1
+
+    def test_helpers_ignore_the_callers_context(self):
+        with decimal.localcontext(EXACT):
+            n = -(Decimal(2) ** 5000) - 1
+            even = n - 1
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.traps[decimal.Inexact] = True
+            assert residue(n, 1009) == (-(2**5000) - 1) % 1009
+            assert bit_length(n) == 5001
+            assert multiplicity(even, 2) == 1
+            assert ctx.prec == 5
 
 
 class TestDecimalStr:

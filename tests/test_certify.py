@@ -1,11 +1,19 @@
+import ast
+import builtins
+import copy
+import decimal
 import hashlib
 import importlib
+import inspect
 import itertools
 import json
 import math
 import random
+import re
+import textwrap
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,11 +22,21 @@ import pytest
 
 from congruence_oracle import exact_congruence_holds
 from eisenstein_oracle import eisenstein_at
-from fn_helpers import compute_fn, pair_val
-from odoni.arith import INFINITY, CapExceededError, is_prime, legendre, val
+from fn_helpers import compute_fn, fn_sequence_oracle, pair_val
+from odoni.arith import (
+    EXACT,
+    INFINITY,
+    CapExceededError,
+    decimal_str,
+    is_prime,
+    legendre,
+    val,
+)
 from odoni.certify import (
+    BIG_VALUE_DIGEST_BITS,
     EISENSTEIN_MAX_LEVEL,
     EXHIBIT_EFFORT_CAP,
+    EXHIBIT_PRIME_BOUND,
     CertifyError,
     FnValue,
     _eisenstein_levels,
@@ -30,6 +48,7 @@ from odoni.certify import (
     exhibit_odd_prime_q,
     expected_e_n,
     factor_over,
+    fn_coprimality_ok,
     fn_sequence,
     nonsquare_pair,
     orbit_prime_divisors,
@@ -104,8 +123,9 @@ class TestDualPath:
         inst = build_params(d)
         values = list(fn_sequence(inst, 3))
         assert [v.n for v in values] == [1, 2, 3]
-        for v in values:
-            assert math.gcd(v.F_n, inst.bad_product) == 1
+        for v, exact in zip(values, fn_sequence_oracle(inst, 3)):
+            assert math.gcd(exact.F_n, inst.bad_product) == 1
+            assert fn_coprimality_ok(inst, v.F_n)
             assert v.e_n == expected_e_n(inst, v.n)
             assert congruence_holds(inst, v)
             assert nonsquare_pair(inst, v.F_n) == (True, True)
@@ -179,8 +199,8 @@ class TestResidueCongruence:
         inst = build_params(d)
         depth = {2: 9, 3: 7}.get(d, 4 if d <= 8 else 3)
         flipped = 0
-        for value in fn_sequence(inst, depth):
-            assert congruence_holds(inst, value) is exact_congruence_holds(inst, value) is True
+        for decimal_value, value in zip(fn_sequence(inst, depth), fn_sequence_oracle(inst, depth)):
+            assert congruence_holds(inst, decimal_value) is exact_congruence_holds(inst, value) is True
             k = _congruence_modulus(inst)
             perturbed = [
                 replace(value, M_n=value.M_n + 1),
@@ -312,9 +332,9 @@ class TestNonsquare:
         assert compute_fn(golden_even_2, 1).M_n == -1
         assert compute_fn(golden_odd_3, 1).M_n == 1
         with pytest.raises(CertifyError, match="dual_path"):
-            compute_fn(replace(golden_odd_3, parity_case="even"), 1)
+            list(fn_sequence(replace(golden_odd_3, parity_case="even"), 1))
         with pytest.raises(CertifyError, match="dual_path"):
-            compute_fn(replace(golden_even_2, parity_case="odd-case-1"), 1)
+            list(fn_sequence(replace(golden_even_2, parity_case="odd-case-1"), 1))
 
 
 class TestExhibit:
@@ -363,18 +383,25 @@ class TestExhibit:
             report = witness_report(inst, trial_factor(fns[1], 10**6), fns[:1])
             assert report.found and report.q == 11
             assert (report.lower_levels_clean, report.disc_valuation_odd) == (clean, odd)
+            # the same rule on Decimal F's, as certify holds them
+            factors, cofactor = trial_factor(fns[1], 10**6)
+            lower = [Decimal(f) for f in fns[:1]]
+            assert witness_report(inst, (factors, Decimal(cofactor)), lower) == report
 
 
 def _fns_up_to(inst, bits):
-    """F_1, F_2, ... of the instance while F_n has at most ``bits`` bits."""
-    return list(itertools.takewhile(lambda f: abs(f).bit_length() <= bits,
-                                    (value.F_n for value in fn_sequence(inst, 40))))
+    """F_1, F_2, ... of the instance while F_n has at most ``bits`` bits,
+    as (Decimal from fn_sequence, int from the oracle) pairs."""
+    pairs = zip(fn_sequence(inst, 40), fn_sequence_oracle(inst, 40))
+    return [(value.F_n, exact.F_n)
+            for value, exact in itertools.takewhile(lambda pair: pair[1].bits <= bits, pairs)]
 
 
 class TestOrbitPrimeDivisors:
     """The witness search's factorization, from the primes the critical
     orbit finds modulo groups of 16 primes, against trial division of
-    F_n (the oracle in trial_oracle.py), keys in the same order."""
+    F_n (the oracle in trial_oracle.py), keys in the same order, on the
+    Decimal F_n of fn_sequence and on the int F_n of the oracle."""
 
     BOUNDS = [2, 3, 97, 10**4, 10**6]
 
@@ -384,10 +411,13 @@ class TestOrbitPrimeDivisors:
         fns = _fns_up_to(inst, 300_000)
         for bound in self.BOUNDS:
             divisors = orbit_prime_divisors(inst, bound)
-            for n, f_n in enumerate(fns, 1):
-                got, want = factor_over(f_n, next(divisors), bound), trial_factor(f_n, bound)
+            for n, (f_dec, f_n) in enumerate(fns, 1):
+                primes = next(divisors)
+                got, want = factor_over(f_n, primes, bound), trial_factor(f_n, bound)
                 assert got == want, (n, bound)
                 assert list(got[0]) == list(want[0]), (n, bound)
+                got_dec = factor_over(f_dec, primes, bound)
+                assert got_dec == got and list(got_dec[0]) == list(got[0]), (n, bound)
 
     def test_benchmark_inputs_are_the_built_instances(self):
         # the perfbench inputs are build_params(d), so the test above
@@ -407,13 +437,16 @@ class TestOrbitPrimeDivisors:
         extra = 2**3 * 3 * 19**2 * 599
         for bound in (97, 10**6):
             divisors = orbit_prime_divisors(inst, bound)
-            for n, f_n in enumerate(_fns_up_to(inst, 50_000), 1):
+            for n, (f_dec, f_n) in enumerate(_fns_up_to(inst, 50_000), 1):
                 primes = next(divisors)
                 assert {q for q in (2, 3, 19, 599) if q <= bound} <= set(primes)
                 assert factor_over(f_n, primes, bound) == trial_factor(f_n, bound)
                 got = factor_over(f_n * extra, primes, bound)
                 assert got == trial_factor(f_n * extra, bound), (n, bound)
                 assert got[0][19] == 2
+                with decimal.localcontext(EXACT):
+                    scaled = f_dec * extra
+                assert factor_over(scaled, primes, bound) == got, (n, bound)
 
     def test_zero_and_negative_bound(self, golden_odd_3):
         with pytest.raises(ValueError):
@@ -452,11 +485,13 @@ class TestDiscValuationRule:
     @pytest.mark.parametrize("d, depth", [(2, 7), (3, 5), (4, 4), (5, 3), (6, 3), (9, 2)])
     def test_matches_disc_levels(self, d, depth):
         inst = build_params(d)
-        fns = [value.F_n for value in fn_sequence(inst, depth)]
+        fns = [value.F_n for value in fn_sequence_oracle(inst, depth)]
+        fns_dec = [value.F_n for value in fn_sequence(inst, depth)]
         pairs = list(itertools.islice(disc_levels(inst, 2**30), depth))
         primes = [q for q in self.PRIMES if inst.bad_product % q]
         for n in range(1, depth + 1):
-            report = exhibit_odd_prime_q(inst, n, fns=fns[:n])
+            report = exhibit_odd_prime_q(inst, n, fns=fns_dec[:n])
+            assert exhibit_odd_prime_q(inst, n, fns=fns[:n]) == report
             for q in primes + ([report.q] if report.found else []):
                 rule = sum(d ** (n - k) * val(f_k, q) for k, f_k in enumerate(fns[:n], 1))
                 assert pair_val(pairs[n - 1], q) == rule, (n, q)
@@ -734,3 +769,208 @@ class TestExhibitBitBudget:
         assert cert.verdict_pass
         assert max(found, default=0) == deepest
         assert steps == 0
+
+
+class TestDecimalClosedForms:
+    """fn_sequence holds M_n and F_n as exact Decimals; the int closed
+    forms in fn_helpers.py are its oracle."""
+
+    DEPTHS = {2: 6, 3: 6, 4: 6, 5: 6, 6: 4, 9: 4}
+
+    @pytest.mark.parametrize("d", sorted(DEPTHS))
+    def test_equals_int_oracle(self, d):
+        inst = build_params(d)
+        depth = self.DEPTHS[d]
+        pairs = list(zip(fn_sequence(inst, depth), fn_sequence_oracle(inst, depth)))
+        assert len(pairs) == depth
+        for value, exact in pairs:
+            assert type(value.M_n) is type(value.F_n) is Decimal
+            assert (value.n, value.e_n, value.bits) == (exact.n, exact.e_n, exact.bits)
+            assert str(value.M_n) == decimal_str(exact.M_n), (d, value.n)
+            assert str(value.F_n) == decimal_str(exact.F_n), (d, value.n)
+
+    @staticmethod
+    def _mutants():
+        """fn_sequence with one exponent of its closed forms raised by
+        one: every ** inside the depth loop, one at a time."""
+        module = importlib.import_module("odoni.certify")
+        tree = ast.parse(textwrap.dedent(inspect.getsource(module.fn_sequence)))
+
+        def powers(root):
+            loop = next(node for node in ast.walk(root) if isinstance(node, ast.For))
+            return [node for node in ast.walk(loop)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
+
+        for i in range(len(powers(tree))):
+            mutated = copy.deepcopy(tree)
+            node = powers(mutated)[i]
+            node.right = ast.BinOp(node.right, ast.Add(), ast.Constant(1))
+            ast.fix_missing_locations(mutated)
+            namespace = dict(vars(module))
+            exec(compile(mutated, "<mutant>", "exec"), namespace)
+            yield ast.unparse(node), namespace["fn_sequence"]
+
+    def test_mutated_exponent_breaks_dual_path(self, golden_even_4, golden_odd_5):
+        # d = 4 and 5: no base of the closed forms is +-1, so raising any
+        # exponent changes the value (at d = 2 or 3, (d-1) or (d-2) is 1)
+        mutants = list(self._mutants())
+        assert len(mutants) >= 15
+        for text, mutant in mutants:
+            failures = []
+            for inst in (golden_even_4, golden_odd_5):
+                try:
+                    list(mutant(inst, 3))
+                except CertifyError as exc:
+                    failures.append(str(exc))
+            assert failures, text
+            assert all(re.match(r"depth[1-3]\.dual_path_Fn: ", f) for f in failures), text
+
+
+def _context_state(ctx):
+    return (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.capitals, ctx.clamp,
+            dict(ctx.traps), dict(ctx.flags))
+
+
+class TestCallerContext:
+    """Every Decimal operation runs in arith.EXACT, entered inside each
+    step; nothing reads or changes the caller's decimal context."""
+
+    CASES = [(2, 12, EXHIBIT_PRIME_BOUND), (3, 9, 1), (6, 4, 10**4)]
+
+    @staticmethod
+    def _json(cert):
+        return json.dumps(certificate_to_json_dict(cert), sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("d, depth, effort", CASES)
+    def test_certificate_under_a_five_digit_context(self, d, depth, effort):
+        inst = build_params(d)
+        plain = self._json(certify(inst, depth, exhibit_effort=effort))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.rounding = decimal.ROUND_FLOOR
+            ctx.traps[decimal.Inexact] = True
+            before = _context_state(ctx)
+            text = self._json(certify(inst, depth, exhibit_effort=effort))
+            assert _context_state(ctx) == before
+            assert decimal.getcontext() is ctx
+        assert text == plain
+
+    def test_stepping_while_the_caller_computes(self, golden_odd_3):
+        inst = golden_odd_3
+        values, orbit = fn_sequence(inst, 7), critical_orbit(inst, Decimal)
+        exact_orbit = critical_orbit(inst)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            alone = list(itertools.accumulate(range(7), lambda x, _: x * 7 / 3, initial=Decimal(1) / 3))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            third = Decimal(1) / 3
+            for k, exact in enumerate(fn_sequence_oracle(inst, 7), 1):
+                # rounded work of the caller's own between steps
+                third = third * 7 / 3
+                value, (w, scale), (w_int, scale_int) = next(values), next(orbit), next(exact_orbit)
+                assert decimal.getcontext() is ctx and ctx.prec == 5
+                assert third == alone[k]
+                assert str(value.F_n) == decimal_str(exact.F_n)
+                assert str(value.M_n) == decimal_str(exact.M_n)
+                assert str(w) == decimal_str(w_int) and str(scale) == decimal_str(scale_int)
+
+
+class TestNoConversions:
+    """certify holds its large values in Decimal from start to JSON: it
+    never calls arith.decimal_str, and no int over 4096 bits appears."""
+
+    def test_no_decimal_str(self, monkeypatch):
+        calls = []
+        original = importlib.import_module("odoni.arith").decimal_str
+
+        def recording(n):
+            calls.append(abs(n).bit_length())
+            return original(n)
+
+        for name in ("odoni.arith", "odoni.construct", "odoni.cli", "odoni.certify"):
+            monkeypatch.setattr(importlib.import_module(name), "decimal_str", recording,
+                                raising=False)
+        cert = certify(build_params(3), 9)
+        assert calls == []
+        # the JSON form's only decimal_str calls are the instance echo's
+        data = certificate_to_json_dict(cert)
+        assert calls and max(calls) < 64
+        assert data["records"][-1]["F_n"]["bits"] > 10**5
+
+    @pytest.mark.parametrize("d, depth", [(2, 12), (5, 5), (6, 5)])
+    def test_no_large_conversion(self, monkeypatch, d, depth):
+        # certify and its JSON form, where F_n has 88, 27 and 894 kbit
+        # and every closed-form factor is over 4096 bits at d = 5 and 6,
+        # with two records: the size of every int(...) and Decimal(...)
+        # made at the names odoni's modules call, and of every int that
+        # arithmetic on the instance's integer fields produces (the only
+        # source of an int that could be mixed into a Decimal product)
+        sizes = []
+
+        class Recording(type):
+            def __call__(cls, value=0, *args):
+                if isinstance(value, (builtins.int, Decimal)):
+                    sizes.append(_exact_bits(value))
+                return cls.real(value, *args)
+
+            def __instancecheck__(cls, obj):
+                return isinstance(obj, cls.real)
+
+        class RecordingInt(builtins.int, metaclass=Recording):
+            real = builtins.int
+
+        class RecordingDecimal(Decimal, metaclass=Recording):
+            real = Decimal
+
+        src = Path(importlib.import_module("odoni.arith").__file__).parent
+        for path in src.glob("*.py"):
+            module = importlib.import_module(f"odoni.{path.stem}".replace(".__init__", ""))
+            monkeypatch.setattr(module, "int", RecordingInt, raising=False)
+            if "Decimal" in vars(module):
+                monkeypatch.setattr(module, "Decimal", RecordingDecimal)
+
+        tracked = _tracked_int_type(sizes.append)
+        inst = build_params(d)
+        fields = {name: tracked(getattr(inst, name)) for name in ("d", "m", "s", "t", "p", "p1", "p2")}
+        cert = certify(replace(inst, **fields), depth, exhibit_effort=10**4)
+        data = certificate_to_json_dict(cert)
+        assert cert.verdict_pass and data["records"][-1]["F_n"]["bits"] > 20_000
+        assert all(type(r.F_n) is type(r.M_n) is Decimal for r in cert.records)
+        assert len(sizes) > 1000 and max(sizes) <= BIG_VALUE_DIGEST_BITS, max(sizes)
+
+
+def _exact_bits(value):
+    """Bit length of an int or integral Decimal; a Decimal of more than
+    1300 digits (over 4300 bits) is not converted to measure it."""
+    if isinstance(value, Decimal):
+        if value and value.adjusted() >= 1300:
+            return math.inf
+        value = int(value)
+    return value.bit_length()
+
+
+def _tracked_int_type(record):
+    """An int subclass whose arithmetic records the bit length of each
+    result, which keeps the subclass."""
+
+    class TrackedInt(builtins.int):
+        pass
+
+    def wrap(method):
+        def op(self, *args):
+            result = method(self, *args)
+            if type(result) is builtins.int:  # not NotImplemented
+                record(result.bit_length())
+                result = TrackedInt(result)
+            return result
+
+        return op
+
+    for name in ("add", "sub", "mul", "floordiv", "mod", "pow", "lshift"):
+        for prefix in ("__", "__r"):
+            dunder = f"{prefix}{name}__"
+            setattr(TrackedInt, dunder, wrap(getattr(builtins.int, dunder)))
+    for dunder in ("__neg__", "__abs__"):
+        setattr(TrackedInt, dunder, wrap(getattr(builtins.int, dunder)))
+    return TrackedInt

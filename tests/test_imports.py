@@ -36,3 +36,24 @@ def test_stdlib_only(path):
     assert not names & TEST_MODULES, names & TEST_MODULES
     outside = {name for name in names if name != "odoni" and name not in sys.stdlib_module_names}
     assert not outside, outside
+
+
+def test_decimal_is_libmpdec():
+    # the certifier's Decimal arithmetic needs the C decimal module:
+    # _pydecimal is exact too, but orders of magnitude slower
+    import _decimal
+    import decimal
+
+    assert decimal.Decimal is _decimal.Decimal
+    assert decimal.__libmpdec_version__ == _decimal.__libmpdec_version__
+
+
+def test_package_root_exports():
+    # the engine behind each subcommand, plus the per-parity constructors
+    # that tests/conftest.py imports from the root
+    import odoni
+
+    assert len(odoni.__all__) == 9
+    namespace = {}
+    exec("from odoni import *", namespace)
+    assert all(callable(namespace[name]) for name in odoni.__all__)

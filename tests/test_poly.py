@@ -1,12 +1,15 @@
+import decimal
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from eisenstein_oracle import eisenstein_at
+from odoni.arith import decimal_str
 from odoni.construct import build_params
 from odoni.poly import (
     BitBudgetExceededError,
@@ -303,6 +306,23 @@ class TestCriticalOrbit:
     def test_other_shapes_rejected(self):
         with pytest.raises(ValueError):
             next(critical_orbit(_inst(7, 2, 1, 1)))
+
+    @pytest.mark.parametrize(
+        "d, m, b",
+        [(2, 1, Fraction(3249, 1503490)), (3, 1, Fraction(-2)), (5, 3, Fraction(6, 7)),
+         (6, 5, Fraction(-7, 10)), (9, 7, Fraction(121, 25))],
+    )
+    def test_decimal_orbit_equals_int_orbit(self, d, m, b):
+        # the one recursion in either number type, exact at every step
+        # whatever the caller's context
+        inst = _inst(d, m, b, 0)
+        steps = zip(range(5 if d < 6 else 3), critical_orbit(inst), critical_orbit(inst, Decimal))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            pairs = list(steps)
+        for _, (w, scale), (w_dec, scale_dec) in pairs:
+            assert type(w_dec) is type(scale_dec) is Decimal
+            assert str(w_dec) == decimal_str(w) and str(scale_dec) == decimal_str(scale)
 
 
 class TestDiscIterate:
