@@ -15,7 +15,12 @@ A certificate records, for an instance (d, m, b, x0, witness primes):
     this depth), an Eisenstein check of f^n - x0 at p1 for n <= 3, and
     optionally an exhibited odd-valuation prime q, found among the
     primes up to a bound by stepping the critical orbit modulo products
-    of 16 primes (``orbit_prime_divisors``).
+    of 16 primes (``orbit_prime_divisors``). In the odd cases only the
+    primes p with (d(d-2) | p) = 1, and those of 2 d (d-2) s t, are
+    stepped: the odd closed form F_n = A_n M_n^2 - B_n makes A_n B_n, which
+    is d(d-2) times a square, a square mod any other prime of F_n. This
+    holds only where that closed form does, so it is used only once the
+    structural relations hold.
 
 The witness check builds no discriminant. Once the structural relations
 hold (they are checked before any depth), a prime q outside the bad set
@@ -38,6 +43,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -65,8 +71,8 @@ from .polymod import iterates_minus_x0
 DEFAULT_DEPTH = 3
 FN_BIT_CAP = 2**24
 EXHIBIT_PRIME_BOUND = 10**6
-# the largest witness-search bound: its sieve of bound + 1 bytes and its
-# 664579 primes (5.3 MB) are the most the search may allocate
+# the largest witness-search bound: its sieve of (bound + 1) / 2 bytes and
+# its 664579 primes (5.3 MB) are the most the search may allocate
 EXHIBIT_EFFORT_CAP = 10**7
 COFACTOR_PRIMALITY_BIT_LIMIT = 4096
 EISENSTEIN_MAX_LEVEL = 3
@@ -378,6 +384,47 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
     )
 
 
+def search_primes(inst: IterInstance, bound: int) -> array:
+    """The primes <= bound that ``orbit_prime_divisors`` steps,
+    ascending. On an odd-case instance whose structural
+    relations hold, these are the primes p with (d(d-2) | p) = 1 and
+    those of 2 d (d-2) s t, the only ones that can divide G_n (the
+    proof is in ``orbit_prime_divisors``): about half of all, as
+    d(d-2) = (d-1)^2 - 1 is never a square. Every other instance keeps
+    every prime.
+
+    For p prime to 2 d (d-2) the symbol depends only on p mod
+    k = 4 d (d-2), so Euler's criterion is evaluated once per residue
+    class, at the first prime of the class. At most phi(k) + omega(k)
+    classes hold a prime: those prime to k, and one for each prime of k,
+    which is kept. So the walk for first primes stops once it has met
+    that many, after a few hundred primes for d <= 9, and reads every
+    prime when the bound is too small to meet them all (a prime of k
+    above the bound leaves the count at more than phi(k) + omega(k)).
+    """
+    primes = primes_array(bound)
+    if inst.parity_case == EVEN_CASE or inst.violated_relations():
+        return primes
+    d = inst.d
+    disc = d * (d - 2)
+    k = 4 * disc
+    classes, k_primes = k, 0  # phi(k) and omega(k); the primes of k are <= d
+    for q in primes:
+        if q > d:
+            break
+        if k % q == 0:
+            classes, k_primes = classes // q * (q - 1), k_primes + 1
+    classes += k_primes
+    first: dict[int, int] = {}
+    for p in primes:
+        first.setdefault(p % k, p)
+        if len(first) == classes:
+            break
+    square = {r: k % p == 0 or pow(disc, (p - 1) // 2, p) == 1 for r, p in first.items()}
+    st = inst.s * inst.t
+    return array("l", (p for p in primes if square[p % k] or st % p == 0))
+
+
 def orbit_prime_divisors(inst: IterInstance, bound: int) -> Iterator[list[int]]:
     """For n = 1, 2, ...: the primes q <= bound that divide
     G_n = W_n v - u S_n, ascending, where w_n = W_n / S_n is the critical
@@ -388,8 +435,23 @@ def orbit_prime_divisors(inst: IterInstance, bound: int) -> Iterator[list[int]]:
     prime <= bound of s*v that divides G_n; ``factor_over`` tests each
     on F_n itself.
 
-    The primes <= bound are taken in groups of 16, and each group's
-    product Q holds W and Y = S / L modulo Q, with L = d den(b). From
+    Only the primes of ``search_primes`` are stepped. On an odd-case
+    instance, a prime p of G_n that divides none of 2 d (d-2) s t has
+    (d(d-2) | p) = 1, so about half of the primes are dropped. Proof:
+    F_n = A_n M_n^2 - B_n with A_n = 4^((d-2)^(n-1)) (d-2)^((d-2)^n)
+    s^(2 e_n - 2) and B_n = d^(d^n) t^(2 d^n - 2) (``fn_sequence``), and
+    G_n = F_n s^2 t^2, as x0 = s/t in lowest terms makes v = t^2. So
+    p | F_n, and p does not divide M_n, for then it would divide B_n.
+    Hence A_n M_n^2 = B_n != 0 mod p, and A_n B_n = (A_n M_n)^2 is a
+    nonzero square mod p; since (d-2)^n and d^n are odd, A_n B_n is
+    d(d-2) times a square. The proof holds only where the odd closed
+    form does, which rests on the structural relations (``fn_sequence``
+    checks it against direct evaluation at every depth); so on an
+    instance that breaks any relation, and on every even-case one,
+    every prime <= bound is stepped.
+
+    The primes are taken in groups of 16, and each group's product Q
+    holds W and Y = S / L modulo Q, with L = d den(b). From
     W_0 = m num(b), Y_0 = 1, the orbit's step is
     W_(k+1) = W^m (W - d num(b) Y)^(d-m) and Y_(k+1) = Y^d L^(d-1): the
     pair recursion of ``poly.critical_orbit`` with S_k = L Y_k, which
@@ -412,7 +474,7 @@ def orbit_prime_divisors(inst: IterInstance, bound: int) -> Iterator[list[int]]:
     x0_shift = Fraction(inst.x0) ** (d - m)
     u, v = x0_shift.numerator, x0_shift.denominator
     big_l = d * b.denominator
-    primes = primes_array(bound)
+    primes = search_primes(inst, bound)
     qs = [math.prod(primes[i : i + 16]) for i in range(0, len(primes), 16)]
     lift = [pow(big_l, d - 1, q) for q in qs]  # L^(d-1) mod Q
     ws = [m * b.numerator % q for q in qs]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import primes_up_to
+from .arith import primes_between
 from .construct import ConstructError, _frac_str
 from .permgroup import MAX_ENUMERATION, leaf_type_distribution, wreath_order_exceeds
 from .poly import disc_levels
@@ -109,9 +109,7 @@ def sample_distribution(
                 f"only {used} good primes below scan cap {scan_cap}"
             )
         block_hi = min(block_lo + block - 1, scan_cap)
-        for p in primes_up_to(block_hi):
-            if p < block_lo:
-                continue
+        for p in primes_between(block_lo, block_hi):
             if used >= prime_count:
                 break
             if bad % p == 0:

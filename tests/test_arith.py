@@ -24,12 +24,15 @@ from odoni.arith import (
     multiplicity,
     next_prime_where,
     primality_evidence,
-    primes_up_to,
+    primes_array,
+    primes_between,
     residue,
     val,
 )
 from fn_helpers import compute_fn, fn_sequence_oracle
+from odoni.certify import EXHIBIT_EFFORT_CAP
 from odoni.construct import build_params
+from sieve_oracle import primes_up_to
 from trial_oracle import trial_factor
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
@@ -204,6 +207,35 @@ class TestPrimes:
     def test_primes_up_to(self):
         assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
         assert primes_up_to(1) == []
+
+
+class TestSieves:
+    """The odd-only sieve and the window sieve of odoni.arith against the
+    plain sieve over every integer (the oracle in sieve_oracle.py)."""
+
+    def test_every_small_bound(self):
+        for bound in range(2, 3001):
+            assert primes_array(bound).tolist() == primes_up_to(bound), bound
+
+    @pytest.mark.parametrize("bound", [10**6, 10**6 + 1, EXHIBIT_EFFORT_CAP])
+    def test_large_bounds(self, bound):
+        assert primes_array(bound).tolist() == primes_up_to(bound)
+
+    def test_windows(self):
+        oracle = primes_up_to(2 * 10**5)
+        rng = random.Random(15)
+        windows = [(0, 1), (0, 2), (-5, 3), (2, 2), (4, 4), (9, 9), (49, 49), (47, 53), (10, 9)]
+        for lo in rng.sample(range(2 * 10**5 - 70000), 300):
+            windows.append((lo, lo + rng.choice([0, 1, 30, 1000, 70000])))
+        for lo, hi in windows:
+            want = [p for p in oracle if lo <= p <= hi]
+            assert primes_between(lo, hi).tolist() == want, (lo, hi)
+
+    def test_wide_window_far_from_two(self):
+        # the frobenius sampler's block, 65536 wide, at 5 * 10^6
+        lo, hi = 5 * 10**6, 5 * 10**6 + 65535
+        want = [p for p in primes_up_to(hi) if p >= lo]
+        assert primes_between(lo, hi).tolist() == want
 
 
 class TestIsSquare:

@@ -2,6 +2,7 @@ import ast
 import builtins
 import copy
 import decimal
+import functools
 import hashlib
 import importlib
 import inspect
@@ -30,6 +31,7 @@ from odoni.arith import (
     decimal_str,
     is_prime,
     legendre,
+    primes_array,
     val,
 )
 from odoni.certify import (
@@ -52,6 +54,7 @@ from odoni.certify import (
     fn_sequence,
     nonsquare_pair,
     orbit_prime_divisors,
+    search_primes,
     witness_report,
 )
 from odoni.construct import (
@@ -464,7 +467,7 @@ class TestOrbitPrimeDivisors:
         assert not any(r.exhibited_q.found for r in cert.records)
 
     def test_cap_refused_before_allocating(self, golden_even_2):
-        # one past the cap raises before the 10 MB sieve is built
+        # one past the cap raises before the 5 MB sieve is built
         tracemalloc.start()
         try:
             with pytest.raises(CapExceededError, match="cap"):
@@ -473,6 +476,71 @@ class TestOrbitPrimeDivisors:
         finally:
             tracemalloc.stop()
         assert peak < 10**6, peak
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_primes(d):
+    """The primes <= 10^6 of F_n for build_params(d), by trial division,
+    at each depth while F_n has at most 300 kbit."""
+    fns = _fns_up_to(build_params(d), 300_000)
+    return [{p for p in trial_factor(f_n, 10**6)[0] if p <= 10**6} for _, f_n in fns]
+
+
+class TestSearchPrimes:
+    """The character filter of the witness search: on an odd-case
+    instance only the primes p with (d(d-2) | p) = 1, and those of
+    2 d (d-2) s t, are stepped, and they still cover every prime of F_n
+    that trial division (trial_oracle.py) finds."""
+
+    ODD = [3, 5, 7, 9]
+
+    @staticmethod
+    def _by_legendre(inst, bound, symbol):
+        # Euler's criterion at every odd prime away from 2 d (d-2) s t
+        disc = inst.d * (inst.d - 2)
+        always = 2 * disc * inst.s * inst.t
+        return [
+            p for p in primes_array(bound).tolist()
+            if always % p == 0 or pow(disc, (p - 1) // 2, p) == symbol % p
+        ]
+
+    @pytest.mark.parametrize("d", ODD)
+    def test_covers_trial_division(self, d):
+        kept = set(search_primes(build_params(d), 10**6))
+        depths = _trial_primes(d)
+        assert len(depths) >= 4
+        for n, primes in enumerate(depths, 1):
+            assert primes <= kept, (n, sorted(primes - kept))
+
+    @pytest.mark.parametrize("d", ODD)
+    def test_flipped_character_misses_a_prime(self, d):
+        # negative control: stepping the primes with (d(d-2) | p) = -1
+        # instead drops primes that trial division finds
+        flipped = set(self._by_legendre(build_params(d), 10**6, -1))
+        assert any(primes - flipped for primes in _trial_primes(d))
+
+    @pytest.mark.parametrize("d", ODD)
+    def test_keeps_about_half(self, d):
+        kept = search_primes(build_params(d), 10**6)
+        assert len(kept) <= 0.55 * len(primes_array(10**6))
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 25])
+    def test_equals_legendre_definition(self, d):
+        # the class walk against Euler's criterion at every prime, at
+        # bounds that meet every class and at bounds that do not
+        inst = build_params(d)
+        for bound in (2, 3, 5, 7, 97, 1000, 10**5):
+            got = search_primes(inst, bound).tolist()
+            assert got == self._by_legendre(inst, bound, 1), bound
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+    def test_even_degree_keeps_every_prime(self, d):
+        assert search_primes(build_params(d), 10**6) == primes_array(10**6)
+
+    def test_broken_odd_instance_keeps_every_prime(self, golden_odd_3):
+        broken = replace(golden_odd_3, b=golden_odd_3.b * 4)
+        assert broken.violated_relations() == ["b == x0^2"]
+        assert search_primes(broken, 10**5) == primes_array(10**5)
 
 
 class TestDiscValuationRule:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from factor_oracle import BadReductionError, PolyModP, factor_cycle_type, factor_tree
-from odoni.arith import primes_up_to, val
+from odoni.arith import val
 from odoni.construct import build_params
 from odoni.frobenius import (
     _bad_reduction_product,
@@ -20,8 +20,9 @@ from odoni.frobenius import (
 )
 from odoni.permgroup import leaf_type_distribution
 from odoni.poly import disc_levels
-from odoni.polymod import cycle_type_mod_p
+from odoni.polymod import cycle_type_mod_p, iterates_minus_x0
 from poly_oracle import f_poly, iterate
+from sieve_oracle import primes_up_to
 
 
 def reduced_target(inst, n, p):
@@ -130,6 +131,28 @@ class TestSampleDistribution:
         b = sample_distribution(golden_odd_3, 1, 200)
         assert a.counts == b.counts
         assert not hasattr(a, "seed")
+
+    def test_scan_crosses_a_block(self, golden_odd_3):
+        # the sampler sieves 65536-wide windows; 5000 primes above 5 * 10^6
+        # run into the second one. Against one loop over the oracle's primes
+        start, count = 5 * 10**6, 5000
+        result = sample_distribution(golden_odd_3, 1, count, start=start)
+        bad = _bad_reduction_product(golden_odd_3, 1)
+        target = next(iterates_minus_x0(golden_odd_3))
+        counts, used, skipped = {}, 0, 0
+        for p in primes_up_to(start + 2 * 65536):
+            if p <= start:
+                continue
+            if used == count:
+                break
+            if bad % p == 0:
+                skipped += 1
+                continue
+            ctype = cycle_type_mod_p(target, p)
+            counts[ctype] = counts.get(ctype, 0) + 1
+            used, last = used + 1, p
+        assert last > start + 65536  # the last prime used is in the second window
+        assert (result.used, result.skipped, result.counts) == (used, skipped, counts)
 
     def test_reference_must_be_enumerable(self, golden_odd_9):
         with pytest.raises(ValueError, match="enumerable"):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 
-from odoni.arith import primes_up_to
+from sieve_oracle import primes_up_to
 
 # _reciprocal: below this, one long division beats Newton's iteration
 _RECIPROCAL_DIRECT_BITS = 16384
