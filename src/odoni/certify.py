@@ -41,7 +41,6 @@ is re-verified at each certified depth.
 from __future__ import annotations
 
 import decimal
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -189,7 +188,7 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
     The sequence steps lazily: M_n and e_n are formed at the top of
     depth n from depth n - 1's values, so a run to depth N never builds
     M_(N+1), the largest product of the run, and a caller that stops
-    early (at a bit cap) builds nothing past the depth it stopped at.
+    early builds nothing past the depth it stopped at.
 
     M_n, F_n and the critical orbit are exact Decimals: libmpdec's
     transform multiplication is many times faster than CPython's
@@ -249,6 +248,51 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
                 f"depth{n}.dual_path_Fn: recursion and direct evaluation disagree"
             )
         yield FnValue(n, e_n, m_n, f_rec)
+
+
+def deepest_depth_in_cap(inst: IterInstance) -> int:
+    """The deepest depth N with bits(F_n) <= FN_BIT_CAP at every n <= N,
+    from a bound on bits(F_n) walked through the closed forms of
+    ``fn_sequence`` on bit lengths alone: no power of d, no D and no M_n
+    is formed.
+
+    Each value x is tracked by an integer lg(x) > 64 log2|x|: an input a
+    has lg(a) = bits(a^64), a product adds, a power multiplies by its
+    exponent, a sum or difference adds 64 to the larger term, and
+    bits(x) <= lg(x) // 64 + 1. D = s^(d-1) + t^(d-1) has
+    lg(D) = (d-1) max(lg(s), lg(t)) + 64. For d >= 2 the term d^(d^n)
+    alone makes the bound exceed 2^n, so no depth past log2 of the cap
+    is within it; the walk stops there for any instance, valid or not,
+    and raises on none.
+    """
+    d, m, s, t = inst.d, inst.m, inst.s, inst.t
+    even = inst.parity_case == EVEN_CASE
+
+    def lg(a: int) -> int:
+        return (a**64).bit_length()
+
+    lg_s, lg_t, lg_d = lg(s), lg(t), lg(d)
+    lg_big_d = (d - 1) * max(lg_s, lg_t) + 64
+    lg_m, e_n = 0, d  # |M_1| = 1
+    for n in range(1, FN_BIT_CAP.bit_length()):
+        if n > 1:
+            if even:
+                lg_m = (d - 1) * lg_m + max(lg_unit + d * (e_n - 1) * lg_s + lg_m, lg_tail) + 64
+            else:
+                lg_m = (d - 2) * lg_m + lg_f
+            e_n = m * e_n + (d - m)
+        if even:
+            lg_unit = (d - 1) ** n * lg(d - 1)
+            lg_tail = d**n * lg_d + (d**n - 1) * (lg_t + lg_big_d)
+            lg_f = max((d * e_n - 1) * lg_s + lg_unit + lg_m, lg_tail + lg_big_d) + 64
+        else:
+            lg_f = max(
+                (d - 2) ** (n - 1) * lg(4) + (d - 2) ** n * lg(d - 2) + (2 * e_n - 2) * lg_s + 2 * lg_m,
+                d**n * lg_d + (2 * d**n - 2) * lg_t,
+            ) + 64
+        if lg_f // 64 + 1 > FN_BIT_CAP:
+            return n - 1
+    return FN_BIT_CAP.bit_length() - 1
 
 
 def expected_e_n(inst: IterInstance, n: int) -> int:
@@ -594,9 +638,9 @@ def witness_report(
 def exhibit_odd_prime_q(
     inst: IterInstance,
     n: int,
-    effort_bound: int = EXHIBIT_PRIME_BOUND,
-    fns: Optional[Sequence[Number]] = None,
-    divisors: Optional[Iterator[list[int]]] = None,
+    effort_bound: int,
+    fns: Sequence[Number],
+    divisors: Iterator[list[int]],
 ) -> ExhibitReport:
     """Try to exhibit a concrete prime q with odd valuation in F_n.
 
@@ -605,16 +649,11 @@ def exhibit_odd_prime_q(
     ``witness_report`` applies the witness rule. Finding nothing is not
     a failure: the nonsquare test already certifies existence.
 
-    ``fns`` is F_1, ..., F_n of this instance, as ``certify`` already
-    holds them; a standalone call computes them with ``fn_sequence``.
-    ``divisors`` is an ``orbit_prime_divisors(inst, effort_bound)``
+    ``fns`` is F_1, ..., F_n of this instance, as ``certify`` holds
+    them. ``divisors`` is an ``orbit_prime_divisors(inst, effort_bound)``
     iterator whose next item is depth n's, as ``certify`` advances it
-    once per depth; a standalone call steps a new one n times.
+    once per depth.
     """
-    if fns is None:
-        fns = [value.F_n for value in fn_sequence(inst, n)]
-    if divisors is None:
-        divisors = itertools.islice(orbit_prime_divisors(inst, effort_bound), n - 1, None)
     factorization = factor_over(fns[n - 1], next(divisors), effort_bound)
     return witness_report(inst, factorization, fns[: n - 1])
 
@@ -649,11 +688,18 @@ def certify(
 
     Check order is pinned: condition (1), condition (2), structural
     instance invariants, then per-depth records; the verdict names the
-    first failed relation. Depth records stop early once a hard bit cap
-    on F_n is hit (the cap guards memory, not correctness).
+    first failed relation. A depth past ``deepest_depth_in_cap`` raises
+    CapExceededError before anything is built: the cap on the bits of
+    F_n guards memory, not correctness.
     """
     if depth < 1:
         raise CertifyError("certify: depth must be >= 1")
+    deepest = deepest_depth_in_cap(inst)
+    if depth > deepest:
+        raise CapExceededError(
+            f"certify: depth {depth} is past depth {deepest}, the deepest whose F_n "
+            f"is bounded within the {FN_BIT_CAP}-bit cap"
+        )
     checks: list[CheckResult] = []
     failures: list[str] = []
     hypothesis_set = HYPOTHESES_LOW_DEGREE if inst.d <= 3 else HYPOTHESES_FULL
@@ -705,16 +751,6 @@ def certify(
         try:
             for value in fn_sequence(inst, depth):
                 n, bits = value.n, value.bits
-                if bits > FN_BIT_CAP:
-                    checks.append(
-                        CheckResult(
-                            f"depth{n}.bit_cap",
-                            False,
-                            f"F_{n} needs {bits} bits > cap {FN_BIT_CAP}",
-                        )
-                    )
-                    failures.append(f"depth{n}.bit_cap")
-                    break
                 coprime_ok = fn_coprimality_ok(inst, value.F_n)
                 congruence_ok = congruence_holds(inst, value)
                 f_mod_p = residue(value.F_n, inst.p)

@@ -5,16 +5,22 @@ Exit codes: 0 on success or a passing verdict, 1 when a verification
 check fails (the violated relation is named on stderr), 2 for usage or
 input errors. JSON always goes to --out or stdout; human-readable
 progress and the --verbose check log go to stderr, so piped output
-stays parseable. A resource cap that is hit (a discriminant past its
-bit budget, too few good primes below the scan cap, a prime search
-past its cap) exits 2, not 1: it is not a failed relation. Three caps
-are checked before the value they bound is built: a group-check degree
-above ``permgroup.MAX_CLOSURE_DEGREE`` is an input error, a
-rational entry (``newton`` coefficients, ``disc --trinomial`` A, B, C)
-of more than RATIONAL_BIT_CAP bits, estimated from the literal's digits
-and exponent, is an input error, and a trinomial discriminant whose
-bound ``poly.disc_trinomial_bits`` exceeds ``poly.DEFAULT_BIT_BUDGET``
-is a resource cap.
+stays parseable. A resource cap that is hit (a certify depth past the
+F_n bit cap, a discriminant past its bit budget, too few good primes
+below the scan cap, a prime search past its cap) exits 2, not 1: it is
+not a failed relation. Six caps are checked before the value they
+bound is built: a certify or pipeline depth past
+``certify.deepest_depth_in_cap`` is a resource cap, as are a
+``disc --params`` level whose bound in ``poly.disc_levels`` exceeds
+``poly.DEFAULT_BIT_BUDGET`` and an --exhibit-effort above
+``certify.EXHIBIT_EFFORT_CAP``; a group-check degree above
+``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is a rational
+entry (``newton`` coefficients, ``disc --trinomial`` A, B, C) of more
+than RATIONAL_BIT_CAP bits, estimated from the literal's digits and
+exponent; and a trinomial discriminant whose bound
+``poly.disc_trinomial_bits`` exceeds ``poly.DEFAULT_BIT_BUDGET`` is a
+resource cap. An iterate discriminant of a shape other than m = d-1
+or m = d-2 is an input error.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .certify import (
     CertifyError,
     certificate_to_json_dict,
     certify,
+    deepest_depth_in_cap,
 )
 from .construct import _frac_str
 from .poly import (
@@ -127,13 +134,11 @@ def _rationals(entries, what: str) -> list[Fraction]:
 def _cmd_construct(args) -> int:
     inst = construct_mod.build_params(args.degree, cap=args.cap)
     if args.depth_hint is not None:
-        # cheap growth estimate: bits(F_N) ~ d^N * bits of the scaled data
-        scale = (inst.d * inst.t * (inst.big_d if inst.parity_case == "even" else inst.t)).bit_length()
-        estimate = inst.d**args.depth_hint * scale
-        if estimate > FN_BIT_CAP:
+        deepest = deepest_depth_in_cap(inst)
+        if args.depth_hint > deepest:
             _log(
-                f"note: depth {args.depth_hint} will likely exceed the "
-                f"{FN_BIT_CAP}-bit cap (estimated {estimate} bits)"
+                f"note: depth {args.depth_hint} is past depth {deepest}, the deepest "
+                f"whose F_n is bounded within the {FN_BIT_CAP}-bit cap"
             )
     _emit(construct_mod.instance_to_json_dict(inst), args.out)
     return EXIT_PASS

@@ -279,15 +279,9 @@ def _transpositions(d: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def wreath_order(d: int, n: int) -> int:
-    """(d!)^((d^n - 1)/(d - 1)), the number of depth-n tree automorphisms."""
-    if d < 2 or n < 0:
-        raise ValueError("wreath_order: need d >= 2, n >= 0")
-    return math.factorial(d) ** ((d**n - 1) // (d - 1))
-
-
 def wreath_order_exceeds(d: int, n: int, cap: int) -> bool:
-    """wreath_order(d, n) > cap, decided without forming the order.
+    """(d!)^((d^n - 1)/(d - 1)) > cap: whether the number of depth-n tree
+    automorphisms is over cap, decided without forming it.
 
     The exponent e = 1 + d + ... + d^(n-1) is grown one level at a time
     and stops once it passes bits(cap): then (d!)^e >= 2^e > cap. Below

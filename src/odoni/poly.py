@@ -2,12 +2,11 @@
 f = x^d - b*x^m, and the critical orbit of f.
 
 The trinomial discriminant has a closed form. disc(f^k - x0) follows
-the level recursion driven by the critical orbit for m = d-1 and
-m = d-2; other small shapes take the resultant over Z (the
-fraction-free subresultant remainder sequence) of the integer list
-f^k - x0 from ``polymod.iterates_minus_x0`` and its derivative.
-Polynomials over Q, composition and the Fraction resultant are the test
-suite's oracle, not part of this module.
+the level recursion driven by the critical orbit, for the paper's two
+shapes m = d-1 and m = d-2; no other shape is accepted. Each level's
+bits are bounded before the level is built. Polynomials over Q,
+composition and the resultants over Z and over Q are the test suite's
+oracle, not part of this module.
 """
 
 from __future__ import annotations
@@ -17,14 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
-from .arith import EXACT, MR_DETERMINISTIC_BOUND, Number, is_prime, val
-from .polymod import iterates_minus_x0
+from .arith import EXACT, Number
 
 DEFAULT_BIT_BUDGET = 2**20
-# disc_levels looks for the primes of its denominators up to this bound
-_DENOMINATOR_TRIAL_BOUND = 2**16
 
 
 class BitBudgetExceededError(RuntimeError):
@@ -32,70 +28,8 @@ class BitBudgetExceededError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# resultants and discriminants
+# discriminants
 # ---------------------------------------------------------------------------
-
-
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a modulo b over Z."""
-    a = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    e = len(a) - 1 - db + 1
-    while len(a) - 1 >= db and a != [0]:
-        da = len(a) - 1
-        top = a[-1]
-        a = [lb * c for c in a]
-        for i in range(db + 1):
-            a[da - db + i] -= top * b[i]
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        e -= 1
-        if a == [0]:
-            break
-    if e > 0:
-        scale = lb**e
-        a = [scale * c for c in a]
-    return a
-
-
-def _int_resultant(a: list[int], b: list[int]) -> int:
-    """Resultant over Z by the subresultant PRS (fraction-free)."""
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    while len(b) > 1 and b[-1] == 0:
-        b.pop()
-    if a == [0] or b == [0]:
-        return 0
-    if len(a) == 1:
-        return a[0] ** (len(b) - 1)
-    if len(b) == 1:
-        return b[0] ** (len(a) - 1)
-    sign = 1
-    if len(a) < len(b):
-        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
-            sign = -sign
-        a, b = b, a
-    g = h = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 and db % 2:
-            sign = -sign
-        r = _int_prem(a, b)
-        if r == [0]:
-            return 0
-        a, b = b, r
-        denom = g * h**delta
-        b = [c // denom for c in b]
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g**delta // h ** (delta - 1)
-        if len(b) == 1:
-            da = len(a) - 1
-            return sign * (b[0] ** da // h ** (da - 1))
 
 
 @dataclass(frozen=True)
@@ -197,34 +131,6 @@ def critical_orbit(inst, number: Callable[[int], Number] = int) -> Iterator[tupl
         yield w, scale
 
 
-def _prime_support(n: int) -> Optional[list[int]]:
-    """The primes dividing n >= 1, or None unless trial division to
-    _DENOMINATOR_TRIAL_BOUND and a deterministic primality test of the
-    cofactor find them all. Divides by 2 and the odd numbers, so that
-    no sieve is built and kept."""
-    primes = []
-    for p in itertools.chain((2,), range(3, _DENOMINATOR_TRIAL_BOUND + 1, 2)):
-        if p * p > n:
-            break
-        if n % p == 0:
-            primes.append(p)
-            n //= p ** val(n, p)
-    if n > 1:
-        if n >= MR_DETERMINISTIC_BOUND or not is_prime(n):
-            return None
-        primes.append(n)
-    return primes
-
-
-def _quotient_bits(a: int, g: int) -> int:
-    """Bit length of a / g for g >= 1 dividing a, without dividing."""
-    if a == 0:
-        return 0
-    shift = a.bit_length() - g.bit_length()
-    # |a| >= g * 2^shift exactly when the quotient has shift + 1 bits
-    return shift + 1 if abs(a) >> shift >= g else shift
-
-
 def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[int, int]]:
     """disc(f^k - x0) for k = 1, 2, ... with f = x^d - b*x^m, without
     expanding f^k, as integer pairs (N_k, D_k) with D_k > 0 and
@@ -245,72 +151,52 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[in
         D_(k+1) = D_k^d * den(sigma) * S * v,
 
     from N_0 = D_0 = 1, so no gcd is taken. Once a level is 0, every
-    later one is (0, 1), and the orbit is no longer stepped. Supported
-    shapes are m = d-1 and m = d-2 with gcd(m, d) = 1; other (d, m) with
-    0 <= m < d fall back to the integer resultant of f^k - x0
-    (``polymod.iterates_minus_x0``) and its derivative, reduced, while
-    d^k <= 32 and raise ValueError past that (and for any other d, m).
+    later one is (0, 1), and the orbit is no longer stepped. The shapes
+    are m = d-1 and m = d-2 with gcd(m, d) = 1; any other (d, m) raises
+    ValueError before a level is built.
 
     ``inst`` is anything with attributes d, m, b, x0. Growth is doubly
-    exponential in k. A level is measured by the bits of its reduced
-    numerator and denominator, and one over ``bit_budget`` bits raises
-    BitBudgetExceededError, which ends the sequence. Only a pair over
-    the budget is measured reduced, by its gcd g, and it is not divided
-    by g. Every prime of D_k divides d*den(b)*den(x0); when those primes
-    are known, g follows from p-adic valuations that step with the
-    pairs, and otherwise it is math.gcd(N_k, D_k).
+    exponential in k, so bits(N_(k+1)) + bits(D_(k+1)) is bounded before
+    the orbit is stepped or any factor of level k + 1 is formed: from
+    level k's bit lengths and those of d, m, b and x0, by
+    bits(x*y) <= bits(x) + bits(y), bits(x^e) <= e*bits(x) and
+    bits(x - y) <= max(bits(x), bits(y)) + 1 (so A~^(d^k) counts as
+    d^(k+1) * bits(d) bits). A bound over ``bit_budget`` raises
+    BitBudgetExceededError, which ends the sequence.
     """
     d, m = inst.d, inst.m
-    if d < 2 or not 0 <= m < d:
-        raise ValueError(f"disc_levels: need d >= 2 and 0 <= m < d, got (d, m) = ({d}, {m})")
+    if d < 2 or m not in (d - 1, d - 2) or math.gcd(m, d) != 1:
+        raise ValueError(f"disc_levels: unsupported (d, m) = ({d}, {m})")
     b, x0 = Fraction(inst.b), Fraction(inst.x0)
-    if m not in (d - 1, d - 2) or math.gcd(m, d) != 1:
-        # f^k - x0 = H/c with c = lc(H) and n = d^k, so
-        # disc = (-1)^(n(n-1)/2) * Res(H, H') / c^(2n-1)
-        levels, level = iterates_minus_x0(inst), 1
-        while d**level <= 32:
-            h, n = next(levels), d**level
-            res = _int_resultant(h, [i * c for i, c in enumerate(h)][1:])
-            disc = Fraction((-1) ** (n * (n - 1) // 2) * res, h[-1] ** (2 * n - 1))
-            yield disc.numerator, disc.denominator
-            level += 1
-        raise ValueError(f"disc_levels: unsupported (d, m) = ({d}, {m}) past level {level - 1}")
-    a_tilde = (-1) ** (d * (d - 1) // 2) * d**d
-    sigma = (-1) ** d * x0 ** (m - 1)
     x0_shift = x0 ** (d - m)
     u, v = x0_shift.numerator, x0_shift.denominator
-    lead = d * b.denominator  # the orbit's scale is lead^(d^(k+1))
-    primes = _prime_support(lead * x0.denominator)
-    val_num = dict.fromkeys(primes or (), 0)  # p -> v_p(N_k)
-    val_den = dict.fromkeys(primes or (), 0)  # p -> v_p(D_k)
+    b_num, b_den = b.numerator.bit_length(), b.denominator.bit_length()
+    w, scale = m * b.numerator, d * b.denominator  # W_0, S_0 of the orbit
+    orbit = critical_orbit(inst)
     num, den = 1, 1
-    for k, (w, scale) in enumerate(critical_orbit(inst)):
-        x = w * v - u * scale
-        num = num**d * (a_tilde ** (d**k) * sigma.numerator * x)
+    for k in itertools.count():
+        w_bits, s_bits = w.bit_length(), scale.bit_length()
+        w_next = m * w_bits + (d - m) * (max(w_bits, s_bits - b_den + 1 + b_num) + 1)
+        s_next = d * s_bits
+        bits = (
+            d * num.bit_length()
+            + d ** (k + 1) * d.bit_length()
+            + (m - 1) * x0.numerator.bit_length()
+            + max(w_next + v.bit_length(), u.bit_length() + s_next) + 1
+            + d * den.bit_length()
+            + (m - 1) * x0.denominator.bit_length()
+            + s_next
+            + v.bit_length()
+        )
+        if bits > bit_budget:
+            raise BitBudgetExceededError(
+                f"disc_levels: level {k + 1} may take up to {bits} bits, over the budget {bit_budget}"
+            )
+        sigma = (-1) ** d * x0 ** (m - 1)  # a factor of level 1, so in budget
+        w, scale = next(orbit)
+        a_tilde_power = (-1) ** (d * (d - 1) // 2 * d**k) * d ** (d ** (k + 1))
+        num = num**d * (a_tilde_power * sigma.numerator * (w * v - u * scale))
         den = den**d * (sigma.denominator * scale * v) if num else 1
-        if num:
-            for p in val_num:
-                val_num[p] = (
-                    d**k * val(a_tilde, p)
-                    + d * val_num[p]
-                    + val(sigma.numerator, p)
-                    + val(x, p)
-                )
-                val_den[p] = (
-                    d * val_den[p]
-                    + val(sigma.denominator * v, p)
-                    + d ** (k + 1) * val(lead, p)
-                )
-        if num.bit_length() + den.bit_length() > bit_budget:
-            if primes is None:
-                g = math.gcd(num, den)
-            else:
-                g = math.prod(p ** min(val_num[p], val_den[p]) for p in primes)
-            bits = _quotient_bits(num, g) + _quotient_bits(den, g)
-            if bits > bit_budget:
-                raise BitBudgetExceededError(
-                    f"disc_levels: {bits} bits at level {k + 1} exceeds budget {bit_budget}"
-                )
         yield num, den
         if not num:
             break

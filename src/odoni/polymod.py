@@ -3,8 +3,7 @@ the iterates f^k - x0 of f = x^d - b*x^m, and the factor-degree pattern
 of a squarefree polynomial over GF(p).
 
 One product kernel, ``_mul_mod``, serves the composition of f^k - x0
-(over Z for the sampler and the discriminant fallback, over Z/p1^2 for
-the Eisenstein check). The pattern comes from distinct-degree
+(over Z for the sampler, over Z/p1^2 for the Eisenstein check). The pattern comes from distinct-degree
 factorization alone: for squarefree u over GF(p), gcd(v, x^(p^i) - x)
 is the product of the degree-i irreducible factors of u once the factors
 of degree below i are divided out of u, leaving v, so each block's degree

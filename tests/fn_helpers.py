@@ -1,15 +1,25 @@
 """Test-side helpers around the certifier's F_n sequence and the
 discriminant pairs of ``odoni.poly.disc_levels``: the int closed forms
 of F_n and M_n (the oracle of ``odoni.certify.fn_sequence``, which
-computes them in Decimal), F_n at a single depth, and the q-adic
-valuation of an unreduced pair (N, D)."""
+computes them in Decimal), F_n at a single depth, the witness search
+at a single depth, and the q-adic valuation of an unreduced pair
+(N, D)."""
 
 from __future__ import annotations
 
-from typing import Iterator
+import itertools
+from typing import Iterator, Optional, Sequence
 
 from odoni.arith import INFINITY, Valuation, val
-from odoni.certify import CertifyError, FnValue
+from odoni.certify import (
+    EXHIBIT_PRIME_BOUND,
+    CertifyError,
+    ExhibitReport,
+    FnValue,
+    exhibit_odd_prime_q,
+    fn_sequence,
+    orbit_prime_divisors,
+)
 from odoni.construct import EVEN_CASE
 from odoni.poly import critical_orbit
 
@@ -55,6 +65,18 @@ def compute_fn(inst, n: int) -> FnValue:
         pass
     assert value is not None
     return value
+
+
+def exhibit_at(
+    inst, n: int, effort_bound: int = EXHIBIT_PRIME_BOUND, fns: Optional[Sequence] = None
+) -> ExhibitReport:
+    """``exhibit_odd_prime_q`` at depth n alone, as ``certify`` would
+    call it there: F_1, ..., F_n from ``fn_sequence`` unless given, and
+    a new ``orbit_prime_divisors`` iterator stepped to depth n."""
+    if fns is None:
+        fns = [value.F_n for value in fn_sequence(inst, n)]
+    divisors = itertools.islice(orbit_prime_divisors(inst, effort_bound), n - 1, None)
+    return exhibit_odd_prime_q(inst, n, effort_bound, fns, divisors)
 
 
 def pair_val(pair: tuple[int, int], q: int) -> Valuation:

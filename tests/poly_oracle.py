@@ -4,8 +4,10 @@ Production composes f^n - x0 as an integer list
 (``odoni.polymod.iterates_minus_x0``); here the same polynomial comes
 from Horner composition of Fraction polynomials, and its discriminant
 from the resultant of the expanded polynomial with the denominators
-cleared. ``expand`` and ``f_poly`` build the trinomials and instance
-maps these oracles take.
+cleared. That resultant is the fraction-free subresultant remainder
+sequence over Z (``int_resultant``), which also takes the integer
+lists directly (``int_list_disc``). ``expand`` and ``f_poly`` build the trinomials and
+instance maps these oracles take.
 
 Coefficients are ``fractions.Fraction``; polynomials are immutable
 tuples in ascending-degree order with trailing zeros trimmed.
@@ -17,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from odoni.poly import Trinomial, _int_resultant
+from odoni.poly import Trinomial
 
 Scalar = Union[int, Fraction]
 
@@ -161,6 +163,76 @@ def iterate(f: Poly, n: int) -> Poly:
     return g
 
 
+def int_prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a modulo b over Z."""
+    a = a[:]
+    db = len(b) - 1
+    lb = b[-1]
+    e = len(a) - 1 - db + 1
+    while len(a) - 1 >= db and a != [0]:
+        da = len(a) - 1
+        top = a[-1]
+        a = [lb * c for c in a]
+        for i in range(db + 1):
+            a[da - db + i] -= top * b[i]
+        while len(a) > 1 and a[-1] == 0:
+            a.pop()
+        e -= 1
+        if a == [0]:
+            break
+    if e > 0:
+        scale = lb**e
+        a = [scale * c for c in a]
+    return a
+
+
+def int_resultant(a: list[int], b: list[int]) -> int:
+    """Resultant over Z by the subresultant PRS (fraction-free)."""
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    while len(b) > 1 and b[-1] == 0:
+        b.pop()
+    if a == [0] or b == [0]:
+        return 0
+    if len(a) == 1:
+        return a[0] ** (len(b) - 1)
+    if len(b) == 1:
+        return b[0] ** (len(a) - 1)
+    sign = 1
+    if len(a) < len(b):
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            sign = -sign
+        a, b = b, a
+    g = h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = int_prem(a, b)
+        if r == [0]:
+            return 0
+        a, b = b, r
+        denom = g * h**delta
+        b = [c // denom for c in b]
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = g**delta // h ** (delta - 1)
+        if len(b) == 1:
+            da = len(a) - 1
+            return sign * (b[0] ** da // h ** (da - 1))
+
+
+def int_list_disc(h: list[int]) -> Fraction:
+    """disc(H / lc(H)) for an integer list H of degree n >= 1:
+    (-1)^(n(n-1)/2) * Res(H, H') / lc(H)^(2n-1), reduced."""
+    n = len(h) - 1
+    res = int_resultant(h, [i * c for i, c in enumerate(h)][1:])
+    return Fraction((-1) ** (n * (n - 1) // 2) * res, h[-1] ** (2 * n - 1))
+
+
 def resultant(f: Poly, g: Poly) -> Fraction:
     """Exact resultant Res(f, g) over Q.
 
@@ -179,7 +251,7 @@ def resultant(f: Poly, g: Poly) -> Fraction:
     ag = math.lcm(*[c.denominator for c in g.coeffs])
     fi = [int(c * af) for c in f.coeffs]
     gi = [int(c * ag) for c in g.coeffs]
-    r = _int_resultant(fi, gi)
+    r = int_resultant(fi, gi)
     return Fraction(r, af**dg * ag**df)
 
 

@@ -21,16 +21,11 @@ from odoni.construct import (
 )
 from odoni.frobenius import chebotarev_distance, sample_distribution
 from odoni.newton import newton_polygon, ramification_tower
-from odoni.permgroup import (
-    Perm,
-    gen_sd_check,
-    leaf_type_distribution,
-    wreath_order,
-)
+from odoni.permgroup import Perm, gen_sd_check, leaf_type_distribution
 from odoni.poly import Trinomial, disc_iterate, disc_trinomial
 from newton_helpers import predict_two_segments
 from poly_oracle import Poly, disc_resultant, expand, f_poly, iterate
-from wreath_oracle import enumerate_wreath, enumerated_law
+from wreath_oracle import enumerate_wreath, enumerated_law, wreath_order
 
 X = Poly.x()
 

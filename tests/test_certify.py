@@ -23,7 +23,7 @@ import pytest
 
 from congruence_oracle import exact_congruence_holds
 from eisenstein_oracle import eisenstein_at
-from fn_helpers import compute_fn, fn_sequence_oracle, pair_val
+from fn_helpers import compute_fn, exhibit_at, fn_sequence_oracle, pair_val
 from odoni.arith import (
     EXACT,
     INFINITY,
@@ -47,7 +47,7 @@ from odoni.certify import (
     check_condition1,
     check_condition2,
     congruence_holds,
-    exhibit_odd_prime_q,
+    deepest_depth_in_cap,
     expected_e_n,
     factor_over,
     fn_coprimality_ok,
@@ -174,15 +174,66 @@ class TestLazySequence:
         assert peak < 1.5e6
 
     def test_bit_cap_ends_the_run(self, golden_even_2, monkeypatch):
-        # the first depth over the cap fails the run and is not recorded;
-        # the sequence is not stepped past it
+        # with F_3 one bit over the cap, depth 2 is the deepest one, and
+        # a deeper run is refused before the conditions or any F_n are
+        # computed: a resource cap (exit 2), not a failed relation
         certify_module = importlib.import_module("odoni.certify")
         bits = [v.bits for v in fn_sequence(golden_even_2, 3)]
-        monkeypatch.setattr(certify_module, "FN_BIT_CAP", bits[1])
-        cert = certify(golden_even_2, 8, exhibit=False)
-        assert not cert.verdict_pass
-        assert cert.first_failure == "depth3.bit_cap"
+        monkeypatch.setattr(certify_module, "FN_BIT_CAP", bits[2] - 1)
+        assert deepest_depth_in_cap(golden_even_2) == 2
+        cert = certify(golden_even_2, 2, exhibit=False)
+        assert cert.verdict_pass
         assert [r.n for r in cert.records] == [1, 2]
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("computed past the cap")
+
+        for name in ("check_condition1", "check_condition2", "fn_sequence"):
+            monkeypatch.setattr(certify_module, name, unbuilt)
+        with pytest.raises(CapExceededError, match="depth 8 is past depth 2"):
+            certify(golden_even_2, 8, exhibit=False)
+
+
+class TestDepthCap:
+    """deepest_depth_in_cap bounds bits(F_n) on bit lengths alone."""
+
+    DEEPEST = {2: 19, 3: 13, 4: 8, 5: 8, 6: 6, 7: 7, 8: 5, 9: 6, 10: 4}
+
+    def test_deepest_depth_per_degree(self):
+        # the depths at which certify stopped when it measured the F_n it
+        # had built: one depth more was over FN_BIT_CAP
+        assert {d: deepest_depth_in_cap(build_params(d)) for d in range(2, 11)} == self.DEEPEST
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_bound_brackets_each_fn(self, d, monkeypatch):
+        # a cap one bit below bits(F_n) puts depth n past the deepest
+        # one, and a cap of 1.25 bits(F_n) keeps it in: the bound is at
+        # least bits(F_n) and at most 1.25 times it, at every depth whose
+        # F_n has at most 2^18 bits
+        certify_module = importlib.import_module("odoni.certify")
+        inst = build_params(d)
+        checked = 0
+        for value in fn_sequence(inst, self.DEEPEST[d]):
+            if value.bits > 2**18:
+                break
+            monkeypatch.setattr(certify_module, "FN_BIT_CAP", value.bits - 1)
+            assert deepest_depth_in_cap(inst) < value.n
+            monkeypatch.setattr(certify_module, "FN_BIT_CAP", value.bits * 5 // 4)
+            assert deepest_depth_in_cap(inst) >= value.n
+            checked += 1
+        assert checked >= 2
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"d": -1}, {"d": 0}, {"d": 1}, {"d": -3}, {"d": 8, "m": 8}, {"m": -3}, {"t": 0},
+         {"s": 0, "t": -1}, {"parity_case": "x"}, {"d": 10**6, "m": 10**6 - 1}],
+        ids=lambda changes: ",".join(f"{k}={v}" for k, v in changes.items()),
+    )
+    def test_unvalidated_instances(self, golden_even_2, golden_odd_3, changes):
+        # params files parse without validation; the bound takes them as
+        # they are, raises on none, and walks at most 24 depths
+        for inst in (golden_even_2, golden_odd_3):
+            assert 0 <= deepest_depth_in_cap(replace(inst, **changes)) <= 24
 
 
 def _congruence_modulus(inst):
@@ -349,7 +400,7 @@ class TestExhibit:
         assert pair_val((0, 9), 3) is INFINITY
 
     def test_golden_even_witness(self, golden_even_2):
-        report = exhibit_odd_prime_q(golden_even_2, 1)
+        report = exhibit_at(golden_even_2, 1)
         assert report.found
         assert report.q == 107  # -F_1 = 107 * 6949 * 10151
         assert report.valuation_in_fn == 1
@@ -359,13 +410,13 @@ class TestExhibit:
         assert golden_even_2.bad_product % report.q != 0
 
     def test_golden_odd_witness(self, golden_odd_3):
-        report = exhibit_odd_prime_q(golden_odd_3, 1)
+        report = exhibit_at(golden_odd_3, 1)
         assert report.found
         assert report.q == 62327  # F_1 itself is prime
         assert report.disc_valuation_odd
 
     def test_tiny_effort_no_witness(self, golden_odd_3):
-        report = exhibit_odd_prime_q(golden_odd_3, 1, effort_bound=2)
+        report = exhibit_at(golden_odd_3, 1, effort_bound=2)
         # 62327 survives trial division by 2 but is classified as a
         # prime cofactor, so the witness is still found
         assert report.found and report.q == 62327
@@ -558,8 +609,8 @@ class TestDiscValuationRule:
         pairs = list(itertools.islice(disc_levels(inst, 2**30), depth))
         primes = [q for q in self.PRIMES if inst.bad_product % q]
         for n in range(1, depth + 1):
-            report = exhibit_odd_prime_q(inst, n, fns=fns_dec[:n])
-            assert exhibit_odd_prime_q(inst, n, fns=fns[:n]) == report
+            report = exhibit_at(inst, n, fns=fns_dec[:n])
+            assert exhibit_at(inst, n, fns=fns[:n]) == report
             for q in primes + ([report.q] if report.found else []):
                 rule = sum(d ** (n - k) * val(f_k, q) for k, f_k in enumerate(fns[:n], 1))
                 assert pair_val(pairs[n - 1], q) == rule, (n, q)

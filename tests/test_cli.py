@@ -11,6 +11,7 @@ from odoni import cli, permgroup
 from odoni.certify import EXHIBIT_EFFORT_CAP
 from odoni.construct import build_params_even, build_params_odd, instance_to_json_dict
 
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 def write_params(tmp_path, inst_dict, name="params.json"):
     path = tmp_path / name
@@ -45,6 +46,16 @@ class TestConstructCommand:
         out = tmp_path / "p.json"
         assert cli.run(["construct", "--degree", "2", "--depth-hint", "3", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("hint", ["5", "1000000", "100000000"])
+    def test_depth_hint_names_the_deepest_depth(self, hint, capsys):
+        # the hint is compared with the deepest depth under the F_n cap,
+        # found on bit lengths: d^hint is never formed
+        started = time.monotonic()
+        assert cli.run(["construct", "--degree", "10", "--depth-hint", hint]) == 0
+        assert time.monotonic() - started < 1
+        err = capsys.readouterr().err
+        assert f"note: depth {hint} is past depth 4, the deepest" in err
+
 
 class TestCertifyCommand:
     def test_pass_exit_zero(self, params_d2, tmp_path):
@@ -76,9 +87,9 @@ class TestCertifyCommand:
     def test_deep_witness_decided(self, tmp_path):
         # the depth-13 discriminant has over 4 Mbit, but the witness
         # check reads F_1..F_13 and answers both of its questions
-        params = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "params_d2.json"
         out = tmp_path / "cert.json"
-        assert cli.run(["certify", "--params", str(params), "--depth", "13", "--out", str(out)]) == 0
+        assert cli.run(["certify", "--params", str(INPUTS / "params_d2.json"), "--depth", "13",
+                        "--out", str(out)]) == 0
         record = json.loads(out.read_text())["records"][12]
         assert record["n"] == 13
         witness = record["exhibited_q"]
@@ -86,6 +97,26 @@ class TestCertifyCommand:
         assert witness["lower_levels_clean"] is True
         assert witness["disc_valuation_odd"] is True
 
+
+    @pytest.mark.parametrize(
+        "argv, deepest",
+        [
+            (["certify", "--params", "{inputs}/params_d2.json", "--depth", "20"], 19),
+            (["certify", "--params", "{inputs}/params_d6.json", "--depth", "20000",
+              "--exhibit-effort", "1"], 6),
+            (["pipeline", "--degree", "4", "--depth", "9"], 8),
+        ],
+    )
+    def test_depth_over_the_cap_is_refused(self, argv, deepest, capsys):
+        # one depth past the deepest certifiable one: refused before
+        # condition (2)'s tower or any F_n is built
+        started = time.monotonic()
+        assert cli.run([a.format(inputs=INPUTS) for a in argv]) == 2
+        assert time.monotonic() - started < 1
+        err = capsys.readouterr().err
+        depth = argv[argv.index("--depth") + 1]
+        assert f"resource cap: certify: depth {depth} is past depth {deepest}" in err
+        assert "check failed" not in err and "FAILED" not in err
 
     def test_non_prime_witnesses_fail_cleanly(self, tmp_path, capsys):
         data = instance_to_json_dict(build_params_even(2))
@@ -176,8 +207,30 @@ class TestDiscCommand:
         # budget: a resource cap, not a failed relation
         assert cli.run(["disc", "--params", params_d2, "--level", "12"]) == 2
         err = capsys.readouterr().err
-        assert "2048348 bits at level 12 exceeds budget 1048576" in err
+        assert "level 12 may take up to 2234506 bits, over the budget 1048576" in err
         assert "check failed" not in err
+
+    @pytest.mark.parametrize("source", ["d8", "degree1000000"])
+    def test_over_budget_exits_before_building(self, tmp_path, source, capsys):
+        # params_d8's level 4 would take 7.0 Mbit; a degree of 10^6 makes
+        # A~ = d^d alone 20 Mbit. Both bounds trip before anything is built
+        if source == "d8":
+            path, level = str(INPUTS / "params_d8.json"), "4"
+        else:
+            data = instance_to_json_dict(build_params_even(2))
+            data.update(d="1000000", m="999999")
+            path, level = write_params(tmp_path, data), "1"
+        started = time.monotonic()
+        assert cli.run(["disc", "--params", path, "--level", level]) == 2
+        assert time.monotonic() - started < 1
+        assert f"resource cap: disc_levels: level {level} may take up to" in capsys.readouterr().err
+
+    def test_unsupported_shape_is_input_error(self, tmp_path, capsys):
+        # m = d - 3: no critical-orbit recursion, refused before level 1
+        data = instance_to_json_dict(build_params_even(2))
+        data.update(d="5", m="2")
+        assert cli.run(["disc", "--params", write_params(tmp_path, data), "--level", "1"]) == 2
+        assert "input error: disc_levels: unsupported (d, m) = (5, 2)" in capsys.readouterr().err
 
     def test_zero_discriminant_deep_level(self, tmp_path, capsys):
         # with x0 = 0 every level is 0; the critical orbit, which grows

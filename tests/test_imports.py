@@ -1,6 +1,7 @@
 """The runtime uses only the standard library: every module under
 ``src/odoni`` imports stdlib modules, ``odoni`` itself, or its own
-package relatively, and never a test-suite module."""
+package relatively, and never a test-suite module. Nor does it carry a
+top-level function or class that only the tests call."""
 
 import ast
 import sys
@@ -57,3 +58,37 @@ def test_package_root_exports():
     namespace = {}
     exec("from odoni import *", namespace)
     assert all(callable(namespace[name]) for name in odoni.__all__)
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of the given sources (file name
+    -> source text) whose name no source uses as a name, an attribute
+    or an imported name; the definition itself is none of these."""
+    defined, mentioned = [], set()
+    for name, text in sources.items():
+        tree = ast.parse(text, filename=name)
+        defined.extend(
+            f"{name}:{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.alias):
+                mentioned.add(node.name)
+    return [qualified for qualified in defined if qualified.split(":")[1] not in mentioned]
+
+
+def test_no_test_only_definitions():
+    # a top-level function or class that nothing in src/odoni refers to
+    # is called only by tests, so it belongs with them
+    assert _unreferenced({path.name: path.read_text(encoding="utf-8") for path in SOURCES}) == []
+
+
+def test_unreferenced_definition_is_found():
+    # negative control on a synthetic source
+    source = "def used():\n    pass\n\n\ndef spare():\n    return used()\n\n\nclass Lone:\n    pass\n"
+    assert _unreferenced({"synthetic.py": source}) == ["synthetic.py:spare", "synthetic.py:Lone"]

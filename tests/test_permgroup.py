@@ -14,7 +14,6 @@ from odoni.permgroup import (
     gen_sd_check,
     is_transitive,
     leaf_type_distribution,
-    wreath_order,
     wreath_order_exceeds,
 )
 from perm_helpers import (
@@ -33,6 +32,7 @@ from wreath_oracle import (
     enumerate_wreath,
     enumerated_law,
     internal_nodes,
+    wreath_order,
 )
 
 

@@ -1,7 +1,11 @@
 import decimal
+import importlib
+import inspect
 import itertools
 import math
 import random
+import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,16 +16,26 @@ from eisenstein_oracle import eisenstein_at
 from odoni.arith import decimal_str
 from odoni.construct import build_params
 from odoni.poly import (
+    DEFAULT_BIT_BUDGET,
     BitBudgetExceededError,
     Trinomial,
     critical_orbit,
-    _prime_support,
     disc_iterate,
     disc_levels,
     disc_trinomial,
     disc_trinomial_bits,
 )
-from poly_oracle import Poly, compose, disc_resultant, expand, f_poly, iterate, resultant
+from odoni.polymod import iterates_minus_x0
+from poly_oracle import (
+    Poly,
+    compose,
+    disc_resultant,
+    expand,
+    f_poly,
+    int_list_disc,
+    iterate,
+    resultant,
+)
 
 X = Poly.x()
 
@@ -352,14 +366,20 @@ class TestDiscIterate:
 
     def test_generic_fallback(self):
         # (d, m) outside the two supported shapes, or m = d-2 with d even
-        # (f is then even, not odd), but small enough to expand
+        # (f is then even, not odd): refused before a level is built. The
+        # integer-list resultant that once served them is now the oracle,
+        # and it still matches the expanded Fraction resultant
         inst = _inst(5, 2, Fraction(3, 2), 1)
         f = X**5 - Fraction(3, 2) * X * X
-        assert disc_iterate(inst, 1) == disc_resultant(f - 1)
+        assert int_list_disc(next(iterates_minus_x0(inst))) == disc_resultant(f - 1)
+        with pytest.raises(ValueError, match=r"unsupported \(d, m\) = \(5, 2\)"):
+            disc_iterate(inst, 1)
         inst = _inst(4, 2, 3, Fraction(5, 2))
         f = X**4 - 3 * X * X
-        for n in (1, 2):
-            assert disc_iterate(inst, n) == disc_resultant(iterate(f, n) - Fraction(5, 2))
+        for n, h in zip((1, 2), iterates_minus_x0(inst)):
+            assert int_list_disc(h) == disc_resultant(iterate(f, n) - Fraction(5, 2))
+            with pytest.raises(ValueError, match=r"unsupported \(d, m\) = \(4, 2\)"):
+                disc_iterate(inst, n)
 
     def test_unsupported_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -388,18 +408,6 @@ def _fraction_levels(inst, bit_budget):
         yield disc
 
 
-def _levels(source, depth):
-    """Up to ``depth`` levels as Fractions, then the budget message if
-    the source raises it."""
-    out = []
-    try:
-        for level in itertools.islice(source, depth):
-            out.append(level if isinstance(level, Fraction) else Fraction(*level))
-    except BitBudgetExceededError as exc:
-        out.append(str(exc))
-    return out
-
-
 class TestDiscPairs:
     @pytest.mark.parametrize("d", range(2, 10))
     def test_pairs_follow_the_fraction_recursion(self, d):
@@ -414,12 +422,14 @@ class TestDiscPairs:
         )
 
     def test_resultant_fallback_pairs(self):
+        # the resultant oracle's integer-list route matches its expanded
+        # route; disc_levels refuses the shape at its first level
         inst = _inst(4, 2, 3, Fraction(5, 2))
         f = X**4 - 3 * X * X
-        pairs = list(itertools.islice(disc_levels(inst), 2))
-        for n, (num, den) in enumerate(pairs, start=1):
-            assert type(num) is int and type(den) is int and den > 0
-            assert Fraction(num, den) == disc_resultant(iterate(f, n) - Fraction(5, 2))
+        for n, h in zip((1, 2), iterates_minus_x0(inst)):
+            assert int_list_disc(h) == disc_resultant(iterate(f, n) - Fraction(5, 2))
+        with pytest.raises(ValueError, match="unsupported"):
+            next(disc_levels(inst))
 
     @pytest.mark.parametrize(
         "d, m, b, x0",
@@ -428,49 +438,103 @@ class TestDiscPairs:
          (5, 2, Fraction(3, 2), Fraction(-7, 2)), (6, 3, Fraction(1, 10), Fraction(3, 8))],
     )
     def test_fallback_levels_until_the_cap(self, d, m, b, x0):
-        # the integer-list route against the expanded Fraction resultant
-        # at every level with d^k <= 32, then the named error
+        # the shapes the resultant fallback once took: the integer-list
+        # resultant against the expanded Fraction resultant at every
+        # level with d^k <= 32, and no level from disc_levels
         inst = _inst(d, m, b, x0)
         f = f_poly(inst)
-        levels = disc_levels(inst)
+        levels = iterates_minus_x0(inst)
         k = 1
         while d**k <= 32:
-            expected = disc_resultant(iterate(f, k) - x0)
-            assert next(levels) == (expected.numerator, expected.denominator), k
+            assert int_list_disc(next(levels)) == disc_resultant(iterate(f, k) - x0), k
             k += 1
-        with pytest.raises(ValueError, match=f"past level {k - 1}"):
-            next(levels)
+        with pytest.raises(ValueError, match=f"unsupported \\(d, m\\) = \\({d}, {m}\\)"):
+            next(disc_levels(inst))
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 6, 9])
-    def test_budget_trip_matches_reduced_size(self, d):
-        # budgets at each level's reduced size and one bit below it: the
-        # unreduced pair is over both, so it is measured reduced, then
-        # yielded or tripped exactly where the reduced Fractions would be
+    # the last level within the default budget of each build_params(d)
+    LAST_LEVEL = {2: 11, 3: 8, 4: 5, 5: 5, 6: 3, 7: 4, 8: 3, 9: 4, 10: 2}
+
+    @staticmethod
+    def _bound_misses(levels_of, d):
+        """The pairs of build_params(d) within the default budget, and
+        the levels among them whose bound, read off the error that a
+        budget one bit below the level's unreduced size raises, is below
+        that size or more than 1/64 of it plus 64 bits over it (the
+        largest slack is 46 bits at level 1 and 1% at d = 9, level 4);
+        no level when the bound holds at every level."""
         inst = build_params(d)
-        for level in itertools.islice(_fraction_levels(inst, 2**30), 3):
-            reduced = level.numerator.bit_length() + level.denominator.bit_length()
-            for budget in (reduced, reduced - 1):
-                assert _levels(disc_levels(inst, budget), 6) == _levels(
-                    _fraction_levels(inst, budget), 6
-                ), budget
+        pairs = []
+        with pytest.raises(BitBudgetExceededError):
+            for pair in levels_of(inst):
+                pairs.append(pair)
+        misses = []
+        for level, (num, den) in enumerate(pairs, 1):
+            bits = num.bit_length() + den.bit_length()
+            try:
+                list(itertools.islice(levels_of(inst, bits - 1), level))
+            except BitBudgetExceededError as exc:
+                found = re.search(r"level (\d+) may take up to (\d+) bits", str(exc))
+                tripped, bound = map(int, found.groups())
+                if tripped == level and bits <= bound <= bits + bits // 64 + 64:
+                    continue
+            misses.append(level)
+        return pairs, misses
 
-    def test_budget_trip_without_denominator_primes(self):
-        # den(b) has two prime factors above the trial bound whose product
-        # is past the deterministic primality range, so the reduced size
-        # comes from one gcd of the pair
-        inst = _inst(2, 1, Fraction(3, (2**61 - 1) * (2**89 - 1)), Fraction(5, 7))
-        assert _prime_support(2 * (2**61 - 1) * (2**89 - 1) * 7) is None
-        assert _prime_support(2 * (2**61 - 1) * 7) == [2, 7, 2**61 - 1]
-        for budget in (400, 1000, 3000, 10**4):
-            assert _levels(disc_levels(inst, budget), 8) == _levels(
-                _fraction_levels(inst, budget), 8
-            )
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_bound_covers_each_level(self, d):
+        # the bound taken before a level is built is at least its
+        # unreduced bits and within the slack of _bound_misses
+        pairs, misses = self._bound_misses(disc_levels, d)
+        assert len(pairs) == self.LAST_LEVEL[d]
+        assert misses == []
+
+    def test_bound_without_a_term_misses(self):
+        # negative control: drop A~^(d^k)'s d^(k+1) * bits(d) from the
+        # bound, and the test above fails
+        module = importlib.import_module("odoni.poly")
+        source = inspect.getsource(module.disc_levels)
+        term = "            + d ** (k + 1) * d.bit_length()\n"
+        assert source.count(term) == 1
+        namespace = dict(vars(module))
+        exec(compile(source.replace(term, ""), "<mutant>", "exec"), namespace)
+        assert self._bound_misses(namespace["disc_levels"], 2)[1]
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10])
+    def test_budget_trip_matches_reduced_size(self, d):
+        # at the default budget, the unreduced bound trips at the level
+        # where the reduced Fractions first outgrow it, and every level
+        # before agrees with them (d = 4, 8 and 9 are pinned by
+        # LAST_LEVEL alone: the Fraction oracle takes 3 to over 10 s to
+        # reach their trip levels)
+        inst = build_params(d)
+        pairs = []
+        with pytest.raises(BitBudgetExceededError, match=f"level {self.LAST_LEVEL[d] + 1} "):
+            pairs.extend(disc_levels(inst))
+        reduced = []
+        with pytest.raises(BitBudgetExceededError, match=f"at level {self.LAST_LEVEL[d] + 1} "):
+            reduced.extend(_fraction_levels(inst, DEFAULT_BIT_BUDGET))
+        assert [Fraction(num, den) for num, den in pairs] == reduced
+
+    def test_level_past_the_budget_is_never_built(self):
+        # build_params(8)'s level 4 pair would take 7.0 Mbit (0.88 MB);
+        # its bound trips before the orbit is stepped to it, so the peak
+        # is level 3's (about 0.32 MB)
+        inst = build_params(8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BitBudgetExceededError, match="level 4 "):
+                disc_iterate(inst, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.88e6
 
     def test_zero_discriminant_stays_small(self):
         # x0 = -b^2/4 makes f - x0 = (x - 1)^2 for b = 2, so every level
         # has discriminant 0, kept as the pair (0, 1)
+        # (level 1's bound is 22 bits, and no later level is bounded)
         inst = _inst(2, 1, 2, -1)
-        assert list(itertools.islice(disc_levels(inst, 10), 6)) == [(0, 1)] * 6
+        assert list(itertools.islice(disc_levels(inst, 22), 6)) == [(0, 1)] * 6
 
     def test_zero_level_stops_the_orbit(self):
         # x0 = 0 zeroes level 1; the critical orbit grows 4-fold per

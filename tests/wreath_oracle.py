@@ -12,11 +12,19 @@ order 1e5, the cap the Frobenius sampler keeps.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from odoni.permgroup import MAX_ENUMERATION, Perm, wreath_order
+from odoni.permgroup import MAX_ENUMERATION, Perm
 from perm_helpers import cycle_type, identity as perm_identity
+
+
+def wreath_order(d: int, n: int) -> int:
+    """(d!)^((d^n - 1)/(d - 1)), the number of depth-n tree automorphisms."""
+    if d < 2 or n < 0:
+        raise ValueError("wreath_order: need d >= 2, n >= 0")
+    return math.factorial(d) ** ((d**n - 1) // (d - 1))
 
 
 def internal_nodes(d: int, n: int) -> list[tuple[int, ...]]:
