@@ -64,7 +64,7 @@ from .arith import (
     val,
 )
 from .construct import EVEN_CASE, ODD_CASE_1, IterInstance
-from .poly import critical_orbit
+from .poly import critical_orbit, orbit_bits_step
 from .polymod import iterates_minus_x0
 
 DEFAULT_DEPTH = 3
@@ -252,45 +252,24 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
 
 def deepest_depth_in_cap(inst: IterInstance) -> int:
     """The deepest depth N with bits(F_n) <= FN_BIT_CAP at every n <= N,
-    from a bound on bits(F_n) walked through the closed forms of
-    ``fn_sequence`` on bit lengths alone: no power of d, no D and no M_n
-    is formed.
+    from a bound on bits(F_n) walked on the critical orbit's bit lengths
+    (``poly.orbit_bits_step``): no orbit value, power of d, D or M_n is
+    formed.
 
-    Each value x is tracked by an integer lg(x) > 64 log2|x|: an input a
-    has lg(a) = bits(a^64), a product adds, a power multiplies by its
-    exponent, a sum or difference adds 64 to the larger term, and
-    bits(x) <= lg(x) // 64 + 1. D = s^(d-1) + t^(d-1) has
-    lg(D) = (d-1) max(lg(s), lg(t)) + 64. For d >= 2 the term d^(d^n)
-    alone makes the bound exceed 2^n, so no depth past log2 of the cap
-    is within it; the walk stops there for any instance, valid or not,
-    and raises on none.
+    ``fn_sequence`` checks F_n s^k v = W_n v - u S_n with k = d - m and
+    x0^k = u/v, so with x0 = s/t, F_n = W_n / s^k - S_n / t^k and
+    bits(F_n) <= max(bits(W_n) - bits(s^k), bits(S_n) - bits(t^k)) + 2.
+    s^k and t^k are formed only for 0 < k <= 2; any other shape fails a
+    structural relation before an F_n is built, and its bound subtracts
+    nothing. The walk stops after bits(FN_BIT_CAP) - 1 depths for any
+    instance, valid or not, and raises on none.
     """
-    d, m, s, t = inst.d, inst.m, inst.s, inst.t
-    even = inst.parity_case == EVEN_CASE
-
-    def lg(a: int) -> int:
-        return (a**64).bit_length()
-
-    lg_s, lg_t, lg_d = lg(s), lg(t), lg(d)
-    lg_big_d = (d - 1) * max(lg_s, lg_t) + 64
-    lg_m, e_n = 0, d  # |M_1| = 1
+    d, m, b, k = inst.d, inst.m, inst.b, inst.d - inst.m
+    sk_bits, tk_bits = ((inst.s**k).bit_length(), (inst.t**k).bit_length()) if 0 < k <= 2 else (0, 0)
+    w_bits, s_bits = (m * b.numerator).bit_length(), (d * b.denominator).bit_length()
     for n in range(1, FN_BIT_CAP.bit_length()):
-        if n > 1:
-            if even:
-                lg_m = (d - 1) * lg_m + max(lg_unit + d * (e_n - 1) * lg_s + lg_m, lg_tail) + 64
-            else:
-                lg_m = (d - 2) * lg_m + lg_f
-            e_n = m * e_n + (d - m)
-        if even:
-            lg_unit = (d - 1) ** n * lg(d - 1)
-            lg_tail = d**n * lg_d + (d**n - 1) * (lg_t + lg_big_d)
-            lg_f = max((d * e_n - 1) * lg_s + lg_unit + lg_m, lg_tail + lg_big_d) + 64
-        else:
-            lg_f = max(
-                (d - 2) ** (n - 1) * lg(4) + (d - 2) ** n * lg(d - 2) + (2 * e_n - 2) * lg_s + 2 * lg_m,
-                d**n * lg_d + (2 * d**n - 2) * lg_t,
-            ) + 64
-        if lg_f // 64 + 1 > FN_BIT_CAP:
+        w_bits, s_bits = orbit_bits_step(inst, w_bits, s_bits)
+        if max(w_bits - sk_bits, s_bits - tk_bits) + 2 > FN_BIT_CAP:
             return n - 1
     return FN_BIT_CAP.bit_length() - 1
 

@@ -12,9 +12,10 @@ not a failed relation. Six caps are checked before the value they
 bound is built: a certify or pipeline depth past
 ``certify.deepest_depth_in_cap`` is a resource cap, as are a
 ``disc --params`` level whose bound in ``poly.disc_levels`` exceeds
-``poly.DEFAULT_BIT_BUDGET`` and an --exhibit-effort above
-``certify.EXHIBIT_EFFORT_CAP``; a group-check degree above
-``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is a rational
+``poly.DEFAULT_BIT_BUDGET`` (both bound the critical orbit's growth
+one ``poly.orbit_bits_step`` per depth, on bit lengths alone) and an
+--exhibit-effort above ``certify.EXHIBIT_EFFORT_CAP``; a group-check
+degree above ``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is a rational
 entry (``newton`` coefficients, ``disc --trinomial`` A, B, C) of more
 than RATIONAL_BIT_CAP bits, estimated from the literal's digits and
 exponent; and a trinomial discriminant whose bound

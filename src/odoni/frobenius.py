@@ -82,18 +82,24 @@ def sample_distribution(
 
     Requires the tree group to be enumerable (order at most
     ``MAX_ENUMERATION``, the reach of the law's test oracle), which is
-    decided without building the order. Every observed type is
+    decided first and without building the order, and then that the
+    instance's structural relations hold: samples of an instance outside
+    the constructed family say nothing. Every observed type is
     membership-checked against the reachable set; an unrealizable type
     is a hard error.
     """
     d = inst.d
     if n < 1:
         raise ValueError(f"sample_distribution: level must be >= 1, got {n}")
-    if wreath_order_exceeds(d, n, MAX_ENUMERATION):
+    # a degree below 2 has no tree group; the relations below name it
+    if d >= 2 and wreath_order_exceeds(d, n, MAX_ENUMERATION):
         raise ValueError(
             f"sample_distribution: the depth-{n} tree group of degree {d} has "
             f"order above the enumerable cap {MAX_ENUMERATION}"
         )
+    violated = inst.violated_relations()
+    if violated:
+        raise ConstructError("instance.structural_invariants: " + "; ".join(violated))
     realizable = set(leaf_type_distribution(d, n))
     bad = _bad_reduction_product(inst, n)
     # a good prime divides neither den(b) nor den(x0), so the leading
@@ -168,12 +174,6 @@ def run_frobenius(
     start: int = DEFAULT_SCAN_START,
     scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> FrobeniusReport:
-    # samples of an instance outside the constructed family say nothing
-    violated = inst.violated_relations()
-    if violated:
-        raise ConstructError(
-            "instance.structural_invariants: " + "; ".join(violated)
-        )
     sample = sample_distribution(inst, n, prime_count, start, scan_cap)
     tv = chebotarev_distance(sample.frequencies(), inst.d, n)
     enforced = tv_is_enforced(inst.d, n, sample.used)

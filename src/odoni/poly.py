@@ -131,6 +131,24 @@ def critical_orbit(inst, number: Callable[[int], Number] = int) -> Iterator[tupl
         yield w, scale
 
 
+def orbit_bits_step(inst, w_bits: int, s_bits: int) -> tuple[int, int]:
+    """Upper bounds on bits(W_(k+1)) and bits(S_(k+1)) of ``critical_orbit``
+    from bounds on bits(W_k) and bits(S_k), read off d, m and the bit
+    lengths of b alone, so no value of the orbit is formed:
+
+        bits(W_(k+1)) <= m*bits(W_k)
+                         + (d-m)*(max(bits(W_k), bits(S_k / den(b)) + bits(num(b))) + 1),
+        bits(S_(k+1)) <= d*bits(S_k),
+
+    by bits(x*y) <= bits(x) + bits(y), bits(x^e) <= e*bits(x),
+    bits(x - y) <= max(bits(x), bits(y)) + 1 and
+    bits(x // y) <= bits(x) - bits(y) + 1.
+    """
+    d, m, b = inst.d, inst.m, Fraction(inst.b)
+    b_num, b_den = b.numerator.bit_length(), b.denominator.bit_length()
+    return m * w_bits + (d - m) * (max(w_bits, s_bits - b_den + 1 + b_num) + 1), d * s_bits
+
+
 def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[int, int]]:
     """disc(f^k - x0) for k = 1, 2, ... with f = x^d - b*x^m, without
     expanding f^k, as integer pairs (N_k, D_k) with D_k > 0 and
@@ -158,7 +176,8 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[in
     ``inst`` is anything with attributes d, m, b, x0. Growth is doubly
     exponential in k, so bits(N_(k+1)) + bits(D_(k+1)) is bounded before
     the orbit is stepped or any factor of level k + 1 is formed: from
-    level k's bit lengths and those of d, m, b and x0, by
+    level k's bit lengths and those of d, m, b and x0 (the orbit's by
+    ``orbit_bits_step``), by
     bits(x*y) <= bits(x) + bits(y), bits(x^e) <= e*bits(x) and
     bits(x - y) <= max(bits(x), bits(y)) + 1 (so A~^(d^k) counts as
     d^(k+1) * bits(d) bits). A bound over ``bit_budget`` raises
@@ -170,14 +189,11 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[in
     b, x0 = Fraction(inst.b), Fraction(inst.x0)
     x0_shift = x0 ** (d - m)
     u, v = x0_shift.numerator, x0_shift.denominator
-    b_num, b_den = b.numerator.bit_length(), b.denominator.bit_length()
     w, scale = m * b.numerator, d * b.denominator  # W_0, S_0 of the orbit
     orbit = critical_orbit(inst)
     num, den = 1, 1
     for k in itertools.count():
-        w_bits, s_bits = w.bit_length(), scale.bit_length()
-        w_next = m * w_bits + (d - m) * (max(w_bits, s_bits - b_den + 1 + b_num) + 1)
-        s_next = d * s_bits
+        w_next, s_next = orbit_bits_step(inst, w.bit_length(), scale.bit_length())
         bits = (
             d * num.bit_length()
             + d ** (k + 1) * d.bit_length()

@@ -235,6 +235,47 @@ class TestDepthCap:
         for inst in (golden_even_2, golden_odd_3):
             assert 0 <= deepest_depth_in_cap(replace(inst, **changes)) <= 24
 
+    @staticmethod
+    def _bracket_misses(namespace, d):
+        """The depths of build_params(d), up to F_n of 2^18 bits, at which
+        the ``deepest_depth_in_cap`` of ``namespace``, which reads its cap
+        from there, fails the bracket of test_bound_brackets_each_fn."""
+        inst = build_params(d)
+        deepest = namespace["deepest_depth_in_cap"]
+        misses = []
+        for value in fn_sequence(inst, TestDepthCap.DEEPEST[d]):
+            if value.bits > 2**18:
+                break
+            namespace["FN_BIT_CAP"] = value.bits - 1
+            below = deepest(inst) < value.n
+            namespace["FN_BIT_CAP"] = value.bits * 5 // 4
+            if not (below and deepest(inst) >= value.n):
+                misses.append(value.n)
+        return misses
+
+    @pytest.mark.parametrize("mutant", [None, "carry", "s_k"])
+    def test_bound_without_a_term_misses(self, mutant):
+        # negative control: on a copy of the modules the bracket holds at
+        # d = 5 as the code stands, and misses once the orbit step drops
+        # its (d-m)*(... + 1) carry (the bound falls below bits(F_1)) or
+        # the bound no longer subtracts bits(s^k) (it passes 1.25 bits(F_1))
+        namespace = dict(vars(importlib.import_module("odoni.certify")))
+        if mutant == "carry":
+            poly_namespace = dict(vars(importlib.import_module("odoni.poly")))
+            source = inspect.getsource(poly_namespace["orbit_bits_step"])
+            term = " + (d - m) * (max(w_bits, s_bits - b_den + 1 + b_num) + 1)"
+            assert source.count(term) == 1
+            exec(compile(source.replace(term, ""), "<mutant>", "exec"), poly_namespace)
+            namespace["orbit_bits_step"] = poly_namespace["orbit_bits_step"]
+        source = inspect.getsource(namespace["deepest_depth_in_cap"])
+        term = "max(w_bits - sk_bits, "
+        assert source.count(term) == 1
+        if mutant == "s_k":
+            source = source.replace(term, "max(w_bits, ")
+        exec(compile(source, "<mutant>", "exec"), namespace)
+        misses = self._bracket_misses(namespace, 5)
+        assert misses if mutant else misses == []
+
 
 def _congruence_modulus(inst):
     """The modulus whose multiples leave M_n's congruence unchanged."""

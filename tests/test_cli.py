@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -187,6 +190,31 @@ class TestExitCodes:
         assert "below" in err and "cap" in err
         assert "check failed" not in err
         assert "Traceback" not in err
+
+
+class TestEntryPoint:
+    """``python -m odoni.cli`` in a fresh interpreter: ``main`` turns the
+    exit code of ``run`` into the process's."""
+
+    @staticmethod
+    def _run(*argv):
+        path = [str(INPUTS.parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        return subprocess.run(
+            [sys.executable, "-m", "odoni.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    def test_construct_prints_json(self):
+        proc = self._run("construct", "--degree", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["d"] == "3"
+
+    def test_depth_past_the_cap_exits_2(self):
+        proc = self._run("certify", "--params", str(INPUTS / "params_d2.json"), "--depth", "20")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "resource cap" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestDiscCommand:
@@ -427,6 +455,27 @@ class TestFrobeniusCommand:
         assert "enumerable cap 100000" in err
         assert elapsed < 1.0
         assert peak < 1e6
+
+    def test_over_cap_exits_before_the_relations(self, tmp_path, capsys):
+        # as for disc (TestDiscCommand.test_over_budget_exits_before_building):
+        # a degree of 10^6 puts level 1 past the enumerable cap, which is
+        # decided before the structural relations build s^(d-1) + t^(d-1)
+        data = instance_to_json_dict(build_params_even(2))
+        data.update(d="1000000", m="999999")
+        path = write_params(tmp_path, data)
+        started = time.monotonic()
+        assert cli.run(["frobenius", "--params", path, "--level", "1", "--primes", "5"]) == 2
+        assert time.monotonic() - started < 1
+        assert "enumerable cap" in capsys.readouterr().err
+
+    def test_degree_below_two_names_relation(self, tmp_path, capsys):
+        # d = 1 has no tree group for the cap to decide on; the failed
+        # relation is named, as for any instance outside the family
+        data = instance_to_json_dict(build_params_even(2))
+        data["d"] = "1"
+        path = write_params(tmp_path, data)
+        assert cli.run(["frobenius", "--params", path, "--level", "1", "--primes", "5"]) == 1
+        assert "instance.structural_invariants: d >= 2" in capsys.readouterr().err
 
     def test_degenerate_instance_names_relation(self, tmp_path, capsys):
         # b = 0 breaks b == x0^2; sampling such an instance proves nothing
