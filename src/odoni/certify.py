@@ -13,9 +13,10 @@ A certificate records, for an instance (d, m, b, x0, witness primes):
     the quadratic-nonresidue test of +-F_n at the unit-square prime
     (which certifies that a fresh odd-valuation ramified prime exists at
     this depth), an Eisenstein check of f^n - x0 at p1 for n <= 3, and
-    optionally an exhibited odd-valuation prime q, found among the
-    primes up to a bound by stepping the critical orbit modulo products
-    of 16 primes (``orbit_prime_divisors``). In the odd cases only the
+    the search for an exhibited odd-valuation prime q among the primes
+    up to a bound (a bound of 1 searches none), made by stepping the
+    critical orbit modulo products of 16 primes
+    (``orbit_prime_divisors``). In the odd cases only the
     primes p with (d(d-2) | p) = 1, and those of 2 d (d-2) s t, are
     stepped: the odd closed form F_n = A_n M_n^2 - B_n makes A_n B_n, which
     is d(d-2) times a square, a square mod any other prime of F_n. This
@@ -43,7 +44,7 @@ from __future__ import annotations
 import decimal
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -133,8 +134,8 @@ class CertDepthRecord:
     coprimality_ok: bool
     congruence_ok: bool
     dual_path_ok: bool
+    exhibited_q: ExhibitReport
     eisenstein_ok: Optional[bool] = None  # None when not checked at this depth
-    exhibited_q: Optional[ExhibitReport] = None
 
 
 @dataclass
@@ -149,7 +150,7 @@ class Certificate:
     verdict_pass: bool
     first_failure: Optional[str]
     evidence_level: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]  # in check order; the verdict reads its first failure
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +352,10 @@ def check_condition1(inst: IterInstance) -> ConditionOneReport:
 
 
 def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
-    """The four valuation hypotheses at p2 (d >= 4 only), plus the
-    predicted ramification tower to the certificate depth as a probe."""
+    """The four valuation hypotheses at p2 (d >= 4 only), decided here
+    and nowhere else, then, when all four hold, the predicted
+    ramification tower to the certificate depth from the same two
+    valuations (``newton.tower_from_valuations``) as a probe."""
     if inst.d <= 3:
         return ConditionTwoReport(skipped=True, ok=True, checks=[])
     p2 = inst.p2
@@ -387,13 +390,11 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
             )
         )
     tower = None
-    tower_ok = all(c.ok for c in checks)
-    if tower_ok:
+    if all(c.ok for c in checks):
         try:
-            tower = newton.ramification_tower(inst, depth)
+            tower = newton.tower_from_valuations(d, m, v_b, v_x0, depth)
         except ValueError as exc:
             checks.append(CheckResult("condition2.ramification_tower", False, str(exc)))
-            tower_ok = False
         else:
             checks.append(
                 CheckResult(
@@ -661,13 +662,14 @@ def certify(
     inst: IterInstance,
     depth: int = DEFAULT_DEPTH,
     exhibit_effort: int = EXHIBIT_PRIME_BOUND,
-    exhibit: bool = True,
 ) -> Certificate:
     """Run every check to the requested depth and assemble the verdict.
 
     Check order is pinned: condition (1), condition (2), structural
     instance invariants, then per-depth records; the verdict names the
-    first failed relation. A depth past ``deepest_depth_in_cap`` raises
+    first failed relation. The witness search at each depth steps the
+    primes up to ``exhibit_effort``, none at 1; its outcome never
+    changes the verdict. A depth past ``deepest_depth_in_cap`` raises
     CapExceededError before anything is built: the cap on the bits of
     F_n guards memory, not correctness.
     """
@@ -680,7 +682,6 @@ def certify(
             f"is bounded within the {FN_BIT_CAP}-bit cap"
         )
     checks: list[CheckResult] = []
-    failures: list[str] = []
     hypothesis_set = HYPOTHESES_LOW_DEGREE if inst.d <= 3 else HYPOTHESES_FULL
 
     # valuations below are only meaningful at actual primes, so this
@@ -720,13 +721,11 @@ def certify(
         )
     )
 
-    failures.extend(c.name for c in checks if not c.ok)
-
     records: list[CertDepthRecord] = []
     evidence_level = "deterministic"
-    if not failures:
+    if all(c.ok for c in checks):
         eisenstein = _eisenstein_levels(inst, depth)
-        divisors = orbit_prime_divisors(inst, exhibit_effort) if exhibit else None
+        divisors = orbit_prime_divisors(inst, exhibit_effort)
         try:
             for value in fn_sequence(inst, depth):
                 n, bits = value.n, value.bits
@@ -735,13 +734,11 @@ def certify(
                 f_mod_p = residue(value.F_n, inst.p)
                 ns_f, ns_neg_f = nonsquare_pair(inst, f_mod_p)
                 e_ok = value.e_n == expected_e_n(inst, n)
-                exhibit_report = None
-                if exhibit:
-                    exhibit_report = exhibit_odd_prime_q(
-                        inst, n, exhibit_effort, [r.F_n for r in records] + [value.F_n], divisors
-                    )
-                    if exhibit_report.evidence != "deterministic":
-                        evidence_level = "probabilistic-primality"
+                exhibit_report = exhibit_odd_prime_q(
+                    inst, n, exhibit_effort, [r.F_n for r in records] + [value.F_n], divisors
+                )
+                if exhibit_report.evidence != "deterministic":
+                    evidence_level = "probabilistic-primality"
                 record = CertDepthRecord(
                     n=n,
                     e_n=value.e_n,
@@ -754,8 +751,8 @@ def certify(
                     coprimality_ok=coprime_ok,
                     congruence_ok=congruence_ok,
                     dual_path_ok=True,  # fn_sequence raises otherwise
-                    eisenstein_ok=eisenstein.get(n),
                     exhibited_q=exhibit_report,
+                    eisenstein_ok=eisenstein.get(n),
                 )
                 records.append(record)
                 depth_checks = [
@@ -774,12 +771,10 @@ def certify(
                         CheckResult(f"depth{n}.eisenstein_at_p1", eisenstein[n])
                     )
                 checks.extend(depth_checks)
-                failures.extend(c.name for c in depth_checks if not c.ok)
         except CertifyError as exc:
-            name = str(exc).split(":")[0]
-            checks.append(CheckResult(name, False, str(exc)))
-            failures.append(name)
+            checks.append(CheckResult(str(exc).split(":")[0], False, str(exc)))
 
+    first_failure = next((c.name for c in checks if not c.ok), None)
     return Certificate(
         instance=inst,
         depth=depth,
@@ -788,8 +783,8 @@ def certify(
         condition2=cond2,
         structural=structural,
         records=records,
-        verdict_pass=not failures,
-        first_failure=failures[0] if failures else None,
+        verdict_pass=first_failure is None,
+        first_failure=first_failure,
         evidence_level=evidence_level,
         checks=checks,
     )
@@ -845,7 +840,8 @@ def certificate_to_json_dict(cert: Certificate, full_values: bool = False) -> di
             }
     records = []
     for r in cert.records:
-        rec = {
+        ex = r.exhibited_q
+        records.append({
             "n": r.n,
             "e_n": str(r.e_n),
             "M_n": _big_int_json(r.M_n, full_values),
@@ -858,10 +854,7 @@ def certificate_to_json_dict(cert: Certificate, full_values: bool = False) -> di
             "congruence_ok": r.congruence_ok,
             "dual_path_ok": r.dual_path_ok,
             "eisenstein_ok": r.eisenstein_ok,
-        }
-        if r.exhibited_q is not None:
-            ex = r.exhibited_q
-            rec["exhibited_q"] = {
+            "exhibited_q": {
                 "found": ex.found,
                 "q": None if ex.q is None else str(ex.q),
                 "valuation_in_Fn": ex.valuation_in_fn,
@@ -869,8 +862,8 @@ def certificate_to_json_dict(cert: Certificate, full_values: bool = False) -> di
                 "disc_valuation_odd": ex.disc_valuation_odd,
                 "evidence": ex.evidence,
                 "note": ex.note,
-            }
-        records.append(rec)
+            },
+        })
     return {
         "schema": "odoni-certificate-v1",
         "instance": instance_to_json_dict(cert.instance),

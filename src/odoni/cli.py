@@ -8,12 +8,16 @@ progress and the --verbose check log go to stderr, so piped output
 stays parseable. A resource cap that is hit (a certify depth past the
 F_n bit cap, a discriminant past its bit budget, too few good primes
 below the scan cap, a prime search past its cap) exits 2, not 1: it is
-not a failed relation. Six caps are checked before the value they
+not a failed relation. Eight caps are checked before the value they
 bound is built: a certify or pipeline depth past
 ``certify.deepest_depth_in_cap`` is a resource cap, as are a
 ``disc --params`` level whose bound in ``poly.disc_levels`` exceeds
 ``poly.DEFAULT_BIT_BUDGET`` (both bound the critical orbit's growth
-one ``poly.orbit_bits_step`` per depth, on bit lengths alone) and an
+one ``poly.orbit_bits_step`` per depth, on bit lengths alone), an
+even-degree construct or pipeline whose b is bounded over the same
+budget from the bits of s and t (``construct.build_params_even``), a
+frobenius or pipeline --primes above
+``frobenius.PRIMES_BELOW_SCAN_CAP`` and an
 --exhibit-effort above ``certify.EXHIBIT_EFFORT_CAP``; a group-check
 degree above ``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is a rational
 entry (``newton`` coefficients, ``disc --trinomial`` A, B, C) of more

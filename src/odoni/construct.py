@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .arith import (
     DEFAULT_SEARCH_CAP,
+    CapExceededError,
     crt,
     decimal_str,
     is_prime,
@@ -30,6 +31,7 @@ from .arith import (
     next_prime_where,
     val,
 )
+from .poly import DEFAULT_BIT_BUDGET
 
 EVEN_CASE = "even"
 ODD_CASE_1 = "odd-case-1"
@@ -152,6 +154,11 @@ def build_params_even(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
     t = 1 mod s(d-1) with t = p - s mod p^2, which plants v_p(D) = 1 in
     D = s^(d-1) + t^(d-1). All claimed valuations are re-verified before
     the instance is released.
+
+    b = s^d / (t D) has at most d bits(s) bits in its numerator and
+    bits(t) + (d-1) max(bits(s), bits(t)) + 1 in its denominator; a sum
+    over ``poly.DEFAULT_BIT_BUDGET`` raises CapExceededError before
+    s^(d-1) is formed.
     """
     if d < 2 or d % 2 != 0:
         raise ValueError("build_params_even: d must be even and >= 2")
@@ -162,6 +169,13 @@ def build_params_even(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
     p1 = next_prime_where(2, lambda q: (d * (d - 1) * p) % q != 0, cap)
     s = crt([(1, d * (d - 1)), (s0, p), (p1, p1 * p1)])
     t = crt([(1, s * (d - 1)), ((p - s) % (p * p), p * p)])
+    s_bits, t_bits = s.bit_length(), t.bit_length()
+    b_bits = d * s_bits + t_bits + (d - 1) * max(s_bits, t_bits) + 1
+    if b_bits > DEFAULT_BIT_BUDGET:
+        raise CapExceededError(
+            f"construct: b = s^d/(t*(s^(d-1)+t^(d-1))) at degree {d} may need {b_bits} "
+            f"bits, over the bit budget {DEFAULT_BIT_BUDGET}"
+        )
     big_d = s ** (d - 1) + t ** (d - 1)
     x0 = Fraction(s, t)
     b = Fraction(s**d, t * big_d)

@@ -31,6 +31,8 @@ from .polymod import cycle_type_mod_p, iterates_minus_x0
 
 DEFAULT_SCAN_START = 1000
 DEFAULT_SCAN_CAP = 10**7
+# pi(DEFAULT_SCAN_CAP): no start bound leaves more primes to sample
+PRIMES_BELOW_SCAN_CAP = 664579
 TV_TOLERANCE = Fraction(1, 20)
 TV_ENFORCED_SHAPES = ((2, 2), (3, 1))
 MIN_ENFORCED_PRIMES = 2000
@@ -75,10 +77,9 @@ def sample_distribution(
     n: int,
     prime_count: int,
     start: int = DEFAULT_SCAN_START,
-    scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> SampleResult:
     """Empirical leaf cycle-type distribution over the first prime_count
-    good primes above the start bound.
+    good primes above the start bound and at most ``DEFAULT_SCAN_CAP``.
 
     Requires the tree group to be enumerable (order at most
     ``MAX_ENUMERATION``, the reach of the law's test oracle), which is
@@ -86,7 +87,9 @@ def sample_distribution(
     instance's structural relations hold: samples of an instance outside
     the constructed family say nothing. Every observed type is
     membership-checked against the reachable set; an unrealizable type
-    is a hard error.
+    is a hard error. A prime_count above ``PRIMES_BELOW_SCAN_CAP`` is
+    refused before any law, discriminant or prime is computed; one that
+    the window above start cannot fill is refused when the scan ends.
     """
     d = inst.d
     if n < 1:
@@ -100,6 +103,11 @@ def sample_distribution(
     violated = inst.violated_relations()
     if violated:
         raise ConstructError("instance.structural_invariants: " + "; ".join(violated))
+    if prime_count > PRIMES_BELOW_SCAN_CAP:
+        raise InsufficientPrimesError(
+            f"{prime_count} primes requested, but only {PRIMES_BELOW_SCAN_CAP} "
+            f"primes are below scan cap {DEFAULT_SCAN_CAP}"
+        )
     realizable = set(leaf_type_distribution(d, n))
     bad = _bad_reduction_product(inst, n)
     # a good prime divides neither den(b) nor den(x0), so the leading
@@ -110,11 +118,11 @@ def sample_distribution(
     block_lo = max(start + 1, 3)
     block = 1 << 16
     while used < prime_count:
-        if block_lo > scan_cap:
+        if block_lo > DEFAULT_SCAN_CAP:
             raise InsufficientPrimesError(
-                f"only {used} good primes below scan cap {scan_cap}"
+                f"only {used} good primes below scan cap {DEFAULT_SCAN_CAP}"
             )
-        block_hi = min(block_lo + block - 1, scan_cap)
+        block_hi = min(block_lo + block - 1, DEFAULT_SCAN_CAP)
         for p in primes_between(block_lo, block_hi):
             if used >= prime_count:
                 break
@@ -172,9 +180,8 @@ def run_frobenius(
     n: int,
     prime_count: int,
     start: int = DEFAULT_SCAN_START,
-    scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> FrobeniusReport:
-    sample = sample_distribution(inst, n, prime_count, start, scan_cap)
+    sample = sample_distribution(inst, n, prime_count, start)
     tv = chebotarev_distance(sample.frequencies(), inst.d, n)
     enforced = tv_is_enforced(inst.d, n, sample.used)
     return FrobeniusReport(

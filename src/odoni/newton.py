@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .arith import INFINITY, Rational, val
@@ -96,20 +97,14 @@ class RamificationTower:
 def tower_from_valuations(d: int, m: int, v_b: int, v_x0: int, n: int) -> RamificationTower:
     """Iterate the short-segment slope: v_k = (v_(k-1) - v(b)) / m.
 
-    Checks the hypotheses v(b) < min(v(x0), 0), (d-m) | v(b), and
-    gcd(m, v(x0) - v(b)) = 1 first (named failures), then asserts at
-    every level that m^k * v_k is a positive integer coprime to m.
+    The hypotheses of condition (2) are decided by the caller
+    (``certify.check_condition2``), never here. What this asserts, at
+    every level, is that m^k * v_k is a positive integer coprime to m;
+    a level where that fails, or an m = 0 that leaves v_k undefined,
+    raises ValueError.
     """
-    if n < 1:
-        raise ValueError("tower: depth must be >= 1")
-    if not v_b < min(v_x0, 0):
-        raise ValueError("tower: condition v(b) < min(v(x0), 0) fails")
-    if v_b % (d - m) != 0:
-        raise ValueError("tower: condition (d-m) | v(b) fails")
-    from math import gcd
-
-    if gcd(m, v_x0 - v_b) != 1:
-        raise ValueError("tower: condition gcd(m, v(x0/b)) = 1 fails")
+    if m == 0:
+        raise ValueError("tower: v_k = (v_(k-1) - v(b)) / m is undefined at m = 0")
     levels = []
     v = Fraction(v_x0)
     for k in range(1, n + 1):
@@ -122,20 +117,3 @@ def tower_from_valuations(d: int, m: int, v_b: int, v_x0: int, n: int) -> Ramifi
             raise ValueError(f"tower: m^{k} * v_{k} = {scaled} shares a factor with m")
         levels.append(TowerLevel(k, v, m**k, scaled))
     return RamificationTower(d, m, v_b, v_x0, n, tuple(levels))
-
-
-def ramification_tower(inst, n: int) -> RamificationTower:
-    """Tower for an instance at its second witness prime p2.
-
-    Checks the instance-level hypothesis p2 coprime to (d-m) as well;
-    the remaining hypotheses are valuation facts delegated to
-    tower_from_valuations.
-    """
-    p2 = inst.p2
-    if (inst.d - inst.m) % p2 == 0:
-        raise ValueError("tower: condition p2 does not divide (d-m) fails")
-    v_b = val(Fraction(inst.b), p2)
-    v_x0 = val(Fraction(inst.x0), p2)
-    if v_b is INFINITY or v_x0 is INFINITY:
-        raise ValueError("tower: b and x0 must be nonzero")
-    return tower_from_valuations(inst.d, inst.m, v_b, v_x0, n)

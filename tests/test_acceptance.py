@@ -13,14 +13,14 @@ from types import SimpleNamespace
 from fn_helpers import compute_fn, fn_sequence_oracle
 from odoni import cli
 from odoni.arith import legendre
-from odoni.certify import certify, expected_e_n, fn_sequence
+from odoni.certify import certify, check_condition2, expected_e_n, fn_sequence
 from odoni.construct import (
     IterInstance,
     build_params,
     instance_to_json_dict,
 )
 from odoni.frobenius import chebotarev_distance, sample_distribution
-from odoni.newton import newton_polygon, ramification_tower
+from odoni.newton import newton_polygon
 from odoni.permgroup import Perm, gen_sd_check, leaf_type_distribution
 from odoni.poly import Trinomial, disc_iterate, disc_trinomial
 from newton_helpers import predict_two_segments
@@ -227,7 +227,7 @@ def test_criterion_8_newton_predictions():
         built += 1
     for d in (4, 5, 6, 7, 9, 10):
         inst = build_params(d)
-        tower = ramification_tower(inst, 4)
+        tower = check_condition2(inst, 4).tower
         for level in tower.levels:
             assert level.scaled > 0
             assert math.gcd(level.scaled, inst.m) == 1

@@ -181,7 +181,7 @@ class TestLazySequence:
         bits = [v.bits for v in fn_sequence(golden_even_2, 3)]
         monkeypatch.setattr(certify_module, "FN_BIT_CAP", bits[2] - 1)
         assert deepest_depth_in_cap(golden_even_2) == 2
-        cert = certify(golden_even_2, 2, exhibit=False)
+        cert = certify(golden_even_2, 2, exhibit_effort=1)
         assert cert.verdict_pass
         assert [r.n for r in cert.records] == [1, 2]
 
@@ -191,7 +191,7 @@ class TestLazySequence:
         for name in ("check_condition1", "check_condition2", "fn_sequence"):
             monkeypatch.setattr(certify_module, name, unbuilt)
         with pytest.raises(CapExceededError, match="depth 8 is past depth 2"):
-            certify(golden_even_2, 8, exhibit=False)
+            certify(golden_even_2, 8, exhibit_effort=1)
 
 
 class TestDepthCap:
@@ -410,6 +410,67 @@ class TestConditions:
     def test_condition2_skipped_low_degree(self, golden_odd_3):
         report = check_condition2(golden_odd_3, 3)
         assert report.skipped and report.ok
+
+
+class TestConditionTwoByName:
+    """Condition (2) is decided in check_condition2 alone, each
+    hypothesis under its recorded name. golden_odd_5 has d = 5, m = 3,
+    p1 = 13, p2 = 7, x0 = 13/7 and b = 169/49, so v(b) = -2 and
+    v(x0) = -1 at p2."""
+
+    # each tampering breaks exactly one of 2a-2d and keeps condition (1)
+    ONE_FAILURE = {
+        # p2 = 2 divides d - m = 2; v(b) = -2, v(x0) = -1 at 2
+        "condition2a.p2_coprime_d_minus_m": dict(
+            t=2, x0=Fraction(13, 2), b=Fraction(169, 4), p2=2
+        ),
+        # v(b) = 2 is not below min(v(x0), 0) = 0
+        "condition2b.v_p2_b_below_min": dict(x0=Fraction(91), b=Fraction(8281)),
+        # v(b) = -3 is odd
+        "condition2c.d_minus_m_divides_v_p2_b": dict(b=Fraction(169, 343)),
+        # v(x0/b) = 1 + 2 = 3 = m
+        "condition2d.gcd_m_v_p2_x0_over_b": dict(x0=Fraction(91)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ONE_FAILURE))
+    def test_named_failure(self, golden_odd_5, name):
+        inst = replace(golden_odd_5, **self.ONE_FAILURE[name])
+        assert check_condition1(inst).ok
+        report = check_condition2(inst, 3)
+        assert [c.name for c in report.checks if not c.ok] == [name]
+        assert not report.ok and report.tower is None
+        cert = certify(inst, 3, exhibit_effort=1)
+        assert cert.first_failure == name and not cert.verdict_pass
+        assert cert.records == []
+
+    def test_zero_b(self, golden_odd_5):
+        inst = replace(golden_odd_5, b=Fraction(0))
+        report = check_condition2(inst, 3)
+        assert [(c.name, c.ok, c.detail) for c in report.checks if not c.ok] == [
+            ("condition2b.v_p2_b_below_min", False, "b or x0 is 0")
+        ]
+        assert report.tower is None
+        # condition (1) fails first: v_p1(0) is infinite
+        cert = certify(inst, 3, exhibit_effort=1)
+        assert cert.first_failure == "condition1.v_p1_b"
+        assert "condition2b.v_p2_b_below_min" in [c.name for c in cert.checks if not c.ok]
+
+    @pytest.mark.parametrize(
+        "m, b, x0, detail",
+        [
+            # 2a-2d hold (d - m = 6, v(b) = -6, v(x0) = -1), but m^2 v_2 = -1
+            (-1, Fraction(169, 7**6), Fraction(13, 7), "not a positive integer"),
+            # 2a-2d hold (gcd(0, 1) = 1), but the slope recursion divides by m
+            (0, Fraction(169, 7**5), Fraction(13, 7**4), "undefined at m = 0"),
+        ],
+    )
+    def test_tower_probe_decides_its_own_relation(self, golden_odd_5, m, b, x0, detail):
+        inst = replace(golden_odd_5, m=m, b=b, x0=x0)
+        report = check_condition2(inst, 3)
+        assert [c.name for c in report.checks if not c.ok] == ["condition2.ramification_tower"]
+        assert detail in report.checks[-1].detail and report.tower is None
+        cert = certify(inst, 3, exhibit_effort=1)
+        assert cert.first_failure == "condition2.ramification_tower"
 
 
 class TestNonsquare:
@@ -722,7 +783,7 @@ class TestCertify:
             certify(golden_even_2, 0)
 
     def test_json_digest_for_huge_values(self, golden_odd_9):
-        cert = certify(golden_odd_9, 3, exhibit=False)
+        cert = certify(golden_odd_9, 3, exhibit_effort=1)
         data = certificate_to_json_dict(cert)
         f3 = data["records"][2]["F_n"]
         assert isinstance(f3, dict) and f3["bits"] > 4096 and "sha256_of_decimal" in f3
@@ -829,7 +890,7 @@ class TestBeyondAcceptanceEnvelope:
 
     @pytest.mark.parametrize("d", [11, 12])
     def test_larger_degrees(self, d):
-        cert = certify(build_params(d), 2, exhibit=False)
+        cert = certify(build_params(d), 2, exhibit_effort=1)
         assert cert.verdict_pass
 
 
@@ -846,14 +907,16 @@ class TestGoldenCertificates:
         9: "291b2b95c7146eda7db705f3a20acc72bf3a1c9509bcd9756b03f4286c938749",
     }
 
-    # deep certificates without the witness search: digests of F_n and
-    # M_n far above the 2048-bit cut-off of decimal_str's direct route,
-    # and dual-path checks on Mbit-sized values
+    # deep certificates at --exhibit-effort 1, which searches no prime:
+    # digests of F_n and M_n far above the 2048-bit cut-off of
+    # decimal_str's direct route, and dual-path checks on Mbit-sized
+    # values. At (3, 9) a 189-bit F_3 is classified prime as its own
+    # cofactor, so that certificate's evidence is probabilistic
     DEEP_HASHES = {
-        (2, 13): "193369b43e3adf56de81d3ae18fcdd8d6ad045faac5d00d361c237286b76fb82",
-        (3, 9): "bb53ebde5ddbfb6094ec52794dc5fdf1480f5cd2d72cf9700b4edc36f5970f81",
+        (2, 13): "d45ae375320e86d91f3fe539deaf8f4f6e901e5aab8b653b5726dfc2ed3c027f",
+        (3, 9): "e60d992e93947a6f31a75977aeaf18f7a4b66c8da9f572dc6a94a8865aa71917",
         # the even d >= 4 branch of fn_sequence and of the congruence
-        (6, 5): "f5cfe5dfd30a363266dc789cc03d44e348877d79c3fb122f7a40fcb279d0c2f5",
+        (6, 5): "c6ed9fa544bc9ad4c8072a46d7b02095499c3763901512c8a8939b18e4e9cfdc",
     }
 
     @staticmethod
@@ -867,7 +930,7 @@ class TestGoldenCertificates:
 
     @pytest.mark.parametrize("d, depth", sorted(DEEP_HASHES))
     def test_deep_json_hash(self, d, depth):
-        cert = certify(build_params(d), depth, exhibit=False)
+        cert = certify(build_params(d), depth, exhibit_effort=1)
         assert self._hash(cert) == self.DEEP_HASHES[d, depth]
 
     # certificates at the default effort: the witness search factors F_n
@@ -901,7 +964,7 @@ class TestExhibitBitBudget:
         # the witness check reads F_1..F_n and builds no discriminant, so
         # no level is too large for it to decide
         cert = certify(golden_even_2, 4)
-        plain = certify(golden_even_2, 4, exhibit=False)
+        plain = certify(golden_even_2, 4, exhibit_effort=1)
         assert cert.verdict_pass
         assert [r.n for r in cert.records] == [r.n for r in plain.records] == [1, 2, 3, 4]
         witness = cert.records[2].exhibited_q

@@ -59,6 +59,16 @@ class TestConstructCommand:
         err = capsys.readouterr().err
         assert f"note: depth {hint} is past depth 4, the deepest" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["construct", "--degree", "20000"], ["pipeline", "--degree", "20000", "--depth", "1"]]
+    )
+    def test_even_degree_over_the_bit_budget(self, argv, capsys):
+        # b's bits are bounded from bits(s) and bits(t) before b is built
+        started = time.monotonic()
+        assert cli.run(argv) == 2
+        assert time.monotonic() - started < 1
+        assert "resource cap: construct: b = s^d/(t*(s^(d-1)+t^(d-1))) at degree 20000" in capsys.readouterr().err
+
 
 class TestCertifyCommand:
     def test_pass_exit_zero(self, params_d2, tmp_path):
@@ -180,6 +190,8 @@ class TestExitCodes:
             # no good prime below the sampler's scan cap
             ["frobenius", "--params", "{params}", "--level", "1", "--primes", "10",
              "--start", "1000000000000"],
+            # more primes than any window below the scan cap holds
+            ["frobenius", "--params", "{params}", "--level", "1", "--primes", "700000"],
             # no witness prime below construct's search cap
             ["construct", "--degree", "5", "--cap", "10"],
         ],

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from odoni.arith import legendre, val
+from odoni.arith import CapExceededError, legendre, val
 from odoni.construct import (
     ConstructError,
     IterInstance,
@@ -75,6 +76,19 @@ class TestBuildEven:
         assert val(inst.x0, inst.p2) == 0
         assert val(inst.b, inst.p2) == -1
         assert not inst.violated_relations()
+
+    def test_bit_budget_checked_before_b(self):
+        # at d = 20000, s and t have 49 bits each, so b = s^d/(tD) is
+        # bounded by 40000 * 49 + 1 bits, over the 2^20-bit budget: the
+        # run stops before s^(d-1), about 120 kB on its own, is formed
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="1960001 bits"):
+                build_params_even(20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60_000
 
 
 class TestBuildOdd:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -11,6 +12,9 @@ from factor_oracle import BadReductionError, PolyModP, factor_cycle_type, factor
 from odoni.arith import val
 from odoni.construct import build_params
 from odoni.frobenius import (
+    DEFAULT_SCAN_CAP,
+    PRIMES_BELOW_SCAN_CAP,
+    InsufficientPrimesError,
     _bad_reduction_product,
     chebotarev_distance,
     report_to_json_dict,
@@ -158,11 +162,26 @@ class TestSampleDistribution:
         with pytest.raises(ValueError, match="enumerable"):
             sample_distribution(golden_odd_9, 1, 10)
 
-    def test_scan_cap(self, golden_even_2):
-        from odoni.frobenius import InsufficientPrimesError
+    def test_scan_cap(self, golden_even_2, monkeypatch):
+        # (1000, 2000] holds 135 primes: too few for 200, found by scanning
+        frobenius_module = importlib.import_module("odoni.frobenius")
+        monkeypatch.setattr(frobenius_module, "DEFAULT_SCAN_CAP", 2000)
+        with pytest.raises(InsufficientPrimesError, match="good primes below scan cap 2000"):
+            sample_distribution(golden_even_2, 2, 200)
 
-        with pytest.raises(InsufficientPrimesError):
-            sample_distribution(golden_even_2, 2, 10**6, scan_cap=2000)
+    def test_primes_below_scan_cap(self):
+        assert len(primes_up_to(DEFAULT_SCAN_CAP)) == PRIMES_BELOW_SCAN_CAP
+
+    def test_request_past_the_window_refused_before_sampling(self, golden_even_2, monkeypatch):
+        frobenius_module = importlib.import_module("odoni.frobenius")
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("computed for a request no window can fill")
+
+        for name in ("leaf_type_distribution", "_bad_reduction_product", "iterates_minus_x0", "primes_between"):
+            monkeypatch.setattr(frobenius_module, name, unbuilt)
+        with pytest.raises(InsufficientPrimesError, match=f"{PRIMES_BELOW_SCAN_CAP + 1} primes requested"):
+            sample_distribution(golden_even_2, 2, PRIMES_BELOW_SCAN_CAP + 1)
 
 
 class TestCycleTypeAgainstOracle:

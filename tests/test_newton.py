@@ -3,12 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from odoni.newton import (
-    Segment,
-    newton_polygon,
-    ramification_tower,
-    tower_from_valuations,
-)
+from odoni.certify import check_condition2
+from odoni.newton import Segment, newton_polygon, tower_from_valuations
 from newton_helpers import predict_two_segments
 from poly_oracle import Poly
 
@@ -131,19 +127,18 @@ class TestRamificationTower:
         assert tower.levels[0].valuation == Fraction(1, 5)
         assert tower.levels[0].scaled == 1
 
-    def test_condition_failures_named(self):
-        with pytest.raises(ValueError, match="v\\(b\\) < min"):
-            tower_from_valuations(5, 3, 1, 0, 2)
-        with pytest.raises(ValueError, match=r"\(d-m\) \| v\(b\)"):
-            tower_from_valuations(5, 3, -3, 0, 2)
-        with pytest.raises(ValueError, match="gcd"):
-            tower_from_valuations(7, 3, -4, -1, 2)
+    def test_hypotheses_are_the_callers(self):
+        # condition (2) is decided in certify.check_condition2 alone: a
+        # (d-m) | v(b) that fails, or d = m, is not re-checked here
+        tower = tower_from_valuations(5, 3, -3, -1, 2)
+        assert [lvl.scaled for lvl in tower.levels] == [2, 11]
+        assert tower_from_valuations(4, 4, -1, 0, 1).levels[0].scaled == 1
 
     def test_instance_tower_depth_four(self, golden_even_4, golden_odd_5):
         import math
 
         for inst in (golden_even_4, golden_odd_5):
-            tower = ramification_tower(inst, 4)
+            tower = check_condition2(inst, 4).tower
             for level in tower.levels:
                 assert level.scaled > 0
                 assert math.gcd(level.scaled, inst.m) == 1
