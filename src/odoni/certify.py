@@ -14,8 +14,9 @@ A certificate records, for an instance (d, m, b, x0, witness primes):
     (which certifies that a fresh odd-valuation ramified prime exists at
     this depth), an Eisenstein check of f^n - x0 at p1 for n <= 3, and
     the search for an exhibited odd-valuation prime q among the primes
-    up to a bound (a bound of 1 searches none), made by stepping the
-    critical orbit modulo products of 16 primes
+    up to a bound (a bound of 1 searches none), made once for all depths
+    by stepping the critical orbit modulo products of 16 primes, each
+    product decided by one pass through the depths and one gcd
     (``orbit_prime_divisors``). In the odd cases only the
     primes p with (d(d-2) | p) = 1, and those of 2 d (d-2) s t, are
     stepped: the odd closed form F_n = A_n M_n^2 - B_n makes A_n B_n, which
@@ -449,8 +450,8 @@ def search_primes(inst: IterInstance, bound: int) -> array:
     return array("l", (p for p in primes if square[p % k] or st % p == 0))
 
 
-def orbit_prime_divisors(inst: IterInstance, bound: int) -> Iterator[list[int]]:
-    """For n = 1, 2, ...: the primes q <= bound that divide
+def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[list[int]]:
+    """For n = 1, ..., depth: the primes q <= bound that divide
     G_n = W_n v - u S_n, ascending, where w_n = W_n / S_n is the critical
     orbit (``poly.critical_orbit``) and x0^(d-m) = u/v.
 
@@ -474,16 +475,25 @@ def orbit_prime_divisors(inst: IterInstance, bound: int) -> Iterator[list[int]]:
     instance that breaks any relation, and on every even-case one,
     every prime <= bound is stepped.
 
-    The primes are taken in groups of 16, and each group's product Q
-    holds W and Y = S / L modulo Q, with L = d den(b). From
-    W_0 = m num(b), Y_0 = 1, the orbit's step is
+    The primes are taken in groups of 16, and each group is decided in
+    one pass. Modulo the group's product Q the pass steps W and
+    Y = S / L, with L = d den(b), from W_0 = m num(b), Y_0 = 1, by
     W_(k+1) = W^m (W - d num(b) Y)^(d-m) and Y_(k+1) = Y^d L^(d-1): the
     pair recursion of ``poly.critical_orbit`` with S_k = L Y_k, which
-    divides by nothing, so every prime of Q is decided. A group holds a
-    prime of G_n exactly when gcd(W v - u L Y, Q) > 1. So each depth
-    costs the same few operations on 320-bit residues per group,
-    whatever the size of F_n. A bound below 2 builds no sieve, and one
-    above EXHIBIT_EFFORT_CAP raises CapExceededError before any is built.
+    divides by nothing, so every prime of Q is decided. Each depth's
+    test value W_n v - u L Y_n, which is G_n / L modulo Q, is multiplied
+    into one running product P mod Q, and one gcd g = gcd(P, Q) ends the
+    pass. A prime p of Q divides P mod Q exactly when it divides P, and,
+    being prime, exactly when it divides some depth's test value. Q is a
+    product of distinct primes, so g is the product of exactly those
+    primes of the group: the ones that divide some G_n with n <= depth.
+    Only these are replayed alone, by the same recursion mod p, to find
+    their depths.
+    So the search costs one gcd per group for the whole run, whatever
+    the depth or the size of F_n, and keeps no residue of a group past
+    its pass. A bound below 2 builds no sieve and finds nothing, and one
+    above EXHIBIT_EFFORT_CAP raises CapExceededError before any is
+    built.
     """
     if bound < 0:
         raise ValueError(f"orbit_prime_divisors: bound {bound} is negative")
@@ -491,28 +501,38 @@ def orbit_prime_divisors(inst: IterInstance, bound: int) -> Iterator[list[int]]:
         raise CapExceededError(
             f"witness search bound {bound} is over the cap {EXHIBIT_EFFORT_CAP}"
         )
+    found: list[list[int]] = [[] for _ in range(depth)]
     if bound < 2:
-        while True:
-            yield []
+        return found
     d, m, b = inst.d, inst.m, Fraction(inst.b)
     x0_shift = Fraction(inst.x0) ** (d - m)
     u, v = x0_shift.numerator, x0_shift.denominator
     big_l = d * b.denominator
+    scale, target, w_0 = d * b.numerator, u * big_l, m * b.numerator
+
+    def test_values(q: int) -> Iterator[int]:
+        """W_n v - u L Y_n mod q for n = 1, ..., depth."""
+        w, y, lift = w_0 % q, 1, pow(big_l, d - 1, q)  # lift = L^(d-1) mod q
+        for _ in range(depth):
+            w = pow(w, m, q) * (w - scale * y) ** (d - m) % q
+            y = pow(y, d, q) * lift % q
+            yield w * v - target * y
+
     primes = search_primes(inst, bound)
-    qs = [math.prod(primes[i : i + 16]) for i in range(0, len(primes), 16)]
-    lift = [pow(big_l, d - 1, q) for q in qs]  # L^(d-1) mod Q
-    ws = [m * b.numerator % q for q in qs]
-    ys = [1] * len(qs)
-    scale, target = d * b.numerator, u * big_l
-    while True:
-        ws = [pow(w, m, q) * (w - scale * y) ** (d - m) % q for w, y, q in zip(ws, ys, qs)]
-        ys = [pow(y, d, q) * c % q for y, c, q in zip(ys, lift, qs)]
-        found = []
-        for i, (w, y, q) in enumerate(zip(ws, ys, qs)):
-            g = math.gcd(w * v - target * y, q)
-            if g > 1:
-                found.extend(p for p in primes[16 * i : 16 * i + 16] if g % p == 0)
-        yield found
+    for i in range(0, len(primes), 16):
+        group = primes[i : i + 16]
+        q = math.prod(group)
+        product = 1
+        for value in test_values(q):
+            product = product * value % q
+        g = math.gcd(product, q)
+        if g > 1:
+            for p in group:
+                if g % p == 0:
+                    for n, value in enumerate(test_values(p)):
+                        if value % p == 0:
+                            found[n].append(p)
+    return found
 
 
 def factor_over(n: Number, primes: Iterable[int], bound: int) -> tuple[dict[int, int], Number]:
@@ -620,7 +640,7 @@ def exhibit_odd_prime_q(
     n: int,
     effort_bound: int,
     fns: Sequence[Number],
-    divisors: Iterator[list[int]],
+    divisors: Sequence[int],
 ) -> ExhibitReport:
     """Try to exhibit a concrete prime q with odd valuation in F_n.
 
@@ -630,11 +650,11 @@ def exhibit_odd_prime_q(
     a failure: the nonsquare test already certifies existence.
 
     ``fns`` is F_1, ..., F_n of this instance, as ``certify`` holds
-    them. ``divisors`` is an ``orbit_prime_divisors(inst, effort_bound)``
-    iterator whose next item is depth n's, as ``certify`` advances it
-    once per depth.
+    them. ``divisors`` is depth n's list of
+    ``orbit_prime_divisors(inst, effort_bound, depth)``, which
+    ``certify`` computes once for all its depths.
     """
-    factorization = factor_over(fns[n - 1], next(divisors), effort_bound)
+    factorization = factor_over(fns[n - 1], divisors, effort_bound)
     return witness_report(inst, factorization, fns[: n - 1])
 
 
@@ -667,11 +687,13 @@ def certify(
 
     Check order is pinned: condition (1), condition (2), structural
     instance invariants, then per-depth records; the verdict names the
-    first failed relation. The witness search at each depth steps the
-    primes up to ``exhibit_effort``, none at 1; its outcome never
-    changes the verdict. A depth past ``deepest_depth_in_cap`` raises
-    CapExceededError before anything is built: the cap on the bits of
-    F_n guards memory, not correctness.
+    first failed relation. The witness search steps the primes up to
+    ``exhibit_effort``, none at 1, once for all depths before the first
+    depth's checks, and each depth factors its F_n over its own list of
+    the primes found; its outcome never changes the verdict. A depth
+    past ``deepest_depth_in_cap`` raises CapExceededError before
+    anything is built: the cap on the bits of F_n guards memory, not
+    correctness.
     """
     if depth < 1:
         raise CertifyError("certify: depth must be >= 1")
@@ -725,7 +747,7 @@ def certify(
     evidence_level = "deterministic"
     if all(c.ok for c in checks):
         eisenstein = _eisenstein_levels(inst, depth)
-        divisors = orbit_prime_divisors(inst, exhibit_effort)
+        divisors = orbit_prime_divisors(inst, exhibit_effort, depth)
         try:
             for value in fn_sequence(inst, depth):
                 n, bits = value.n, value.bits
@@ -735,7 +757,8 @@ def certify(
                 ns_f, ns_neg_f = nonsquare_pair(inst, f_mod_p)
                 e_ok = value.e_n == expected_e_n(inst, n)
                 exhibit_report = exhibit_odd_prime_q(
-                    inst, n, exhibit_effort, [r.F_n for r in records] + [value.F_n], divisors
+                    inst, n, exhibit_effort, [r.F_n for r in records] + [value.F_n],
+                    divisors[n - 1],
                 )
                 if exhibit_report.evidence != "deterministic":
                     evidence_level = "probabilistic-primality"

@@ -7,7 +7,6 @@ at a single depth, and the q-adic valuation of an unreduced pair
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Optional, Sequence
 
 from odoni.arith import INFINITY, Valuation, val
@@ -72,10 +71,10 @@ def exhibit_at(
 ) -> ExhibitReport:
     """``exhibit_odd_prime_q`` at depth n alone, as ``certify`` would
     call it there: F_1, ..., F_n from ``fn_sequence`` unless given, and
-    a new ``orbit_prime_divisors`` iterator stepped to depth n."""
+    depth n's list of a new ``orbit_prime_divisors`` search to depth n."""
     if fns is None:
         fns = [value.F_n for value in fn_sequence(inst, n)]
-    divisors = itertools.islice(orbit_prime_divisors(inst, effort_bound), n - 1, None)
+    divisors = orbit_prime_divisors(inst, effort_bound, n)[n - 1]
     return exhibit_odd_prime_q(inst, n, effort_bound, fns, divisors)
 
 

@@ -566,9 +566,8 @@ class TestOrbitPrimeDivisors:
         inst = build_params(d)
         fns = _fns_up_to(inst, 300_000)
         for bound in self.BOUNDS:
-            divisors = orbit_prime_divisors(inst, bound)
-            for n, (f_dec, f_n) in enumerate(fns, 1):
-                primes = next(divisors)
+            divisors = orbit_prime_divisors(inst, bound, len(fns))
+            for n, ((f_dec, f_n), primes) in enumerate(zip(fns, divisors, strict=True), 1):
                 got, want = factor_over(f_n, primes, bound), trial_factor(f_n, bound)
                 assert got == want, (n, bound)
                 assert list(got[0]) == list(want[0]), (n, bound)
@@ -591,10 +590,10 @@ class TestOrbitPrimeDivisors:
         inst = golden_even_2
         assert (inst.s, inst.x0.denominator) == (57, 1198)
         extra = 2**3 * 3 * 19**2 * 599
+        fns = _fns_up_to(inst, 50_000)
         for bound in (97, 10**6):
-            divisors = orbit_prime_divisors(inst, bound)
-            for n, (f_dec, f_n) in enumerate(_fns_up_to(inst, 50_000), 1):
-                primes = next(divisors)
+            divisors = orbit_prime_divisors(inst, bound, len(fns))
+            for n, ((f_dec, f_n), primes) in enumerate(zip(fns, divisors, strict=True), 1):
                 assert {q for q in (2, 3, 19, 599) if q <= bound} <= set(primes)
                 assert factor_over(f_n, primes, bound) == trial_factor(f_n, bound)
                 got = factor_over(f_n * extra, primes, bound)
@@ -608,7 +607,42 @@ class TestOrbitPrimeDivisors:
         with pytest.raises(ValueError):
             factor_over(0, [2, 3], 10)
         with pytest.raises(ValueError, match="negative"):
-            next(orbit_prime_divisors(golden_odd_3, -1))
+            orbit_prime_divisors(golden_odd_3, -1, 1)
+        for bound in (0, 1):
+            assert orbit_prime_divisors(golden_odd_3, bound, 5) == [[]] * 5
+
+    def test_one_gcd_per_group_whatever_the_depth(self, monkeypatch):
+        # each group of 16 primes ends its pass over every depth with one
+        # gcd, so a run to depth 12 makes as many as a run to depth 1
+        inst = build_params(2)
+        calls = []
+        gcd = math.gcd
+
+        def counting_gcd(*args):
+            calls.append(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counting_gcd)
+        counts = {}
+        for depth in (1, 12):
+            calls.clear()
+            orbit_prime_divisors(inst, 10**6, depth)
+            counts[depth] = len(calls)
+        assert counts[1] == counts[12] == -(-len(primes_array(10**6)) // 16)
+
+    def test_no_residue_list_across_depths(self):
+        # with the sieve cached, the search to depth 12 holds no list of
+        # per-group residues: one such list of the 4907 groups' 320-bit
+        # residues alone is about 0.37 MB
+        inst = build_params(2)
+        orbit_prime_divisors(inst, 10**6, 12)
+        tracemalloc.start()
+        try:
+            orbit_prime_divisors(inst, 10**6, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2e6
 
     def test_small_bound_builds_no_sieve(self, golden_even_2, monkeypatch):
         def no_sieve(bound):
@@ -935,10 +969,16 @@ class TestGoldenCertificates:
 
     # certificates at the default effort: the witness search factors F_n
     # of up to 88 kbit (d = 2) and 141 kbit (d = 3) and decides each
-    # witness's discriminant fields from F_1..F_n
+    # witness's discriminant fields from F_1..F_n; the other rows are
+    # the remaining certify-witness instances and pipeline-d10's
+    # certificate (degree 10, depth 3)
     WITNESS_HASHES = {
         (2, 12): "300dc36665932ac6bd58f79a924a5ad1ff19c9cd64550e72d24b736c709a6b37",
         (3, 9): "816ac5a1e5c715162ff07565e4944747be2fca3e4c32084c7dcf110e045d9dd5",
+        (5, 5): "6ff35803992e22e56203683b0c6df2de6f5f52b04c4ec306c7c2d17eade7e460",
+        (7, 4): "d6af21336a6fc86e80da5957b83f9fcc16cd6b65e7a454698dae3cf448375a91",
+        (9, 4): "efc25624c88c535131da01209eb9ae0621effbf44a1a9355e7b2aa3fe804e6ac",
+        (10, 3): "a19795564f6475ee8adf76fc3fc540b4d1574d3f9d2fc33b7cca5463725019b6",
     }
 
     @pytest.mark.parametrize("d, depth", sorted(WITNESS_HASHES))
