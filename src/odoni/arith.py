@@ -14,7 +14,9 @@ value is read only through ``residue`` and ``bit_length``, since
 converting a large one to or from ``int`` is quadratic.
 
 Rationals are ``fractions.Fraction`` throughout (re-exported as
-``Rational``); the valuation of 0 is the ``INFINITY`` sentinel, a
+``Rational``), and every one from outside is read by ``_rationals``,
+which refuses an entry over ``RATIONAL_BIT_CAP`` bits from the literal
+alone. The valuation of 0 is the ``INFINITY`` sentinel, a
 dedicated object with ordering but no arithmetic, so that accidentally
 computing with it fails loudly instead of silently overflowing.
 """
@@ -26,6 +28,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from array import array
 from decimal import Decimal
 from fractions import Fraction
@@ -66,7 +69,8 @@ _DECIMAL_LEAF_BITS = 128
 
 
 class CapExceededError(RuntimeError):
-    """A bounded search (prime scan, witness search) ran past its cap."""
+    """The work asked for is over a resource cap; hitting one proves
+    nothing about the instance."""
 
 
 class _Infinity:
@@ -294,6 +298,55 @@ def next_prime_where(
             return n
         n += 1
     raise CapExceededError(f"no prime >= {start} satisfying predicate below cap {cap}")
+
+
+# the most bits a rational entry's numerator or denominator may have:
+# a valuation takes about log2(e) divisions for exponent e
+# (``multiplicity``), so ``newton`` on the largest entries, such as
+# 1e9860 at p = 2, exits in about 0.2 s including interpreter start-up
+RATIONAL_BIT_CAP = 2**15
+# a superset of the literals ``Fraction`` accepts: sign, integer part,
+# then a denominator or a fractional part and an exponent (compiled by
+# ``re`` on first use, so commands that read no rational never pay for it)
+_RATIONAL_LITERAL = (
+    r"\s*[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
+)
+
+
+def _entry_bits(entry) -> float:
+    """An upper bound on the bit length of the numerator and of the
+    denominator of Fraction(entry), read off the literal's digits and
+    exponent before any integer is built (a D-digit integer has at most
+    ceil(D log2 10) bits). 0 for a float (at most 1075 bits) and for
+    anything Fraction rejects."""
+    if isinstance(entry, int):
+        return entry.bit_length()
+    match = re.fullmatch(_RATIONAL_LITERAL, entry) if isinstance(entry, str) else None
+    if match is None:
+        return 0
+    whole, den, frac, exp = ((text or "").replace("_", "") for text in match.groups())
+    if len(exp.lstrip("+-")) > 12:
+        return math.inf
+    shift = int(exp or 0) - len(frac)
+    digits = max(len(whole) + len(frac) + max(shift, 0), len(den) + max(-shift, 0))
+    return math.ceil(digits * math.log2(10))
+
+
+def _rationals(entries, what: str) -> list[Fraction]:
+    """Each entry (a string such as "-1/49", or a JSON number) as a
+    Fraction; anything else, or an entry over RATIONAL_BIT_CAP bits, is
+    an input error naming ``what``."""
+    out = []
+    for entry in entries:
+        if _entry_bits(entry) > RATIONAL_BIT_CAP:
+            shown = str(entry)
+            shown = shown if len(shown) <= 24 else shown[:24] + "..."
+            raise ValueError(f"{what}: {shown!r} exceeds the {RATIONAL_BIT_CAP}-bit cap on a rational")
+        try:
+            out.append(Fraction(entry))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"{what}: {entry!r} is not a rational number") from exc
+    return out
 
 
 def is_square(q: Union[int, Fraction]) -> bool:

@@ -83,7 +83,8 @@ HYPOTHESES_LOW_DEGREE = "conditions-1-3"
 
 
 class CertifyError(RuntimeError):
-    """Raised for inputs outside the certifier's contract (not a fail verdict)."""
+    """A relation of the F_n recursion failed; ``certify`` records it as
+    a failed check and never lets it out."""
 
 
 @dataclass
@@ -481,14 +482,14 @@ def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[lis
     W_(k+1) = W^m (W - d num(b) Y)^(d-m) and Y_(k+1) = Y^d L^(d-1): the
     pair recursion of ``poly.critical_orbit`` with S_k = L Y_k, which
     divides by nothing, so every prime of Q is decided. Each depth's
-    test value W_n v - u L Y_n, which is G_n / L modulo Q, is multiplied
-    into one running product P mod Q, and one gcd g = gcd(P, Q) ends the
-    pass. A prime p of Q divides P mod Q exactly when it divides P, and,
-    being prime, exactly when it divides some depth's test value. Q is a
-    product of distinct primes, so g is the product of exactly those
-    primes of the group: the ones that divide some G_n with n <= depth.
-    Only these are replayed alone, by the same recursion mod p, to find
-    their depths.
+    test value W_n v - u L Y_n is G_n itself, since S_n = L Y_n; it is
+    multiplied into one running product P mod Q, and one gcd
+    g = gcd(P, Q) ends the pass. A prime p of Q divides P mod Q exactly
+    when it divides P, and, being prime, exactly when it divides some
+    depth's test value. Q is a product of distinct primes, so g is the
+    product of exactly those primes of the group: the ones that divide
+    some G_n with n <= depth. Only these are replayed alone, by the same
+    recursion mod p, to find their depths.
     So the search costs one gcd per group for the whole run, whatever
     the depth or the size of F_n, and keeps no residue of a group past
     its pass. A bound below 2 builds no sieve and finds nothing, and one
@@ -696,7 +697,7 @@ def certify(
     correctness.
     """
     if depth < 1:
-        raise CertifyError("certify: depth must be >= 1")
+        raise ValueError("certify: depth must be >= 1")
     deepest = deepest_depth_in_cap(inst)
     if depth > deepest:
         raise CapExceededError(

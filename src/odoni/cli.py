@@ -5,11 +5,12 @@ Exit codes: 0 on success or a passing verdict, 1 when a verification
 check fails (the violated relation is named on stderr), 2 for usage or
 input errors. JSON always goes to --out or stdout; human-readable
 progress and the --verbose check log go to stderr, so piped output
-stays parseable. A resource cap that is hit (a certify depth past the
-F_n bit cap, a discriminant past its bit budget, too few good primes
-below the scan cap, a prime search past its cap) exits 2, not 1: it is
-not a failed relation. Eight caps are checked before the value they
-bound is built: a certify or pipeline depth past
+stays parseable. Every resource cap that is hit raises
+``arith.CapExceededError`` (a certify depth past the F_n bit cap, a
+discriminant past its bit budget, too few good primes below the scan
+cap, a prime search past its cap) and exits 2, not 1: it is not a
+failed relation. Eight caps are checked before the value they bound is
+built: a certify or pipeline depth past
 ``certify.deepest_depth_in_cap`` is a resource cap, as are a
 ``disc --params`` level whose bound in ``poly.disc_levels`` exceeds
 ``poly.DEFAULT_BIT_BUDGET`` (both bound the critical orbit's growth
@@ -19,36 +20,34 @@ budget from the bits of s and t (``construct.build_params_even``), a
 frobenius or pipeline --primes above
 ``frobenius.PRIMES_BELOW_SCAN_CAP`` and an
 --exhibit-effort above ``certify.EXHIBIT_EFFORT_CAP``; a group-check
-degree above ``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is a rational
-entry (``newton`` coefficients, ``disc --trinomial`` A, B, C) of more
-than RATIONAL_BIT_CAP bits, estimated from the literal's digits and
-exponent; and a trinomial discriminant whose bound
-``poly.disc_trinomial_bits`` exceeds ``poly.DEFAULT_BIT_BUDGET`` is a
-resource cap. An iterate discriminant of a shape other than m = d-1
-or m = d-2 is an input error.
+degree above ``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is
+a rational entry of more than ``arith.RATIONAL_BIT_CAP`` bits,
+estimated from the literal's digits and exponent: every rational from
+outside (``newton`` coefficients, ``disc --trinomial`` A, B, C, and a
+params file's x0 and b) is read by ``arith._rationals``; and a
+trinomial discriminant whose bound ``poly.disc_trinomial_bits``
+exceeds ``poly.DEFAULT_BIT_BUDGET`` is a resource cap. An iterate
+discriminant of a shape other than m = d-1 or m = d-2 is an input
+error, as is a non-finite number where a file needs an integer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import re
 import sys
-from fractions import Fraction
 
 from . import construct as construct_mod
 from . import frobenius as frobenius_mod
 from . import newton as newton_mod
 from . import permgroup
-from .arith import CapExceededError
+from .arith import CapExceededError, _rationals
 from .certify import (
     DEFAULT_DEPTH,
     EXHIBIT_EFFORT_CAP,
     EXHIBIT_PRIME_BOUND,
     FN_BIT_CAP,
     Certificate,
-    CertifyError,
     certificate_to_json_dict,
     certify,
     deepest_depth_in_cap,
@@ -56,7 +55,6 @@ from .certify import (
 from .construct import _frac_str
 from .poly import (
     DEFAULT_BIT_BUDGET,
-    BitBudgetExceededError,
     Trinomial,
     disc_iterate,
     disc_trinomial,
@@ -85,55 +83,6 @@ def _load_params(path: str) -> construct_mod.IterInstance:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     return construct_mod.instance_from_json_dict(data)
-
-
-# the most bits a rational entry's numerator or denominator may have:
-# a valuation takes about log2(e) divisions for exponent e
-# (``arith.multiplicity``), so ``newton`` on the largest entries, such as
-# 1e9860 at p = 2, exits in about 0.2 s including interpreter start-up
-RATIONAL_BIT_CAP = 2**15
-# a superset of the literals ``Fraction`` accepts: sign, integer part,
-# then a denominator or a fractional part and an exponent (compiled by
-# ``re`` on first use, so commands that read no rational never pay for it)
-_RATIONAL_LITERAL = (
-    r"\s*[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
-)
-
-
-def _entry_bits(entry) -> float:
-    """An upper bound on the bit length of the numerator and of the
-    denominator of Fraction(entry), read off the literal's digits and
-    exponent before any integer is built (a D-digit integer has at most
-    ceil(D log2 10) bits). 0 for a float (at most 1075 bits) and for
-    anything Fraction rejects."""
-    if isinstance(entry, int):
-        return entry.bit_length()
-    match = re.fullmatch(_RATIONAL_LITERAL, entry) if isinstance(entry, str) else None
-    if match is None:
-        return 0
-    whole, den, frac, exp = ((text or "").replace("_", "") for text in match.groups())
-    if len(exp.lstrip("+-")) > 12:
-        return math.inf
-    shift = int(exp or 0) - len(frac)
-    digits = max(len(whole) + len(frac) + max(shift, 0), len(den) + max(-shift, 0))
-    return math.ceil(digits * math.log2(10))
-
-
-def _rationals(entries, what: str) -> list[Fraction]:
-    """Each entry (a string such as "-1/49", or a JSON number) as a
-    Fraction; anything else, or an entry over RATIONAL_BIT_CAP bits, is
-    an input error naming ``what``."""
-    out = []
-    for entry in entries:
-        if _entry_bits(entry) > RATIONAL_BIT_CAP:
-            shown = str(entry)
-            shown = shown if len(shown) <= 24 else shown[:24] + "..."
-            raise ValueError(f"{what}: {shown!r} exceeds the {RATIONAL_BIT_CAP}-bit cap on a rational")
-        try:
-            out.append(Fraction(entry))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"{what}: {entry!r} is not a rational number") from exc
-    return out
 
 
 def _cmd_construct(args) -> int:
@@ -181,7 +130,7 @@ def _cmd_disc(args) -> int:
         trinomial = Trinomial(a, b, c, d, m)
         bits = disc_trinomial_bits(trinomial)
         if bits > DEFAULT_BIT_BUDGET:
-            raise BitBudgetExceededError(
+            raise CapExceededError(
                 f"disc --trinomial: the discriminant may need {bits} bits, "
                 f"over the bit budget {DEFAULT_BIT_BUDGET}"
             )
@@ -253,7 +202,7 @@ def _cmd_group_check(args) -> int:
         d, m = int(data["d"]), int(data["m"])
         g_gens = [_perm_from_images(images, d) for images in data["g_gens"]]
         h_gens = [_perm_from_images(images, d) for images in data.get("h_gens", [])]
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed generator JSON: {exc}") from exc
     verdict = permgroup.gen_sd_check(d, m, g_gens, h_gens)
     _emit(
@@ -457,16 +406,12 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code != 0 else EXIT_PASS
     try:
         return args.handler(args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, CertifyError) as exc:
-        # a CertifyError that escapes certify() is an input outside its
-        # contract, never a failed relation (those come back as a verdict)
+    except (OSError, ValueError, KeyError) as exc:
+        # json.JSONDecodeError is a ValueError; a failed relation comes
+        # back from certify() as a verdict, never as an exception
         _log(f"input error: {exc}")
         return EXIT_USAGE
-    except (
-        BitBudgetExceededError,
-        frobenius_mod.InsufficientPrimesError,
-        CapExceededError,
-    ) as exc:
+    except CapExceededError as exc:
         # a cap bounds the work asked for; hitting it proves nothing
         _log(f"resource cap: {exc}")
         return EXIT_USAGE

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .arith import (
     DEFAULT_SEARCH_CAP,
     CapExceededError,
+    _rationals,
     crt,
     decimal_str,
     is_prime,
@@ -272,7 +273,8 @@ def instance_from_json_dict(data: dict) -> IterInstance:
 
     Structural/arithmetical validation is the certifier's first job, so
     a tampered params file still parses and then fails with the violated
-    relation named rather than a parse error.
+    relation named rather than a parse error. x0 and b are read by
+    ``arith._rationals``; a non-finite number anywhere is malformed.
     """
     try:
         return IterInstance(
@@ -280,12 +282,12 @@ def instance_from_json_dict(data: dict) -> IterInstance:
             m=int(data["m"]),
             s=int(data["s"]),
             t=int(data["t"]),
-            x0=Fraction(data["x0"]),
-            b=Fraction(data["b"]),
+            x0=_rationals([data["x0"]], "x0")[0],
+            b=_rationals([data["b"]], "b")[0],
             p=int(data["p"]),
             p1=int(data["p1"]),
             p2=int(data["p2"]),
             parity_case=str(data["case"]),
         )
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed params JSON: {exc}") from exc

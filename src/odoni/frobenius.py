@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import primes_between
+from .arith import CapExceededError, primes_between
 from .construct import ConstructError, _frac_str
 from .permgroup import MAX_ENUMERATION, leaf_type_distribution, wreath_order_exceeds
 from .poly import disc_levels
@@ -41,10 +41,6 @@ MIN_ENFORCED_PRIMES = 2000
 class UnrealizableTypeError(RuntimeError):
     """An observed cycle type with no preimage in the tree group; this
     contradicts the wreath-tower embedding and is never a sampling fluke."""
-
-
-class InsufficientPrimesError(RuntimeError):
-    pass
 
 
 def _bad_reduction_product(inst, n: int) -> int:
@@ -104,7 +100,7 @@ def sample_distribution(
     if violated:
         raise ConstructError("instance.structural_invariants: " + "; ".join(violated))
     if prime_count > PRIMES_BELOW_SCAN_CAP:
-        raise InsufficientPrimesError(
+        raise CapExceededError(
             f"{prime_count} primes requested, but only {PRIMES_BELOW_SCAN_CAP} "
             f"primes are below scan cap {DEFAULT_SCAN_CAP}"
         )
@@ -119,7 +115,7 @@ def sample_distribution(
     block = 1 << 16
     while used < prime_count:
         if block_lo > DEFAULT_SCAN_CAP:
-            raise InsufficientPrimesError(
+            raise CapExceededError(
                 f"only {used} good primes below scan cap {DEFAULT_SCAN_CAP}"
             )
         block_hi = min(block_lo + block - 1, DEFAULT_SCAN_CAP)

@@ -18,13 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .arith import EXACT, Number
+from .arith import EXACT, CapExceededError, Number
 
 DEFAULT_BIT_BUDGET = 2**20
-
-
-class BitBudgetExceededError(RuntimeError):
-    """An iterated-discriminant computation outgrew its bit budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def orbit_bits_step(inst, w_bits: int, s_bits: int) -> tuple[int, int]:
     return m * w_bits + (d - m) * (max(w_bits, s_bits - b_den + 1 + b_num) + 1), d * s_bits
 
 
-def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[int, int]]:
+def disc_levels(inst) -> Iterator[tuple[int, int]]:
     """disc(f^k - x0) for k = 1, 2, ... with f = x^d - b*x^m, without
     expanding f^k, as integer pairs (N_k, D_k) with D_k > 0 and
     disc(f^k - x0) = N_k / D_k (not reduced).
@@ -180,8 +176,8 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[in
     ``orbit_bits_step``), by
     bits(x*y) <= bits(x) + bits(y), bits(x^e) <= e*bits(x) and
     bits(x - y) <= max(bits(x), bits(y)) + 1 (so A~^(d^k) counts as
-    d^(k+1) * bits(d) bits). A bound over ``bit_budget`` raises
-    BitBudgetExceededError, which ends the sequence.
+    d^(k+1) * bits(d) bits). A bound over ``DEFAULT_BIT_BUDGET``, read
+    at each level, raises CapExceededError, which ends the sequence.
     """
     d, m = inst.d, inst.m
     if d < 2 or m not in (d - 1, d - 2) or math.gcd(m, d) != 1:
@@ -204,9 +200,9 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[in
             + s_next
             + v.bit_length()
         )
-        if bits > bit_budget:
-            raise BitBudgetExceededError(
-                f"disc_levels: level {k + 1} may take up to {bits} bits, over the budget {bit_budget}"
+        if bits > DEFAULT_BIT_BUDGET:
+            raise CapExceededError(
+                f"disc_levels: level {k + 1} may take up to {bits} bits, over the budget {DEFAULT_BIT_BUDGET}"
             )
         sigma = (-1) ** d * x0 ** (m - 1)  # a factor of level 1, so in budget
         w, scale = next(orbit)
@@ -220,9 +216,9 @@ def disc_levels(inst, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[tuple[in
     yield from itertools.repeat((0, 1))
 
 
-def disc_iterate(inst, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
+def disc_iterate(inst, n: int) -> Fraction:
     """Discriminant of f^n - x0: level n of ``disc_levels``."""
     if n < 1:
         raise ValueError("disc_iterate: n must be >= 1")
-    num, den = next(itertools.islice(disc_levels(inst, bit_budget), n - 1, None))
+    num, den = next(itertools.islice(disc_levels(inst), n - 1, None))
     return Fraction(num, den)

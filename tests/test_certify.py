@@ -738,11 +738,12 @@ class TestDiscValuationRule:
     PRIMES = [q for q in range(2, 2001) if is_prime(q)]
 
     @pytest.mark.parametrize("d, depth", [(2, 7), (3, 5), (4, 4), (5, 3), (6, 3), (9, 2)])
-    def test_matches_disc_levels(self, d, depth):
+    def test_matches_disc_levels(self, d, depth, monkeypatch):
         inst = build_params(d)
         fns = [value.F_n for value in fn_sequence_oracle(inst, depth)]
         fns_dec = [value.F_n for value in fn_sequence(inst, depth)]
-        pairs = list(itertools.islice(disc_levels(inst, 2**30), depth))
+        monkeypatch.setattr(importlib.import_module("odoni.poly"), "DEFAULT_BIT_BUDGET", 2**30)
+        pairs = list(itertools.islice(disc_levels(inst), depth))
         primes = [q for q in self.PRIMES if inst.bad_product % q]
         for n in range(1, depth + 1):
             report = exhibit_at(inst, n, fns=fns_dec[:n])
@@ -813,7 +814,8 @@ class TestCertify:
         assert cert.records[0].nonsquare_f is False
 
     def test_depth_validation(self, golden_even_2):
-        with pytest.raises(CertifyError):
+        # an input outside the contract, not a failed relation
+        with pytest.raises(ValueError, match="depth must be >= 1"):
             certify(golden_even_2, 0)
 
     def test_json_digest_for_huge_values(self, golden_odd_9):

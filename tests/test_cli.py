@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from odoni import cli, permgroup
+from odoni import arith, cli, permgroup
 from odoni.certify import EXHIBIT_EFFORT_CAP
-from odoni.construct import build_params_even, build_params_odd, instance_to_json_dict
+from odoni.construct import build_params, build_params_even, build_params_odd, instance_to_json_dict
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
@@ -311,18 +311,18 @@ class TestRationalCap:
         assert time.monotonic() - started < 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "input error" in captured.err and f"{cli.RATIONAL_BIT_CAP}-bit cap" in captured.err
+        assert "input error" in captured.err and f"{arith.RATIONAL_BIT_CAP}-bit cap" in captured.err
 
     @pytest.mark.parametrize(
         "entry", ["1e300000", "1e-300000", "1.5e99999999999999", "1/1" + "0" * 9900, "3e9864"]
     )
     def test_over_cap_entries(self, entry):
         with pytest.raises(ValueError, match="-bit cap"):
-            cli._rationals([entry], "--coeffs")
+            arith._rationals([entry], "--coeffs")
 
     def test_largest_accepted_literal(self, capsys):
         # 10^9863 has 32765 bits; 10^9864 is over the cap
-        assert cli._entry_bits("1e9863") <= cli.RATIONAL_BIT_CAP < cli._entry_bits("1e9864")
+        assert arith._entry_bits("1e9863") <= arith.RATIONAL_BIT_CAP < arith._entry_bits("1e9864")
         for prime in ("2", "5"):
             started = time.monotonic()
             assert cli.run(["newton", "--coeffs=1e9863,1", "--prime", prime]) == 0
@@ -336,7 +336,7 @@ class TestRationalCap:
             q = Fraction(entry)
             bits = max(q.numerator.bit_length(), q.denominator.bit_length())
             # a float reads 0: its value has at most 1075 bits, under the cap
-            bound = 1075 if isinstance(entry, float) else cli._entry_bits(entry)
+            bound = 1075 if isinstance(entry, float) else arith._entry_bits(entry)
             assert bits <= bound, entry
 
     def test_disc_trinomial_cap(self, capsys):
@@ -352,6 +352,51 @@ class TestRationalCap:
         assert cli.run(["disc", "--trinomial=1,1,1,20000,1"]) == 0
         value = json.loads(capsys.readouterr().out)["value"]
         assert len(value) > 20000 * 4  # 20000^20000 has 86021 digits
+
+
+class TestHostileFiles:
+    """Params and group-check files from outside enter through the same
+    bounded reader as the command-line rationals: an over-cap literal or
+    a non-finite number is an input error, never a traceback."""
+
+    COMMANDS = [
+        ["certify", "--exhibit-effort", "50"],
+        ["disc", "--level", "1"],
+        ["frobenius", "--level", "1", "--primes", "10"],
+    ]
+
+    @staticmethod
+    def input_error(argv, capsys):
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert "input error" in captured.err and "Traceback" not in captured.err
+        return captured.err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("d, key", [(3, "x0"), (2, "b")])
+    def test_over_cap_literal(self, tmp_path, capsys, d, key, command):
+        # these once exited 1, 0 and 1: certify and frobenius built the
+        # 133-kbit value and failed a relation, disc computed level 1 from it
+        doc = {**instance_to_json_dict(build_params(d)), key: "1e40000"}
+        err = self.input_error([command[0], "--params", write_params(tmp_path, doc), *command[1:]], capsys)
+        assert f"{key}: '1e40000' exceeds the {arith.RATIONAL_BIT_CAP}-bit cap" in err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("key", ["x0", "d"])
+    @pytest.mark.parametrize("token", ["Infinity", "1e400"])
+    def test_non_finite_number(self, tmp_path, capsys, token, key, command):
+        # json reads both tokens as float("inf"); each once ended in an
+        # OverflowError traceback with exit 1
+        doc = {**instance_to_json_dict(build_params(2)), key: "<raw>"}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc).replace('"<raw>"', token))
+        self.input_error([command[0], "--params", str(path), *command[1:]], capsys)
+
+    def test_non_finite_group_degree(self, tmp_path, capsys):
+        path = tmp_path / "gens.json"
+        path.write_text('{"d": Infinity, "m": 2, "g_gens": [[2, 3, 1]]}')
+        self.input_error(["group-check", "--file", str(path)], capsys)
 
 
 class TestGroupCheckCommand:

@@ -2,8 +2,9 @@
 and never lets a traceback out.
 
 Inputs are malformed params files (keys missing, values non-numeric,
-b = 0, t = 0, non-prime witnesses, d from 0 to 12), malformed
-group-check files (d from 2 to 12 and one past the degree cap),
+non-finite or over the rational bit cap, b = 0, t = 0, non-prime
+witnesses, d from 0 to 12), malformed group-check files (d from 2 to
+12 and one past the degree cap),
 out-of-range --depth/--level/--primes/--start/--exhibit-effort values, and malformed `newton` coefficients (inline
 or in a file) and `disc --trinomial` entries with degrees up to 10^6,
 whose oversized values the CLI's caps refuse before building them.
@@ -28,7 +29,8 @@ KEYS = ["d", "m", "case", "s", "t", "x0", "b", "p", "p1", "p2"]
 DROP = "<drop>"
 
 junk = st.one_of(
-    st.sampled_from(["x", "", "1/0", "nan", "inf", "2.5", "-", "9" * 600]),
+    # float("inf") is written as the JSON token Infinity
+    st.sampled_from(["x", "", "1/0", "nan", "inf", "2.5", "-", "9" * 600, float("inf"), "1e40000"]),
     st.none(),
     st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False, width=16),
@@ -128,6 +130,10 @@ def write(workdir, name, doc):
 @example(doc={**BASES[1], "d": -1}, command="disc", depth=1, level=3, primes=10, start=1000)
 @example(doc={**BASES[0], "d": False}, command="frobenius", depth=1, level=2, primes=12, start=1000)
 @example(doc={**BASES[1], "d": 8, "m": 8}, command="certify", depth=2, level=1, primes=10, start=1000)
+# an OverflowError traceback (x0 = Infinity), and a 133-kbit x0 built
+# before any cap was checked
+@example(doc={**BASES[0], "x0": float("inf")}, command="certify", depth=1, level=1, primes=10, start=1000)
+@example(doc={**BASES[1], "x0": "1e40000"}, command="disc", depth=1, level=1, primes=10, start=1000)
 def test_params_files(workdir, doc, command, depth, level, primes, start):
     path = write(workdir, "params.json", doc)
     if command == "certify":
@@ -143,6 +149,8 @@ def test_params_files(workdir, doc, command, depth, level, primes, start):
 @FUZZ
 @given(doc=group_docs())
 @example(doc={"d": 3, "m": 2, "g_gens": [5]})
+# once an OverflowError traceback
+@example(doc={"d": float("inf"), "m": 2, "g_gens": [[2, 3, 1]]})
 def test_group_check_files(workdir, doc):
     run_cli(["group-check", "--file", write(workdir, "gens.json", doc)])
 

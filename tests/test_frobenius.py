@@ -9,12 +9,11 @@ from types import SimpleNamespace
 import pytest
 
 from factor_oracle import BadReductionError, PolyModP, factor_cycle_type, factor_tree
-from odoni.arith import val
+from odoni.arith import CapExceededError, val
 from odoni.construct import build_params
 from odoni.frobenius import (
     DEFAULT_SCAN_CAP,
     PRIMES_BELOW_SCAN_CAP,
-    InsufficientPrimesError,
     _bad_reduction_product,
     chebotarev_distance,
     report_to_json_dict,
@@ -166,7 +165,7 @@ class TestSampleDistribution:
         # (1000, 2000] holds 135 primes: too few for 200, found by scanning
         frobenius_module = importlib.import_module("odoni.frobenius")
         monkeypatch.setattr(frobenius_module, "DEFAULT_SCAN_CAP", 2000)
-        with pytest.raises(InsufficientPrimesError, match="good primes below scan cap 2000"):
+        with pytest.raises(CapExceededError, match="good primes below scan cap 2000"):
             sample_distribution(golden_even_2, 2, 200)
 
     def test_primes_below_scan_cap(self):
@@ -180,7 +179,7 @@ class TestSampleDistribution:
 
         for name in ("leaf_type_distribution", "_bad_reduction_product", "iterates_minus_x0", "primes_between"):
             monkeypatch.setattr(frobenius_module, name, unbuilt)
-        with pytest.raises(InsufficientPrimesError, match=f"{PRIMES_BELOW_SCAN_CAP + 1} primes requested"):
+        with pytest.raises(CapExceededError, match=f"{PRIMES_BELOW_SCAN_CAP + 1} primes requested"):
             sample_distribution(golden_even_2, 2, PRIMES_BELOW_SCAN_CAP + 1)
 
 

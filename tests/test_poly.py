@@ -13,11 +13,10 @@ from types import SimpleNamespace
 import pytest
 
 from eisenstein_oracle import eisenstein_at
-from odoni.arith import decimal_str
+from odoni.arith import CapExceededError, decimal_str
 from odoni.construct import build_params
 from odoni.poly import (
     DEFAULT_BIT_BUDGET,
-    BitBudgetExceededError,
     Trinomial,
     critical_orbit,
     disc_iterate,
@@ -385,9 +384,10 @@ class TestDiscIterate:
         with pytest.raises(ValueError):
             disc_iterate(_inst(7, 2, 1, 1), 3)
 
-    def test_bit_budget(self, golden_even_4):
-        with pytest.raises(BitBudgetExceededError):
-            disc_iterate(golden_even_4, 3, bit_budget=256)
+    def test_bit_budget(self, golden_even_4, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("odoni.poly"), "DEFAULT_BIT_BUDGET", 256)
+        with pytest.raises(CapExceededError):
+            disc_iterate(golden_even_4, 3)
 
 
 def _fraction_levels(inst, bit_budget):
@@ -402,7 +402,7 @@ def _fraction_levels(inst, bit_budget):
         disc = a_tilde ** (d**k) * disc**d * crit
         bits = disc.numerator.bit_length() + disc.denominator.bit_length()
         if bits > bit_budget:
-            raise BitBudgetExceededError(
+            raise CapExceededError(
                 f"disc_levels: {bits} bits at level {k + 1} exceeds budget {bit_budget}"
             )
         yield disc
@@ -410,12 +410,13 @@ def _fraction_levels(inst, bit_budget):
 
 class TestDiscPairs:
     @pytest.mark.parametrize("d", range(2, 10))
-    def test_pairs_follow_the_fraction_recursion(self, d):
+    def test_pairs_follow_the_fraction_recursion(self, d, monkeypatch):
         # d = 8 stops at level 3: its level 4 has 3.4 Mbit numerators,
         # which take the Fraction oracle over 10 s
         depth = 3 if d == 8 else 4
         inst = build_params(d)
-        pairs = list(itertools.islice(disc_levels(inst, 2**30), depth))
+        monkeypatch.setattr(importlib.import_module("odoni.poly"), "DEFAULT_BIT_BUDGET", 2**30)
+        pairs = list(itertools.islice(disc_levels(inst), depth))
         assert all(type(num) is int and type(den) is int and den > 0 for num, den in pairs)
         assert [Fraction(num, den) for num, den in pairs] == list(
             itertools.islice(_fraction_levels(inst, 2**30), depth)
@@ -457,22 +458,25 @@ class TestDiscPairs:
     @staticmethod
     def _bound_misses(levels_of, d):
         """The pairs of build_params(d) within the default budget, and
-        the levels among them whose bound, read off the error that a
-        budget one bit below the level's unreduced size raises, is below
-        that size or more than 1/64 of it plus 64 bits over it (the
+        the levels among them whose bound, read off the error raised
+        with the budget one bit below the level's unreduced size (set in
+        the namespace levels_of reads it from, a mutant's included), is
+        below that size or more than 1/64 of it plus 64 bits over it (the
         largest slack is 46 bits at level 1 and 1% at d = 9, level 4);
         no level when the bound holds at every level."""
         inst = build_params(d)
         pairs = []
-        with pytest.raises(BitBudgetExceededError):
+        with pytest.raises(CapExceededError):
             for pair in levels_of(inst):
                 pairs.append(pair)
         misses = []
         for level, (num, den) in enumerate(pairs, 1):
             bits = num.bit_length() + den.bit_length()
             try:
-                list(itertools.islice(levels_of(inst, bits - 1), level))
-            except BitBudgetExceededError as exc:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setitem(levels_of.__globals__, "DEFAULT_BIT_BUDGET", bits - 1)
+                    list(itertools.islice(levels_of(inst), level))
+            except CapExceededError as exc:
                 found = re.search(r"level (\d+) may take up to (\d+) bits", str(exc))
                 tripped, bound = map(int, found.groups())
                 if tripped == level and bits <= bound <= bits + bits // 64 + 64:
@@ -508,10 +512,10 @@ class TestDiscPairs:
         # reach their trip levels)
         inst = build_params(d)
         pairs = []
-        with pytest.raises(BitBudgetExceededError, match=f"level {self.LAST_LEVEL[d] + 1} "):
+        with pytest.raises(CapExceededError, match=f"level {self.LAST_LEVEL[d] + 1} "):
             pairs.extend(disc_levels(inst))
         reduced = []
-        with pytest.raises(BitBudgetExceededError, match=f"at level {self.LAST_LEVEL[d] + 1} "):
+        with pytest.raises(CapExceededError, match=f"at level {self.LAST_LEVEL[d] + 1} "):
             reduced.extend(_fraction_levels(inst, DEFAULT_BIT_BUDGET))
         assert [Fraction(num, den) for num, den in pairs] == reduced
 
@@ -522,19 +526,20 @@ class TestDiscPairs:
         inst = build_params(8)
         tracemalloc.start()
         try:
-            with pytest.raises(BitBudgetExceededError, match="level 4 "):
+            with pytest.raises(CapExceededError, match="level 4 "):
                 disc_iterate(inst, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.88e6
 
-    def test_zero_discriminant_stays_small(self):
+    def test_zero_discriminant_stays_small(self, monkeypatch):
         # x0 = -b^2/4 makes f - x0 = (x - 1)^2 for b = 2, so every level
         # has discriminant 0, kept as the pair (0, 1)
         # (level 1's bound is 22 bits, and no later level is bounded)
         inst = _inst(2, 1, 2, -1)
-        assert list(itertools.islice(disc_levels(inst, 22), 6)) == [(0, 1)] * 6
+        monkeypatch.setattr(importlib.import_module("odoni.poly"), "DEFAULT_BIT_BUDGET", 22)
+        assert list(itertools.islice(disc_levels(inst), 6)) == [(0, 1)] * 6
 
     def test_zero_level_stops_the_orbit(self):
         # x0 = 0 zeroes level 1; the critical orbit grows 4-fold per
