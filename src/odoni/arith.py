@@ -2,8 +2,9 @@
 
 p-adic valuations, quadratic-residue tests, the Chinese Remainder
 Theorem, primality testing, deterministic prime search, exact square
-tests, a cached prime sieve of the odd numbers and a sieve of one
-window of integers. Everything is pure, exact, and reentrant: no
+tests, and one prime sieve: ``primes_between`` sieves the odd numbers
+of a range one fixed-size window at a time, and ``primes_array`` caches
+its primes up to a bound. Everything is pure, exact, and reentrant: no
 floats, and no global state but caches that never change a result.
 
 The certifier holds its large integers as integral ``decimal.Decimal``
@@ -16,7 +17,8 @@ converting a large one to or from ``int`` is quadratic.
 Rationals are ``fractions.Fraction`` throughout (re-exported as
 ``Rational``), and every one from outside is read by ``_rationals``,
 which refuses an entry over ``RATIONAL_BIT_CAP`` bits from the literal
-alone. The valuation of 0 is the ``INFINITY`` sentinel, a
+alone, and reads one within it whatever the interpreter's int-string
+digit limit. The valuation of 0 is the ``INFINITY`` sentinel, a
 dedicated object with ordering but no arithmetic, so that accidentally
 computing with it fails loudly instead of silently overflowing.
 """
@@ -32,7 +34,7 @@ import re
 from array import array
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 Rational = Fraction
 
@@ -309,7 +311,7 @@ RATIONAL_BIT_CAP = 2**15
 # then a denominator or a fractional part and an exponent (compiled by
 # ``re`` on first use, so commands that read no rational never pay for it)
 _RATIONAL_LITERAL = (
-    r"\s*[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
+    r"\s*([-+]?)([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
 )
 
 
@@ -324,7 +326,7 @@ def _entry_bits(entry) -> float:
     match = re.fullmatch(_RATIONAL_LITERAL, entry) if isinstance(entry, str) else None
     if match is None:
         return 0
-    whole, den, frac, exp = ((text or "").replace("_", "") for text in match.groups())
+    _, whole, den, frac, exp = ((text or "").replace("_", "") for text in match.groups())
     if len(exp.lstrip("+-")) > 12:
         return math.inf
     shift = int(exp or 0) - len(frac)
@@ -332,21 +334,43 @@ def _entry_bits(entry) -> float:
     return math.ceil(digits * math.log2(10))
 
 
+def _rational(entry) -> Fraction:
+    """Fraction(entry), also for a literal with a digit run past the
+    interpreter's int-string digit limit: Fraction decides the grammar,
+    on the literal with each digit run cut to one digit, and ``decimal``
+    in ``EXACT`` reads the digits, leaving the limit as it is. Quadratic
+    in the digits, so only for an entry within RATIONAL_BIT_CAP."""
+    try:
+        return Fraction(entry)
+    except ValueError:
+        if not isinstance(entry, str):
+            raise
+        Fraction(re.sub(r"\d+", "1", entry))  # raises unless the grammar holds
+    sign, whole, den, frac, exp = (
+        (text or "").replace("_", "") for text in re.fullmatch(_RATIONAL_LITERAL, entry).groups()
+    )
+    value = Fraction(EXACT.create_decimal(f"{sign}{whole}.{frac}e{exp or 0}"))
+    return value / int(EXACT.create_decimal(den)) if den else value
+
+
 def _rationals(entries, what: str) -> list[Fraction]:
     """Each entry (a string such as "-1/49", or a JSON number) as a
     Fraction; anything else, or an entry over RATIONAL_BIT_CAP bits, is
-    an input error naming ``what``."""
+    an input error naming ``what`` and the entry's first 24 characters."""
     out = []
     for entry in entries:
         if _entry_bits(entry) > RATIONAL_BIT_CAP:
-            shown = str(entry)
-            shown = shown if len(shown) <= 24 else shown[:24] + "..."
-            raise ValueError(f"{what}: {shown!r} exceeds the {RATIONAL_BIT_CAP}-bit cap on a rational")
+            raise ValueError(f"{what}: {_clipped(entry)} exceeds the {RATIONAL_BIT_CAP}-bit cap on a rational")
         try:
-            out.append(Fraction(entry))
+            out.append(_rational(entry))
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"{what}: {entry!r} is not a rational number") from exc
+            raise ValueError(f"{what}: {_clipped(entry)} is not a rational number") from exc
     return out
+
+
+def _clipped(entry) -> str:
+    shown = str(entry)
+    return repr(shown if len(shown) <= 24 else shown[:24] + "...")
 
 
 def is_square(q: Union[int, Fraction]) -> bool:
@@ -358,39 +382,43 @@ def is_square(q: Union[int, Fraction]) -> bool:
     return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
 
 
+# flags per window of ``primes_between``: one flag per odd number, so a
+# window spans 65536 integers in 32 kB
+_SIEVE_WINDOW = 1 << 15
+
+
 @functools.lru_cache(maxsize=4)
 def primes_array(bound: int) -> array:
-    """All primes <= bound, ascending, cached per bound, by a sieve of
-    the odd numbers only: flag i stands for 2i + 1, and an odd prime p
-    crosses off its odd multiples from p^2 on, at a stride of p flags.
-    An ``array`` of machine integers: the 78498 primes below 10^6 take
-    628 kB, where a tuple of int objects takes 2.8 MB."""
-    if bound < 2:
-        return array("l")
-    sieve = bytearray([1]) * ((bound + 1) // 2)
-    sieve[0] = 0  # 1 is not prime
-    for i in range(1, (math.isqrt(bound) + 1) // 2):
-        if sieve[i]:
-            p, start = 2 * i + 1, 2 * i * (i + 1)  # p^2 = 2 start + 1
-            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
-    primes = array("l", [2])
-    primes.extend(itertools.compress(range(1, bound + 1, 2), sieve))
-    return primes
+    """All primes <= bound, ascending, cached per bound, as an ``array``
+    of machine integers: the 78498 primes below 10^6 take 628 kB, where
+    a tuple of int objects takes 2.8 MB."""
+    return array("l", primes_between(2, bound))
 
 
-def primes_between(lo: int, hi: int) -> array:
-    """The primes p with lo <= p <= hi, ascending, by a sieve of that
-    window alone: each prime up to isqrt(hi) crosses off its multiples
-    from the larger of p^2 and its first multiple >= lo, so a window far
-    above 2 costs its width, not its upper end."""
+def primes_between(lo: int, hi: int) -> Iterator[int]:
+    """The primes p with lo <= p <= hi, ascending, by a sieve of the odd
+    numbers in windows of ``_SIEVE_WINDOW`` flags from the first odd
+    number >= lo: flag i of a window from w stands for w + 2i, and each
+    odd prime up to isqrt(hi) crosses off its odd multiples from the
+    larger of p^2 and its first multiple in the window, at a stride of
+    p flags. So a range far above 2 costs its width, not its upper end,
+    and any range holds one window at a time."""
     lo = max(lo, 2)
-    if hi < lo:
-        return array("l")
-    window = bytearray([1]) * (hi - lo + 1)
-    for p in primes_array(math.isqrt(hi)):
-        start = max(p * p, -(-lo // p) * p) - lo
-        window[start::p] = bytes(len(range(start, len(window), p)))
-    return array("l", itertools.compress(range(lo, hi + 1), window))
+    if lo > hi:
+        return
+    if lo == 2:
+        yield 2
+    base = list(primes_between(3, math.isqrt(hi)))
+    for w in range(lo | 1, hi + 1, 2 * _SIEVE_WINDOW):
+        size = min(_SIEVE_WINDOW, (hi - w) // 2 + 1)
+        flags = bytearray([1]) * size
+        for p in base:
+            first = max(p * p, -(-w // p) * p)
+            if first % 2 == 0:
+                first += p  # odd multiples only
+            i = (first - w) // 2
+            flags[i::p] = bytes(len(range(i, size, p)))
+        yield from itertools.compress(range(w, w + 2 * size, 2), flags)
 
 
 def decimal_str(n: int) -> str:

@@ -30,7 +30,7 @@ divides none of d, s, t or den(b), so the critical-orbit factorization
 of the discriminant gives
 v_q(disc(f^n - x0)) = sum over k <= n of d^(n-k) v_q(F_k), and both of
 the witness's discriminant facts are read off F_1, ..., F_n
-(``exhibit_odd_prime_q``). ``poly.disc_levels`` is the test suite's
+(``witness_report``). ``poly.disc_levels`` is the test suite's
 oracle for this identity.
 
 Passing depth n for all n <= N certifies that the Galois group of the
@@ -72,8 +72,8 @@ from .polymod import iterates_minus_x0
 DEFAULT_DEPTH = 3
 FN_BIT_CAP = 2**24
 EXHIBIT_PRIME_BOUND = 10**6
-# the largest witness-search bound: its sieve of (bound + 1) / 2 bytes and
-# its 664579 primes (5.3 MB) are the most the search may allocate
+# the largest witness-search bound: its 664579 primes (5.3 MB), sieved
+# one 32 kB window at a time, are the most the search may allocate
 EXHIBIT_EFFORT_CAP = 10**7
 COFACTOR_PRIMALITY_BIT_LIMIT = 4096
 EISENSTEIN_MAX_LEVEL = 3
@@ -636,29 +636,6 @@ def witness_report(
     )
 
 
-def exhibit_odd_prime_q(
-    inst: IterInstance,
-    n: int,
-    effort_bound: int,
-    fns: Sequence[Number],
-    divisors: Sequence[int],
-) -> ExhibitReport:
-    """Try to exhibit a concrete prime q with odd valuation in F_n.
-
-    F_n is factored over the primes <= effort_bound, which
-    ``orbit_prime_divisors`` finds on the critical orbit, and
-    ``witness_report`` applies the witness rule. Finding nothing is not
-    a failure: the nonsquare test already certifies existence.
-
-    ``fns`` is F_1, ..., F_n of this instance, as ``certify`` holds
-    them. ``divisors`` is depth n's list of
-    ``orbit_prime_divisors(inst, effort_bound, depth)``, which
-    ``certify`` computes once for all its depths.
-    """
-    factorization = factor_over(fns[n - 1], divisors, effort_bound)
-    return witness_report(inst, factorization, fns[: n - 1])
-
-
 def _eisenstein_levels(inst: IterInstance, depth: int) -> dict[int, bool]:
     """Eisenstein test of f^n - x0 at p1 for n <= min(depth, 3).
 
@@ -745,6 +722,7 @@ def certify(
     )
 
     records: list[CertDepthRecord] = []
+    fns: list[Number] = []  # F_1, ..., F_(n-1) at depth n
     evidence_level = "deterministic"
     if all(c.ok for c in checks):
         eisenstein = _eisenstein_levels(inst, depth)
@@ -757,10 +735,10 @@ def certify(
                 f_mod_p = residue(value.F_n, inst.p)
                 ns_f, ns_neg_f = nonsquare_pair(inst, f_mod_p)
                 e_ok = value.e_n == expected_e_n(inst, n)
-                exhibit_report = exhibit_odd_prime_q(
-                    inst, n, exhibit_effort, [r.F_n for r in records] + [value.F_n],
-                    divisors[n - 1],
+                exhibit_report = witness_report(
+                    inst, factor_over(value.F_n, divisors[n - 1], exhibit_effort), fns
                 )
+                fns.append(value.F_n)
                 if exhibit_report.evidence != "deterministic":
                     evidence_level = "probabilistic-primality"
                 record = CertDepthRecord(

@@ -189,11 +189,8 @@ def build_params_even(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
     _require(val(b, p) == -1, "v_p2(b) == -1")
     _require(val(big_d, p) == 1, "v_p(s^(d-1)+t^(d-1)) == 1")
     _require(math.gcd(d - 1, big_d) == 1, "gcd(d-1, s^(d-1)+t^(d-1)) == 1")
-    _require(
-        math.gcd(s * (d - 1), d * t * big_d) == 1,
-        "gcd(s(d-1), dt(s^(d-1)+t^(d-1))) == 1",
-    )
-    _require(not inst.violated_relations(), "instance invariants")
+    violated = inst.violated_relations()
+    _require(not violated, "instance invariants: " + "; ".join(violated))
     return inst
 
 
@@ -230,8 +227,8 @@ def build_params_odd(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
     _require(val(b, p1) == 2, "v_p1(b) == 2")
     _require(val(x0, p2) == -1, "v_p2(x0) == -1")
     _require(val(b, p2) == -2, "v_p2(b) == -2")
-    _require(math.gcd(2 * (d - 2) * s, d * t) == 1, "gcd(2(d-2)s, dt) == 1")
-    _require(not inst.violated_relations(), "instance invariants")
+    violated = inst.violated_relations()
+    _require(not violated, "instance invariants: " + "; ".join(violated))
     return inst
 
 

@@ -111,29 +111,22 @@ def sample_distribution(
     target = next(itertools.islice(iterates_minus_x0(inst), n - 1, None))
     counts: dict[tuple[int, ...], int] = {}
     used = skipped = 0
-    block_lo = max(start + 1, 3)
-    block = 1 << 16
-    while used < prime_count:
-        if block_lo > DEFAULT_SCAN_CAP:
-            raise CapExceededError(
-                f"only {used} good primes below scan cap {DEFAULT_SCAN_CAP}"
+    for p in primes_between(max(start + 1, 3), DEFAULT_SCAN_CAP):
+        if used >= prime_count:
+            break
+        if bad % p == 0:
+            skipped += 1
+            continue
+        ctype = cycle_type_mod_p(target, p)
+        if ctype not in realizable:
+            raise UnrealizableTypeError(
+                f"cycle type {list(ctype)} at p={p} is not realizable in the "
+                f"depth-{n} tree group of degree {d}"
             )
-        block_hi = min(block_lo + block - 1, DEFAULT_SCAN_CAP)
-        for p in primes_between(block_lo, block_hi):
-            if used >= prime_count:
-                break
-            if bad % p == 0:
-                skipped += 1
-                continue
-            ctype = cycle_type_mod_p(target, p)
-            if ctype not in realizable:
-                raise UnrealizableTypeError(
-                    f"cycle type {list(ctype)} at p={p} is not realizable in the "
-                    f"depth-{n} tree group of degree {d}"
-                )
-            counts[ctype] = counts.get(ctype, 0) + 1
-            used += 1
-        block_lo = block_hi + 1
+        counts[ctype] = counts.get(ctype, 0) + 1
+        used += 1
+    if used < prime_count:
+        raise CapExceededError(f"only {used} good primes below scan cap {DEFAULT_SCAN_CAP}")
     return SampleResult(
         d=d,
         n=n,

@@ -15,9 +15,10 @@ from odoni.certify import (
     CertifyError,
     ExhibitReport,
     FnValue,
-    exhibit_odd_prime_q,
+    factor_over,
     fn_sequence,
     orbit_prime_divisors,
+    witness_report,
 )
 from odoni.construct import EVEN_CASE
 from odoni.poly import critical_orbit
@@ -69,13 +70,15 @@ def compute_fn(inst, n: int) -> FnValue:
 def exhibit_at(
     inst, n: int, effort_bound: int = EXHIBIT_PRIME_BOUND, fns: Optional[Sequence] = None
 ) -> ExhibitReport:
-    """``exhibit_odd_prime_q`` at depth n alone, as ``certify`` would
-    call it there: F_1, ..., F_n from ``fn_sequence`` unless given, and
-    depth n's list of a new ``orbit_prime_divisors`` search to depth n."""
+    """The witness search at depth n alone, as ``certify`` makes it
+    there: F_n factored by ``factor_over`` and judged by
+    ``witness_report``, with F_1, ..., F_n from ``fn_sequence`` unless
+    given, and depth n's list of a new ``orbit_prime_divisors`` search
+    to depth n."""
     if fns is None:
         fns = [value.F_n for value in fn_sequence(inst, n)]
     divisors = orbit_prime_divisors(inst, effort_bound, n)[n - 1]
-    return exhibit_odd_prime_q(inst, n, effort_bound, fns, divisors)
+    return witness_report(inst, factor_over(fns[n - 1], divisors, effort_bound), fns[: n - 1])
 
 
 def pair_val(pair: tuple[int, int], q: int) -> Valuation:

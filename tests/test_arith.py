@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from odoni.arith import (
     EXACT,
     INFINITY,
+    _SIEVE_WINDOW,
     CapExceededError,
     bit_length,
     crt,
@@ -210,8 +212,9 @@ class TestPrimes:
 
 
 class TestSieves:
-    """The odd-only sieve and the window sieve of odoni.arith against the
-    plain sieve over every integer (the oracle in sieve_oracle.py)."""
+    """The window sieve of odoni.arith, and primes_array built on it,
+    against the plain sieve over every integer (the oracle in
+    sieve_oracle.py)."""
 
     def test_every_small_bound(self):
         for bound in range(2, 3001):
@@ -229,13 +232,43 @@ class TestSieves:
             windows.append((lo, lo + rng.choice([0, 1, 30, 1000, 70000])))
         for lo, hi in windows:
             want = [p for p in oracle if lo <= p <= hi]
-            assert primes_between(lo, hi).tolist() == want, (lo, hi)
+            assert list(primes_between(lo, hi)) == want, (lo, hi)
+
+    def test_window_edges(self):
+        # a window of _SIEVE_WINDOW odd-number flags spans 65536 integers,
+        # and the first starts at the first odd number >= lo
+        span = 2 * _SIEVE_WINDOW
+        assert span == 65536
+        windows = [(lo, hi) for lo in range(-2, 12) for hi in range(-2, 12)]  # hi < 9 among them
+        for lo in (3, 4, 1000, 1001):  # odd and even lo
+            first = lo | 1
+            for k in (1, 2):
+                # hi on the last flag of window k - 1, past it, and on the first flag of window k
+                windows += [(lo, first + k * span - 2), (lo, first + k * span - 1), (lo, first + k * span)]
+        windows.append((257**2 - span, 257**2 + 1000))  # the second window starts on 257^2
+        windows += [(49, 5000), (257**2, 257**2 + span)]  # the first window starts on p^2
+        windows.append((0, 5 * span + 17))  # several windows
+        oracle = primes_up_to(6 * span)
+        for lo, hi in windows:
+            want = [p for p in oracle if lo <= p <= hi]
+            assert list(primes_between(lo, hi)) == want, (lo, hi)
 
     def test_wide_window_far_from_two(self):
-        # the frobenius sampler's block, 65536 wide, at 5 * 10^6
+        # one window, 65536 wide, at 5 * 10^6, where the frobenius sampler runs
         lo, hi = 5 * 10**6, 5 * 10**6 + 65535
         want = [p for p in primes_up_to(hi) if p >= lo]
-        assert primes_between(lo, hi).tolist() == want
+        assert list(primes_between(lo, hi)) == want
+
+    def test_one_window_in_memory(self):
+        # the sieve holds one 32 kB window, not a flag per odd number
+        # up to the bound (500 kB above the result at 10^6)
+        tracemalloc.start()
+        try:
+            primes = primes_array.__wrapped__(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(primes) * primes.itemsize + 100_000
 
 
 class TestIsSquare:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -339,6 +340,41 @@ class TestRationalCap:
             bound = 1075 if isinstance(entry, float) else arith._entry_bits(entry)
             assert bits <= bound, entry
 
+    def test_literals_past_the_int_string_digit_limit(self):
+        # 9000 and 5000 digits: over the interpreter's int-string digit
+        # limit (4300 by default), within the cap, read exactly
+        limit = sys.get_int_max_str_digits()
+        entries = ["-" + "7" * 9000 + "/3", "1" + "0" * 4999 + ".25e-2"]
+        assert arith._rationals(entries, "x0") == [
+            Fraction(-7 * (10**9000 - 1) // 9, 3),
+            Fraction(4 * 10**4999 + 1, 400),
+        ]
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("form", ["12/3", " 12 / 3 ", "-12_3/4", "+.12E3", "12.", "12.3.4", "12__3", "12e", "0x12"])
+    def test_long_literal_keeps_the_grammar_of_fraction(self, form):
+        # "12" repeated past the digit limit: accepted exactly
+        # when this interpreter's Fraction accepts the short form (3.12
+        # and later allow spaces around "/", 3.10 and 3.11 do not)
+        try:
+            Fraction(form)
+            valid = True
+        except ValueError:
+            valid = False
+        long = form.replace("12", "12" * 2500)
+        try:
+            arith._rationals([long], "x0")
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == valid
+
+    @pytest.mark.parametrize("tail", ["x", "/0", ".5.5"])
+    def test_long_malformed_literal_is_clipped(self, tail):
+        with pytest.raises(ValueError) as info:
+            arith._rationals(["1" * 5000 + tail], "x0")
+        assert str(info.value) == "x0: '" + "1" * 24 + "...' is not a rational number"
+
     def test_disc_trinomial_cap(self, capsys):
         # the value would have about 20 Mbit and took 18.5 s to build
         started = time.monotonic()
@@ -543,6 +579,36 @@ class TestFrobeniusCommand:
         err = capsys.readouterr().err
         assert "instance.structural_invariants" in err
         assert "b == x0^2" in err
+
+
+class TestGoldenOutputBytes:
+    """sha256 of the bytes the frobenius and pipeline commands write:
+    the group-oracles benchmark's four frobenius shapes at a fixed
+    --start, a scan above 5 * 10^6 that crosses a 65536-wide sieve
+    window, and the pipeline at degree 3, depth 3."""
+
+    FROBENIUS = {
+        (2, 2, 2000, 6000): "eee947ac7c3d6c2e8f8a3a25dc4d99ea9600c14b4350838b11f26a22c35d041f",
+        (3, 1, 2000, 6000): "6e54ba7ec623f0f682f584ae9abcc9a266fa0cfedd7e91ef5a2e80f3582891dc",
+        (2, 3, 500, 6000): "8439e701ee364950a531e785cea0d3a734cf221b2bf3ab4ae04b7e410f4b56f5",
+        (8, 1, 200, 6000): "7a053c0ad22dc8dffcab4fe6cc063770fdcd06b203e337c4f217a0407394d518",
+        (3, 1, 5000, 5 * 10**6): "47e0566ae283492898b1cf831e28be552bdccee48538fcc1915af2dddd3e84f8",
+    }
+    PIPELINE = "5a9611c24771dd48097091ec66ce19f8b3706382c59f54dd1d21dfb700bb59a3"
+
+    @pytest.mark.parametrize("d, level, primes, start", sorted(FROBENIUS))
+    def test_frobenius(self, tmp_path, d, level, primes, start):
+        params = write_params(tmp_path, instance_to_json_dict(build_params(d)))
+        out = tmp_path / "report.json"
+        argv = ["frobenius", "--params", params, "--level", str(level), "--primes", str(primes),
+                "--start", str(start), "--out", str(out)]
+        assert cli.run(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.FROBENIUS[d, level, primes, start]
+
+    def test_pipeline(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.run(["pipeline", "--degree", "3", "--depth", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PIPELINE
 
 
 class TestPipelineCommand:

@@ -150,7 +150,24 @@ class TestDeterminismAndJson:
         violations = tampered.violated_relations()
         assert violations  # x0 no longer matches s/t, and b != x0^2
 
+    def test_params_past_the_int_string_digit_limit(self):
+        # b's denominator at degree 400 has 4766 digits, over the
+        # interpreter's default limit of 4300; the file still reads back
+        inst = build_params(400)
+        data = instance_to_json_dict(inst)
+        assert len(data["b"].split("/")[1]) == 4766
+        assert instance_from_json_dict(data) == inst
+
     def test_dispatch(self):
         assert build_params(2).parity_case == "even"
         assert build_params(3).parity_case == "odd-case-1"
         assert build_params(9).parity_case == "odd-case-2"
+
+
+class TestInstanceInvariantsMessage:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_failure_names_the_violated_relations(self, d, monkeypatch):
+        # each build decides the relations once, through violated_relations
+        monkeypatch.setattr(IterInstance, "violated_relations", lambda self: ["first", "second"])
+        with pytest.raises(ConstructError, match="instance invariants: first; second$"):
+            build_params(d)
