@@ -3,9 +3,9 @@
 p-adic valuations, quadratic-residue tests, the Chinese Remainder
 Theorem, primality testing, deterministic prime search, exact square
 tests, and one prime sieve: ``primes_between`` sieves the odd numbers
-of a range one fixed-size window at a time, and ``primes_array`` caches
-its primes up to a bound. Everything is pure, exact, and reentrant: no
-floats, and no global state but caches that never change a result.
+of a range one fixed-size window at a time, so a caller that streams
+its primes holds one window whatever the bound. Everything is pure,
+exact, and reentrant: no floats, no randomness, and no global state.
 
 The certifier holds its large integers as integral ``decimal.Decimal``
 values (C libmpdec, whose multiplication is a number-theoretic
@@ -26,12 +26,9 @@ computing with it fails loudly instead of silently overflowing.
 from __future__ import annotations
 
 import decimal
-import functools
 import itertools
 import math
-import random
 import re
-from array import array
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterator, Union
@@ -61,7 +58,6 @@ Number = Union[int, Decimal]
 # covers 64-bit inputs.
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_RANDOM_MR_ROUNDS = 64
 
 DEFAULT_SEARCH_CAP = 10**6
 
@@ -134,10 +130,12 @@ def is_prime(n: int) -> bool:
     """Primality test, deterministic below MR_DETERMINISTIC_BOUND.
 
     Small inputs fall to trial division; mid-range inputs use the fixed
-    13-base Miller-Rabin set (proven deterministic there); larger inputs
-    get 64 Miller-Rabin rounds with bases drawn from a PRNG seeded by n,
-    so the answer is reproducible but only probabilistic; see
-    primality_evidence().
+    13-base Miller-Rabin set (proven deterministic there). Larger inputs
+    get the Baillie-PSW test (R. Baillie and S. Wagstaff, Math. Comp. 35,
+    1980): a strong probable-prime test to base 2, then a strong Lucas
+    test with Selfridge's parameters. No composite is known to pass
+    both, but none is proven not to, so the answer there is
+    probabilistic; see primality_evidence().
     """
     if n < 2:
         return False
@@ -148,31 +146,87 @@ def is_prime(n: int) -> bool:
             return False
     if n < 53 * 53:
         return True
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
     if n < MR_DETERMINISTIC_BOUND:
-        bases = _MR_BASES
-    else:
-        rng = random.Random(n ^ 0x6F646F6E69)  # reproducible per input
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(_RANDOM_MR_ROUNDS))
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether an odd n > a passes the Miller-Rabin round to base a:
+    with n - 1 = d 2^r and d odd, a^d = 1 or a^(d 2^i) = -1 mod n for
+    some i < r."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> r, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Whether an odd n with no prime factor below 53 passes the strong
+    Lucas test with Selfridge's parameters: D the first of 5, -7, 9,
+    -11, ... with Jacobi symbol (D|n) = -1, P = 1 and Q = (1 - D)/4.
+    With n + 1 = d 2^s and d odd, n passes when U_d = 0 or
+    V_(d 2^r) = 0 mod n for some r < s.
+
+    A square n has no such D, so it is rejected first. A D with
+    (D|n) = 0 shares a factor with n: a proper one, unless |D| = n, and
+    then no smaller odd number shared one, so n is prime.
+
+    U_d, V_d and Q^d are built over the bits of d by
+    U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k, and, for a one bit,
+    U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2, halving mod n.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0:
+            return abs(D) == n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    u, v, q_k = 1, 1, Q % n  # U_1, V_1, Q^1 with P = 1
+    for bit in bin(d)[3:]:
+        u, v, q_k = u * v % n, (v * v - 2 * q_k) % n, q_k * q_k % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            u, v = (u + n if u & 1 else u) >> 1, (v + n if v & 1 else v) >> 1
+            u, v, q_k = u % n, v % n, q_k * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, q_k = (v * v - 2 * q_k) % n, q_k * q_k % n
+        if v == 0:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for an odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 def primality_evidence(n: int) -> str:
-    """Evidence level of is_prime(n): "deterministic" or "probabilistic"."""
+    """Evidence level of is_prime(n): "deterministic" below
+    MR_DETERMINISTIC_BOUND, where the fixed bases prove the answer, and
+    "probabilistic" from it on, where Baillie-PSW decides."""
     return "deterministic" if n < MR_DETERMINISTIC_BOUND else "probabilistic"
 
 
@@ -385,14 +439,6 @@ def is_square(q: Union[int, Fraction]) -> bool:
 # flags per window of ``primes_between``: one flag per odd number, so a
 # window spans 65536 integers in 32 kB
 _SIEVE_WINDOW = 1 << 15
-
-
-@functools.lru_cache(maxsize=4)
-def primes_array(bound: int) -> array:
-    """All primes <= bound, ascending, cached per bound, as an ``array``
-    of machine integers: the 78498 primes below 10^6 take 628 kB, where
-    a tuple of int objects takes 2.8 MB."""
-    return array("l", primes_between(2, bound))
 
 
 def primes_between(lo: int, hi: int) -> Iterator[int]:

@@ -43,8 +43,8 @@ is re-verified at each certified depth.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -61,7 +61,7 @@ from .arith import (
     legendre,
     multiplicity,
     primality_evidence,
-    primes_array,
+    primes_between,
     residue,
     val,
 )
@@ -72,8 +72,8 @@ from .polymod import iterates_minus_x0
 DEFAULT_DEPTH = 3
 FN_BIT_CAP = 2**24
 EXHIBIT_PRIME_BOUND = 10**6
-# the largest witness-search bound: its 664579 primes (5.3 MB), sieved
-# one 32 kB window at a time, are the most the search may allocate
+# the largest witness-search bound: the search streams its primes from
+# one 32 kB sieve window, so this bounds its time, not its memory
 EXHIBIT_EFFORT_CAP = 10**7
 COFACTOR_PRIMALITY_BIT_LIMIT = 4096
 EISENSTEIN_MAX_LEVEL = 3
@@ -410,45 +410,39 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
     )
 
 
-def search_primes(inst: IterInstance, bound: int) -> array:
+def search_primes(inst: IterInstance, bound: int) -> Iterator[int]:
     """The primes <= bound that ``orbit_prime_divisors`` steps,
-    ascending. On an odd-case instance whose structural
-    relations hold, these are the primes p with (d(d-2) | p) = 1 and
-    those of 2 d (d-2) s t, the only ones that can divide G_n (the
-    proof is in ``orbit_prime_divisors``): about half of all, as
-    d(d-2) = (d-1)^2 - 1 is never a square. Every other instance keeps
-    every prime.
+    ascending, streamed from ``primes_between``. On an odd-case instance
+    whose structural relations hold, these are the primes p with
+    (d(d-2) | p) = 1 and those of 2 d (d-2) s t, the only ones that can
+    divide G_n (the proof is in ``orbit_prime_divisors``): about half of
+    all, as d(d-2) = (d-1)^2 - 1 is never a square. Every other instance
+    keeps every prime, and gets the sieve's own iterator.
 
     For p prime to 2 d (d-2) the symbol depends only on p mod
-    k = 4 d (d-2), so Euler's criterion is evaluated once per residue
-    class, at the first prime of the class. At most phi(k) + omega(k)
-    classes hold a prime: those prime to k, and one for each prime of k,
-    which is kept. So the walk for first primes stops once it has met
-    that many, after a few hundred primes for d <= 9, and reads every
-    prime when the bound is too small to meet them all (a prime of k
-    above the bound leaves the count at more than phi(k) + omega(k)).
+    k = 4 d (d-2), so Euler's criterion is evaluated the first time the
+    stream meets a residue class, and remembered: at most
+    phi(k) + omega(k) times, since the primes of k are alone in their
+    classes (and are kept).
     """
-    primes = primes_array(bound)
+    primes = primes_between(2, bound)
     if inst.parity_case == EVEN_CASE or inst.violated_relations():
         return primes
     d = inst.d
     disc = d * (d - 2)
     k = 4 * disc
-    classes, k_primes = k, 0  # phi(k) and omega(k); the primes of k are <= d
-    for q in primes:
-        if q > d:
-            break
-        if k % q == 0:
-            classes, k_primes = classes // q * (q - 1), k_primes + 1
-    classes += k_primes
-    first: dict[int, int] = {}
-    for p in primes:
-        first.setdefault(p % k, p)
-        if len(first) == classes:
-            break
-    square = {r: k % p == 0 or pow(disc, (p - 1) // 2, p) == 1 for r, p in first.items()}
     st = inst.s * inst.t
-    return array("l", (p for p in primes if square[p % k] or st % p == 0))
+
+    def kept() -> Iterator[int]:
+        square: dict[int, bool] = {}  # p mod k -> whether (d(d-2) | p) = 1
+        for p in primes:
+            r = p % k
+            if r not in square:
+                square[r] = k % p == 0 or pow(disc, (p - 1) // 2, p) == 1
+            if square[r] or st % p == 0:
+                yield p
+
+    return kept()
 
 
 def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[list[int]]:
@@ -491,10 +485,11 @@ def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[lis
     some G_n with n <= depth. Only these are replayed alone, by the same
     recursion mod p, to find their depths.
     So the search costs one gcd per group for the whole run, whatever
-    the depth or the size of F_n, and keeps no residue of a group past
-    its pass. A bound below 2 builds no sieve and finds nothing, and one
-    above EXHIBIT_EFFORT_CAP raises CapExceededError before any is
-    built.
+    the depth or the size of F_n, keeps no residue of a group past its
+    pass, and takes its groups from the stream of ``search_primes``, so
+    it holds one sieve window whatever the bound. A bound below 2 builds
+    no sieve and finds nothing, and one above EXHIBIT_EFFORT_CAP raises
+    CapExceededError before any is built.
     """
     if bound < 0:
         raise ValueError(f"orbit_prime_divisors: bound {bound} is negative")
@@ -520,8 +515,10 @@ def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[lis
             yield w * v - target * y
 
     primes = search_primes(inst, bound)
-    for i in range(0, len(primes), 16):
-        group = primes[i : i + 16]
+    # a list, not a tuple: tuple() of an iterator builds its result by
+    # resizing, so no freed 16-tuple is reused, and each parks on the
+    # interpreter's tuple free list (up to 2000, about 0.35 MB resident)
+    while group := list(itertools.islice(primes, 16)):
         q = math.prod(group)
         product = 1
         for value in test_values(q):

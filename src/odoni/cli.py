@@ -24,7 +24,8 @@ degree above ``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is
 a rational entry of more than ``arith.RATIONAL_BIT_CAP`` bits,
 estimated from the literal's digits and exponent: every rational from
 outside (``newton`` coefficients, ``disc --trinomial`` A, B, C, and a
-params file's x0 and b) is read by ``arith._rationals``; and a
+params file's x0 and b) is read by ``arith._rationals``, a bare JSON
+integer in a params or poly file as its digit string; and a
 trinomial discriminant whose bound ``poly.disc_trinomial_bits``
 exceeds ``poly.DEFAULT_BIT_BUDGET`` is a resource cap. An iterate
 discriminant of a shape other than m = d-1 or m = d-2 is an input
@@ -81,7 +82,9 @@ def _log(message: str):
 
 def _load_params(path: str) -> construct_mod.IterInstance:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        # a bare integer stays a digit string, so a long one meets the
+        # same readers (and caps) as a quoted one, not json's int()
+        data = json.load(fh, parse_int=str)
     return construct_mod.instance_from_json_dict(data)
 
 
@@ -166,7 +169,7 @@ def _cmd_disc(args) -> int:
 def _cmd_newton(args) -> int:
     if args.poly_file is not None:
         with open(args.poly_file, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=str)  # as in _load_params
         if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
             raise ValueError(f'{args.poly_file}: expected {{"coeffs": [...]}}')
         coeffs = _rationals(data["coeffs"], "--poly-file coeffs")
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a certified parameter set for a degree")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--depth-hint", type=int, default=None)
+    p.add_argument("--depth-hint", type=_positive_int, default=None)
     p.add_argument("--cap", type=int, default=10**6, help="prime search cap")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_construct)

@@ -1,8 +1,7 @@
 """The plain sieve of Eratosthenes over every integer up to a bound, in
 one flag array: the test oracle of ``odoni.arith.primes_between``
-(which sieves the odd numbers only, one fixed-size window at a time)
-and of ``odoni.arith.primes_array`` (its primes up to a bound), and the
-list of primes the other oracles walk."""
+(which sieves the odd numbers only, one fixed-size window at a time),
+and the list of primes the other oracles walk."""
 
 from __future__ import annotations
 

@@ -12,10 +12,13 @@ import trial_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odoni.arith as arith
 from odoni.arith import (
     EXACT,
     INFINITY,
     _SIEVE_WINDOW,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     CapExceededError,
     bit_length,
     crt,
@@ -26,7 +29,6 @@ from odoni.arith import (
     multiplicity,
     next_prime_where,
     primality_evidence,
-    primes_array,
     primes_between,
     residue,
     val,
@@ -34,6 +36,7 @@ from odoni.arith import (
 from fn_helpers import compute_fn, fn_sequence_oracle
 from odoni.certify import EXHIBIT_EFFORT_CAP
 from odoni.construct import build_params
+from primality_oracle import seeded_miller_rabin
 from sieve_oracle import primes_up_to
 from trial_oracle import trial_factor
 
@@ -211,18 +214,109 @@ class TestPrimes:
         assert primes_up_to(1) == []
 
 
+# above the deterministic bound, where is_prime runs Baillie-PSW
+BOUND = arith.MR_DETERMINISTIC_BOUND
+# strong pseudoprimes to base 2; the last passes every base from 2 to 23
+BASE_2_PSEUDOPRIMES = [2047, 3277, 4033, 4681, 8321, 3215031751, 3825123056546413051]
+# strong Lucas pseudoprimes with Selfridge's parameters
+LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+# composite Mersenne numbers above the bound, all strong pseudoprimes to base 2
+MERSENNE_COMPOSITES = [2**p - 1 for p in (83, 97, 101, 103, 109, 113, 131)]
+
+
+def _chernick(k):
+    # (6k+1)(12k+1)(18k+1), a Carmichael number when all three are prime
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+class TestBailliePSW:
+    """is_prime above MR_DETERMINISTIC_BOUND, the Baillie-PSW test,
+    against 64 seeded Miller-Rabin rounds (the oracle in
+    primality_oracle.py), and each of its two halves alone on the
+    pseudoprimes of the other."""
+
+    @staticmethod
+    def _corpus():
+        rng = random.Random(2024)
+        values = [rng.getrandbits(rng.randrange(90, 601)) | 1 for _ in range(300)]
+        primes = []
+        while len(primes) < 24:
+            n = rng.getrandbits(rng.randrange(45, 301)) | 1
+            if seeded_miller_rabin(n):
+                primes.append(n)
+        values += primes + [p * q for p, q in zip(primes[::2], primes[1::2])]
+        # the first k >= 1.4 * 10^7 whose three factors are prime; the last is
+        # a strong pseudoprime to base 2
+        values += [_chernick(k) for k in (14000240, 14000461, 14000720, 14001970)]
+        # the least strong pseudoprime to all 13 fixed bases, 2 to 41
+        values += [BOUND] + MERSENNE_COMPOSITES + [2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1]
+        return [n for n in values if n >= BOUND]
+
+    def test_agrees_with_seeded_miller_rabin(self):
+        corpus = self._corpus()
+        assert min(corpus) >= BOUND and len(corpus) > 300
+        verdicts = [is_prime(n) for n in corpus]
+        assert verdicts == [seeded_miller_rabin(n) for n in corpus]
+        assert 10 < sum(verdicts) < len(corpus) - 10
+
+    def test_base_2_passes_where_lucas_rejects(self):
+        # the corpus's base-2 pseudoprimes: every one reaches the Lucas half
+        hard = [BOUND, _chernick(14001970)] + MERSENNE_COMPOSITES + BASE_2_PSEUDOPRIMES
+        for n in hard:
+            assert _strong_probable_prime(n, 2), n
+            assert not _strong_lucas_probable_prime(n), n
+            assert not is_prime(n), n
+
+    def test_lucas_passes_where_base_2_rejects(self):
+        for n in LUCAS_PSEUDOPRIMES:
+            assert _strong_lucas_probable_prime(n), n
+            assert not _strong_probable_prime(n, 2), n
+
+    def test_squares_rejected(self):
+        # a square has no D with (D|n) = -1
+        for p in (2**61 - 1, 2**89 - 1):
+            assert not _strong_lucas_probable_prime(p * p)
+            assert not is_prime(p * p)
+
+    def test_decides_small_inputs_with_the_bound_lowered(self, monkeypatch):
+        # with the bound at 0, Baillie-PSW decides every input past
+        # trial division; it has no known counterexample below 2^64
+        monkeypatch.setattr(arith, "MR_DETERMINISTIC_BOUND", 0)
+        oracle = set(primes_up_to(10**5))
+        assert [n for n in range(10**5) if is_prime(n) != (n in oracle)] == []
+        assert not any(is_prime(n) for n in BASE_2_PSEUDOPRIMES + LUCAS_PSEUDOPRIMES)
+
+    def test_without_lucas_half_a_mersenne_composite_passes(self, monkeypatch):
+        # mutation control: 2^83 - 1 = 167 * 57912614113275649087721 is
+        # rejected only by the Lucas half
+        assert not is_prime(2**83 - 1)
+        monkeypatch.setattr(arith, "_strong_lucas_probable_prime", lambda n: True)
+        assert is_prime(2**83 - 1)
+
+    def test_without_base_2_half_a_lucas_pseudoprime_passes(self, monkeypatch):
+        # mutation control, with the bound lowered so 5459 = 53 * 103
+        # takes the Baillie-PSW branch: only the base-2 half rejects it
+        monkeypatch.setattr(arith, "MR_DETERMINISTIC_BOUND", 0)
+        assert not is_prime(5459)
+        monkeypatch.setattr(arith, "_strong_probable_prime", lambda n, a: True)
+        assert is_prime(5459)
+
+    def test_evidence_unchanged(self):
+        assert primality_evidence(BOUND - 1) == "deterministic"
+        assert primality_evidence(BOUND) == "probabilistic"
+
+
 class TestSieves:
-    """The window sieve of odoni.arith, and primes_array built on it,
-    against the plain sieve over every integer (the oracle in
-    sieve_oracle.py)."""
+    """The window sieve of odoni.arith against the plain sieve over
+    every integer (the oracle in sieve_oracle.py)."""
 
     def test_every_small_bound(self):
         for bound in range(2, 3001):
-            assert primes_array(bound).tolist() == primes_up_to(bound), bound
+            assert list(primes_between(2, bound)) == primes_up_to(bound), bound
 
     @pytest.mark.parametrize("bound", [10**6, 10**6 + 1, EXHIBIT_EFFORT_CAP])
     def test_large_bounds(self, bound):
-        assert primes_array(bound).tolist() == primes_up_to(bound)
+        assert list(primes_between(2, bound)) == primes_up_to(bound)
 
     def test_windows(self):
         oracle = primes_up_to(2 * 10**5)
@@ -260,15 +354,16 @@ class TestSieves:
         assert list(primes_between(lo, hi)) == want
 
     def test_one_window_in_memory(self):
-        # the sieve holds one 32 kB window, not a flag per odd number
-        # up to the bound (500 kB above the result at 10^6)
+        # streamed, the sieve holds one 32 kB window, not a flag per odd
+        # number up to the bound (500 kB at 10^6)
         tracemalloc.start()
         try:
-            primes = primes_array.__wrapped__(10**6)
+            count = sum(1 for _ in primes_between(2, 10**6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= len(primes) * primes.itemsize + 100_000
+        assert count == 78498
+        assert peak < 100_000
 
 
 class TestIsSquare:

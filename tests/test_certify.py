@@ -31,7 +31,7 @@ from odoni.arith import (
     decimal_str,
     is_prime,
     legendre,
-    primes_array,
+    primes_between,
     val,
 )
 from odoni.certify import (
@@ -628,27 +628,37 @@ class TestOrbitPrimeDivisors:
             calls.clear()
             orbit_prime_divisors(inst, 10**6, depth)
             counts[depth] = len(calls)
-        assert counts[1] == counts[12] == -(-len(primes_array(10**6)) // 16)
+        assert counts[1] == counts[12] == -(-sum(1 for _ in primes_between(2, 10**6)) // 16)
 
     def test_no_residue_list_across_depths(self):
-        # with the sieve cached, the search to depth 12 holds no list of
-        # per-group residues: one such list of the 4907 groups' 320-bit
-        # residues alone is about 0.37 MB
-        inst = build_params(2)
-        orbit_prime_divisors(inst, 10**6, 12)
+        # a cold search to depth 12 holds no list of per-group residues
+        # (one of the 4907 groups' 320-bit residues alone is about
+        # 0.37 MB) and no list of its primes (78498 of them)
         tracemalloc.start()
         try:
-            orbit_prime_divisors(inst, 10**6, 12)
+            orbit_prime_divisors(build_params(2), 10**6, 12)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.2e6
+        assert peak < 100_000, peak
+
+    def test_search_holds_one_sieve_window(self):
+        # the search streams its primes from one 32 kB window whatever
+        # the bound: an array of the 348513 primes below 5 * 10^6 alone
+        # takes 2.8 MB
+        tracemalloc.start()
+        try:
+            orbit_prime_divisors(build_params(2), 5 * 10**6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
 
     def test_small_bound_builds_no_sieve(self, golden_even_2, monkeypatch):
-        def no_sieve(bound):
-            raise AssertionError(f"sieve to {bound} built")
+        def no_sieve(lo, hi):
+            raise AssertionError(f"sieve to {hi} built")
 
-        monkeypatch.setattr(importlib.import_module("odoni.certify"), "primes_array", no_sieve)
+        monkeypatch.setattr(importlib.import_module("odoni.certify"), "primes_between", no_sieve)
         cert = certify(golden_even_2, 4, exhibit_effort=1)
         assert cert.verdict_pass
         assert not any(r.exhibited_q.found for r in cert.records)
@@ -687,7 +697,7 @@ class TestSearchPrimes:
         disc = inst.d * (inst.d - 2)
         always = 2 * disc * inst.s * inst.t
         return [
-            p for p in primes_array(bound).tolist()
+            p for p in primes_between(2, bound)
             if always % p == 0 or pow(disc, (p - 1) // 2, p) == symbol % p
         ]
 
@@ -708,26 +718,28 @@ class TestSearchPrimes:
 
     @pytest.mark.parametrize("d", ODD)
     def test_keeps_about_half(self, d):
-        kept = search_primes(build_params(d), 10**6)
-        assert len(kept) <= 0.55 * len(primes_array(10**6))
+        kept = list(search_primes(build_params(d), 10**6))
+        assert len(kept) <= 0.55 * len(list(primes_between(2, 10**6)))
 
     @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 25])
     def test_equals_legendre_definition(self, d):
-        # the class walk against Euler's criterion at every prime, at
-        # bounds that meet every class and at bounds that do not
+        # the per-class filter against Euler's criterion at every prime,
+        # at bounds that meet every class and at bounds that do not
         inst = build_params(d)
         for bound in (2, 3, 5, 7, 97, 1000, 10**5):
-            got = search_primes(inst, bound).tolist()
+            got = list(search_primes(inst, bound))
             assert got == self._by_legendre(inst, bound, 1), bound
 
     @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
     def test_even_degree_keeps_every_prime(self, d):
-        assert search_primes(build_params(d), 10**6) == primes_array(10**6)
+        stream = search_primes(build_params(d), 10**6)
+        assert stream.gi_code is primes_between.__code__  # the sieve itself, no extra layer
+        assert list(stream) == list(primes_between(2, 10**6))
 
     def test_broken_odd_instance_keeps_every_prime(self, golden_odd_3):
         broken = replace(golden_odd_3, b=golden_odd_3.b * 4)
         assert broken.violated_relations() == ["b == x0^2"]
-        assert search_primes(broken, 10**5) == primes_array(10**5)
+        assert list(search_primes(broken, 10**5)) == list(primes_between(2, 10**5))
 
 
 class TestDiscValuationRule:

@@ -60,6 +60,13 @@ class TestConstructCommand:
         err = capsys.readouterr().err
         assert f"note: depth {hint} is past depth 4, the deepest" in err
 
+    @pytest.mark.parametrize("hint", ["0", "-1"])
+    def test_depth_hint_must_be_positive(self, hint, capsys):
+        # as certify --depth 0 does, a hint below 1 is a usage error
+        assert cli.run(["construct", "--degree", "2", "--depth-hint", hint]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be a positive integer" in captured.err
+
     @pytest.mark.parametrize(
         "argv", [["construct", "--degree", "20000"], ["pipeline", "--degree", "20000", "--depth", "1"]]
     )
@@ -429,6 +436,37 @@ class TestHostileFiles:
         path.write_text(json.dumps(doc).replace('"<raw>"', token))
         self.input_error([command[0], "--params", str(path), *command[1:]], capsys)
 
+    @staticmethod
+    def params_with_raw(tmp_path, name, key, raw):
+        # json.dumps cannot write an int past the int-string digit limit,
+        # so the raw token replaces a placeholder in the text
+        doc = {**instance_to_json_dict(build_params(3)), key: "<raw>"}
+        path = tmp_path / name
+        path.write_text(json.dumps(doc).replace('"<raw>"', raw))
+        return str(path)
+
+    def test_bare_integer_reads_as_quoted(self, tmp_path, capsys):
+        # a bare 5000-digit x0 once exited 2 with the interpreter's
+        # "Exceeds the limit (4300 digits)"; it now reads as its quoted
+        # form does, and fails the same relation
+        limit = sys.get_int_max_str_digits()
+        digits = "7" * 5000
+        outcomes = []
+        for name, raw in (("bare.json", digits), ("quoted.json", f'"{digits}"')):
+            path = self.params_with_raw(tmp_path, name, "x0", raw)
+            code = cli.run(["certify", "--params", path, "--exhibit-effort", "50"])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (1, "certificate FAILED at: condition1.v_p1_x0\n")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_bare_integer_over_the_cap(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = self.params_with_raw(tmp_path, "over.json", "x0", "7" * 10000)
+        err = self.input_error(["certify", "--params", path, "--exhibit-effort", "50"], capsys)
+        assert f"exceeds the {arith.RATIONAL_BIT_CAP}-bit cap" in err
+        assert sys.get_int_max_str_digits() == limit
+
     def test_non_finite_group_degree(self, tmp_path, capsys):
         path = tmp_path / "gens.json"
         path.write_text('{"d": Infinity, "m": 2, "g_gens": [[2, 3, 1]]}')
@@ -647,6 +685,21 @@ class TestNewtonPolyFile:
         assert cli.run(["newton", "--poly-file", str(path), "--prime", "5"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["segments"] == [{"slope": "-1/2", "length": 2}]
+
+    def test_bare_integers_read_as_quoted(self, tmp_path, capsys):
+        # bare coefficients, one past the int-string digit limit, give
+        # the output of the quoted ones
+        limit = sys.get_int_max_str_digits()
+        outputs = []
+        for quote in ("", '"'):
+            path = tmp_path / "poly.json"
+            coeffs = ", ".join(f"{quote}{c}{quote}" for c in ("-5", "0", "5" * 5000))
+            path.write_text(f'{{"coeffs": [{coeffs}]}}')
+            assert cli.run(["newton", "--poly-file", str(path), "--prime", "5"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["segments"] == [{"slope": "0", "length": 2}]
+        assert sys.get_int_max_str_digits() == limit
 
 
 def _assert_json_numbers_small(node):
