@@ -14,13 +14,14 @@ function that operates, never read from the caller's context. Such a
 value is read only through ``residue`` and ``bit_length``, since
 converting a large one to or from ``int`` is quadratic.
 
-Rationals are ``fractions.Fraction`` throughout (re-exported as
-``Rational``), and every one from outside is read by ``_rationals``,
-which refuses an entry over ``RATIONAL_BIT_CAP`` bits from the literal
-alone, and reads one within it whatever the interpreter's int-string
-digit limit. The valuation of 0 is the ``INFINITY`` sentinel, a
-dedicated object with ordering but no arithmetic, so that accidentally
-computing with it fails loudly instead of silently overflowing.
+Rationals are ``fractions.Fraction`` throughout, and every one from
+outside is read by ``_rationals``, which refuses an entry over
+``RATIONAL_BIT_CAP`` bits from the literal alone, and reads one within
+it whatever the interpreter's int-string digit limit. The valuation of
+0 is the ``INFINITY`` sentinel, a singleton with neither ordering nor
+arithmetic, so that accidentally comparing or computing with it fails
+loudly instead of silently producing a value; a caller tests
+``v is INFINITY`` first.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterator, Union
-
-Rational = Fraction
 
 # integers of any size stay exact in this context, and any rounding raises
 EXACT = decimal.Context(
@@ -74,9 +73,9 @@ class CapExceededError(RuntimeError):
 class _Infinity:
     """Valuation of zero.
 
-    Compares above every integer and rational; deliberately supports no
-    arithmetic, so ``INFINITY + 1`` raises instead of propagating a
-    bogus value into a certificate.
+    A singleton, equal only to itself; deliberately supports no ordering
+    and no arithmetic, so ``INFINITY > 1`` and ``INFINITY + 1`` raise
+    TypeError instead of propagating a bogus value into a certificate.
     """
 
     __slots__ = ()
@@ -89,36 +88,6 @@ class _Infinity:
 
     def __repr__(self):
         return "INFINITY"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("odoni.arith.INFINITY")
-
-    def __gt__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return True
-        if other is self:
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, Fraction)) or other is self:
-            return True
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, (int, Fraction)) or other is self:
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
 
 
 INFINITY = _Infinity()

@@ -53,6 +53,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import newton
 from .arith import (
     EXACT,
+    INFINITY,
     CapExceededError,
     Number,
     bit_length,
@@ -107,7 +108,7 @@ class ConditionTwoReport:
     skipped: bool
     ok: bool
     checks: list[CheckResult]
-    tower: Optional[newton.RamificationTower] = None
+    tower: Optional[tuple[newton.TowerLevel, ...]] = None
 
 
 @dataclass
@@ -135,7 +136,6 @@ class CertDepthRecord:
     nonsquare_neg_f: bool
     coprimality_ok: bool
     congruence_ok: bool
-    dual_path_ok: bool
     exhibited_q: ExhibitReport
     eisenstein_ok: Optional[bool] = None  # None when not checked at this depth
 
@@ -345,7 +345,7 @@ def check_condition1(inst: IterInstance) -> ConditionOneReport:
     v_b = val(inst.b, inst.p1)
     v_x0 = val(inst.x0, inst.p1)
     checks = [
-        CheckResult("condition1.v_p1_b", v_b != newton.INFINITY and v_b >= 1, f"v={v_b}"),
+        CheckResult("condition1.v_p1_b", v_b is not INFINITY and v_b >= 1, f"v={v_b}"),
         CheckResult("condition1.v_p1_x0", v_x0 == 1, f"v={v_x0}"),
     ]
     return ConditionOneReport(
@@ -367,7 +367,7 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
     checks = [
         CheckResult("condition2a.p2_coprime_d_minus_m", (d - m) % p2 != 0, f"d-m={d - m}"),
     ]
-    if v_b is newton.INFINITY or v_x0 is newton.INFINITY:
+    if v_b is INFINITY or v_x0 is INFINITY:
         checks.append(CheckResult("condition2b.v_p2_b_below_min", False, "b or x0 is 0"))
     else:
         checks.append(
@@ -402,7 +402,7 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
                 CheckResult(
                     "condition2.ramification_tower",
                     True,
-                    f"levels={[lvl.scaled for lvl in tower.levels]}",
+                    f"levels={[lvl.scaled for lvl in tower]}",
                 )
             )
     return ConditionTwoReport(
@@ -419,11 +419,11 @@ def search_primes(inst: IterInstance, bound: int) -> Iterator[int]:
     all, as d(d-2) = (d-1)^2 - 1 is never a square. Every other instance
     keeps every prime, and gets the sieve's own iterator.
 
-    For p prime to 2 d (d-2) the symbol depends only on p mod
-    k = 4 d (d-2), so Euler's criterion is evaluated the first time the
-    stream meets a residue class, and remembered: at most
-    phi(k) + omega(k) times, since the primes of k are alone in their
-    classes (and are kept).
+    The primes of 2 d (d-2) s t, ``inst.bad_product`` in the odd cases,
+    are kept as they come. For any other p the symbol depends only on
+    p mod k = 4 d (d-2), so Euler's criterion is evaluated the first
+    time the stream meets a residue class, and remembered: at most
+    phi(k) times, since every prime of k divides the bad product.
     """
     primes = primes_between(2, bound)
     if inst.parity_case == EVEN_CASE or inst.violated_relations():
@@ -431,15 +431,18 @@ def search_primes(inst: IterInstance, bound: int) -> Iterator[int]:
     d = inst.d
     disc = d * (d - 2)
     k = 4 * disc
-    st = inst.s * inst.t
+    bad = inst.bad_product
 
     def kept() -> Iterator[int]:
         square: dict[int, bool] = {}  # p mod k -> whether (d(d-2) | p) = 1
         for p in primes:
+            if bad % p == 0:
+                yield p
+                continue
             r = p % k
             if r not in square:
-                square[r] = k % p == 0 or pow(disc, (p - 1) // 2, p) == 1
-            if square[r] or st % p == 0:
+                square[r] = pow(disc, (p - 1) // 2, p) == 1
+            if square[r]:
                 yield p
 
     return kept()
@@ -749,7 +752,6 @@ def certify(
                     nonsquare_neg_f=ns_neg_f,
                     coprimality_ok=coprime_ok,
                     congruence_ok=congruence_ok,
-                    dual_path_ok=True,  # fn_sequence raises otherwise
                     exhibited_q=exhibit_report,
                     eisenstein_ok=eisenstein.get(n),
                 )
@@ -818,7 +820,7 @@ def certificate_to_json_dict(cert: Certificate, full_values: bool = False) -> di
     def _val_json(v):
         if v is None:  # not taken: a witness prime is not prime
             return None
-        return "infinity" if v is newton.INFINITY else int(v)
+        return "infinity" if v is INFINITY else int(v)
 
     cond2: dict[str, object] = {"skipped": cert.condition2.skipped, "ok": cert.condition2.ok}
     if not cert.condition2.skipped:
@@ -834,7 +836,7 @@ def certificate_to_json_dict(cert: Certificate, full_values: bool = False) -> di
                         "ram_index": str(lvl.ram_index),
                         "scaled": str(lvl.scaled),
                     }
-                    for lvl in cert.condition2.tower.levels
+                    for lvl in cert.condition2.tower
                 ]
             }
     records = []
@@ -851,7 +853,7 @@ def certificate_to_json_dict(cert: Certificate, full_values: bool = False) -> di
             "nonsquare_neg_F": r.nonsquare_neg_f,
             "coprimality_ok": r.coprimality_ok,
             "congruence_ok": r.congruence_ok,
-            "dual_path_ok": r.dual_path_ok,
+            "dual_path_ok": True,  # fn_sequence raises otherwise
             "eisenstein_ok": r.eisenstein_ok,
             "exhibited_q": {
                 "found": ex.found,

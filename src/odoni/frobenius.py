@@ -63,6 +63,7 @@ class SampleResult:
     skipped: int
     start: int
     counts: dict[tuple[int, ...], int]
+    law: dict[tuple[int, ...], Fraction]  # the exact leaf-type law at (d, n)
 
     def frequencies(self) -> dict[tuple[int, ...], Fraction]:
         return {t: Fraction(c, self.used) for t, c in sorted(self.counts.items())}
@@ -81,11 +82,13 @@ def sample_distribution(
     ``MAX_ENUMERATION``, the reach of the law's test oracle), which is
     decided first and without building the order, and then that the
     instance's structural relations hold: samples of an instance outside
-    the constructed family say nothing. Every observed type is
-    membership-checked against the reachable set; an unrealizable type
-    is a hard error. A prime_count above ``PRIMES_BELOW_SCAN_CAP`` is
-    refused before any law, discriminant or prime is computed; one that
-    the window above start cannot fill is refused when the scan ends.
+    the constructed family say nothing. The exact law is then built
+    once and carried on the result, and every observed type is
+    membership-checked against its support, the reachable set; an
+    unrealizable type is a hard error. A prime_count above
+    ``PRIMES_BELOW_SCAN_CAP`` is refused before any law, discriminant or
+    prime is computed; one that the window above start cannot fill is
+    refused when the scan ends.
     """
     d = inst.d
     if n < 1:
@@ -104,7 +107,7 @@ def sample_distribution(
             f"{prime_count} primes requested, but only {PRIMES_BELOW_SCAN_CAP} "
             f"primes are below scan cap {DEFAULT_SCAN_CAP}"
         )
-    realizable = set(leaf_type_distribution(d, n))
+    law = leaf_type_distribution(d, n)
     bad = _bad_reduction_product(inst, n)
     # a good prime divides neither den(b) nor den(x0), so the leading
     # coefficient of H_n stays a unit mod p
@@ -118,7 +121,7 @@ def sample_distribution(
             skipped += 1
             continue
         ctype = cycle_type_mod_p(target, p)
-        if ctype not in realizable:
+        if ctype not in law:
             raise UnrealizableTypeError(
                 f"cycle type {list(ctype)} at p={p} is not realizable in the "
                 f"depth-{n} tree group of degree {d}"
@@ -135,17 +138,17 @@ def sample_distribution(
         skipped=skipped,
         start=start,
         counts=counts,
+        law=law,
     )
 
 
 def chebotarev_distance(
-    frequencies: dict[tuple[int, ...], Fraction], d: int, n: int
+    frequencies: dict[tuple[int, ...], Fraction], law: dict[tuple[int, ...], Fraction]
 ) -> Fraction:
     """Total-variation distance to the exact tree-group leaf-type law."""
-    exact = leaf_type_distribution(d, n)
-    types = set(exact) | set(frequencies)
+    types = set(law) | set(frequencies)
     return sum(
-        abs(frequencies.get(t, Fraction(0)) - exact.get(t, Fraction(0))) for t in types
+        abs(frequencies.get(t, Fraction(0)) - law.get(t, Fraction(0))) for t in types
     ) / 2
 
 
@@ -159,7 +162,6 @@ def tv_is_enforced(d: int, n: int, used: int) -> bool:
 class FrobeniusReport:
     sample: SampleResult
     tv: Fraction
-    realizable_ok: bool
     enforced: bool
     within_tolerance: Optional[bool]
 
@@ -171,12 +173,11 @@ def run_frobenius(
     start: int = DEFAULT_SCAN_START,
 ) -> FrobeniusReport:
     sample = sample_distribution(inst, n, prime_count, start)
-    tv = chebotarev_distance(sample.frequencies(), inst.d, n)
+    tv = chebotarev_distance(sample.frequencies(), sample.law)
     enforced = tv_is_enforced(inst.d, n, sample.used)
     return FrobeniusReport(
         sample=sample,
         tv=tv,
-        realizable_ok=True,  # sample_distribution raises otherwise
         enforced=enforced,
         within_tolerance=(tv <= TV_TOLERANCE) if enforced else None,
     )
@@ -185,7 +186,6 @@ def run_frobenius(
 def report_to_json_dict(report: FrobeniusReport) -> dict:
     sample = report.sample
     freqs = sample.frequencies()
-    exact = leaf_type_distribution(sample.d, sample.n)
 
     return {
         "schema": "odoni-frobenius-v2",
@@ -201,9 +201,9 @@ def report_to_json_dict(report: FrobeniusReport) -> dict:
         "frequencies": [
             {"type": list(t), "frequency": _frac_str(f)} for t, f in freqs.items()
         ],
-        "exact": [{"type": list(t), "frequency": _frac_str(f)} for t, f in exact.items()],
+        "exact": [{"type": list(t), "frequency": _frac_str(f)} for t, f in sample.law.items()],
         "tv_distance": _frac_str(report.tv),
-        "realizable_ok": report.realizable_ok,
+        "realizable_ok": True,  # sample_distribution raises otherwise
         "tolerance_enforced": report.enforced,
         "tolerance": _frac_str(TV_TOLERANCE),
         "within_tolerance": report.within_tolerance,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .arith import INFINITY, Rational, val
+from .arith import is_prime, multiplicity
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,24 @@ def _lower_hull(points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def newton_polygon(coeffs: Sequence[Rational], p: int) -> NewtonPolygon:
+def newton_polygon(coeffs: Sequence[Fraction], p: int) -> NewtonPolygon:
     """Newton polygon, with respect to the prime p, of the polynomial
     with ascending coefficients ``coeffs`` (ints or Fractions).
 
     Zero coefficients (valuation +infinity) are simply omitted from the
-    point set; a constant polynomial has no polygon and is rejected.
+    point set; a constant polynomial has no polygon and is rejected. p
+    is tested for primality once, before any valuation, so a large p
+    costs one test whatever the number of coefficients.
     """
     if not any(coeffs[1:]):
         raise ValueError("newton_polygon: polynomial must be non-constant")
+    if not is_prime(p):
+        raise ValueError(f"newton_polygon: modulus {p} is not prime")
     points = []
     for i, c in enumerate(coeffs):
-        v = val(c, p)
-        if v is not INFINITY:
-            points.append((i, v))
+        c = Fraction(c)
+        if c:
+            points.append((i, multiplicity(c.numerator, p) - multiplicity(c.denominator, p)))
     hull = _lower_hull(points)
     segments = tuple(
         Segment(Fraction(y2 - y1, x2 - x1), x2 - x1)
@@ -84,18 +88,9 @@ class TowerLevel:
     scaled: int  # m^k * valuation, a positive integer coprime to m
 
 
-@dataclass(frozen=True)
-class RamificationTower:
-    d: int
-    m: int
-    v_b: int
-    v_x0: int
-    depth: int
-    levels: tuple[TowerLevel, ...]
-
-
-def tower_from_valuations(d: int, m: int, v_b: int, v_x0: int, n: int) -> RamificationTower:
-    """Iterate the short-segment slope: v_k = (v_(k-1) - v(b)) / m.
+def tower_from_valuations(d: int, m: int, v_b: int, v_x0: int, n: int) -> tuple[TowerLevel, ...]:
+    """The levels 1..n of the predicted ramification tower, iterating
+    the short-segment slope: v_k = (v_(k-1) - v(b)) / m.
 
     The hypotheses of condition (2) are decided by the caller
     (``certify.check_condition2``), never here. What this asserts, at
@@ -116,4 +111,4 @@ def tower_from_valuations(d: int, m: int, v_b: int, v_x0: int, n: int) -> Ramifi
         if gcd(scaled, m) != 1:
             raise ValueError(f"tower: m^{k} * v_{k} = {scaled} shares a factor with m")
         levels.append(TowerLevel(k, v, m**k, scaled))
-    return RamificationTower(d, m, v_b, v_x0, n, tuple(levels))
+    return tuple(levels)

@@ -21,7 +21,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 # largest degree group-check takes: the costliest generator family tried
@@ -208,8 +207,6 @@ class GenSdVerdict:
     product of the basic orbit lengths of its stabilizer chain.
     """
 
-    d: int
-    m: int
     hypotheses: dict
     hypotheses_hold: bool
     conclusion_holds: bool
@@ -257,8 +254,6 @@ def gen_sd_check(
         "h_transitive_on_head": h_transitive_head,
     }
     return GenSdVerdict(
-        d=d,
-        m=m,
         hypotheses=hypotheses,
         hypotheses_hold=all(hypotheses.values()),
         conclusion_holds=group_order == math.factorial(d),
@@ -329,32 +324,27 @@ def leaf_type_distribution(d: int, n: int) -> dict[tuple[int, ...], Fraction]:
     plethysm Z(S_d)[Z(W_(n-1))] (Polya, 1937): a k-cycle of the root
     label carries k subtrees round one cycle, and the product of the k
     W_(n-1) labels along it is uniform in W_(n-1), so the cycle
-    contributes a W_(n-1) type with every length times k.
+    contributes a W_(n-1) type with every length times k. The levels
+    are built bottom up from W_0, the trivial group, with one Z(S_d).
     Frequencies are Fractions summing to 1; this is the reference law
-    for Frobenius cycle-type sampling. Each call returns a fresh dict,
-    so a caller may edit it without touching the memo.
+    for Frobenius cycle-type sampling. Each call builds it afresh and
+    keeps nothing; the sampler builds it once per run.
     """
     if d < 2 or n < 0:
         raise ValueError("leaf_type_distribution: need d >= 2, n >= 0")
-    return dict(_leaf_type_law(d, n))
-
-
-@lru_cache(maxsize=None)
-def _leaf_type_law(d: int, n: int) -> dict[tuple[int, ...], Fraction]:
-    """The memo behind ``leaf_type_distribution``; never handed out."""
-    if n == 0:
-        return {(1,): Fraction(1)}
-    lower = _leaf_type_law(d, n - 1)
-    law: dict[tuple[int, ...], Fraction] = {}
-    for parts, share in _sd_cycle_index(d):
-        terms = {(): share}
-        for k in parts:
-            step: dict[tuple[int, ...], Fraction] = {}
+    index = _sd_cycle_index(d)
+    law: dict[tuple[int, ...], Fraction] = {(1,): Fraction(1)}
+    for _ in range(n):
+        lower, law = law, {}
+        for parts, share in index:
+            terms = {(): share}
+            for k in parts:
+                step: dict[tuple[int, ...], Fraction] = {}
+                for t, a in terms.items():
+                    for s, b in lower.items():
+                        key = tuple(sorted(t + tuple(k * j for j in s), reverse=True))
+                        step[key] = step.get(key, 0) + a * b
+                terms = step
             for t, a in terms.items():
-                for s, b in lower.items():
-                    key = tuple(sorted(t + tuple(k * j for j in s), reverse=True))
-                    step[key] = step.get(key, 0) + a * b
-            terms = step
-        for t, a in terms.items():
-            law[t] = law.get(t, 0) + a
+                law[t] = law.get(t, 0) + a
     return dict(sorted(law.items()))

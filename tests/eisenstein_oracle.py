@@ -19,6 +19,6 @@ def eisenstein_at(f: Poly, p: int) -> bool:
     vals = [val(c, p) for c in f.coeffs[:-1]]
     if any(v is not INFINITY and v < 0 for v in vals):
         raise ValueError("eisenstein_at: coefficients must be p-integral")
-    if not all(v >= 1 for v in vals):
+    if not all(v is INFINITY or v >= 1 for v in vals):
         return False
     return vals[0] == 1

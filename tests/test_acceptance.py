@@ -191,13 +191,13 @@ def test_criterion_7_chebotarev_statistics():
     tolerance = Fraction(1, 20)
     even2 = build_params(2)
     sample22 = sample_distribution(even2, 2, 2000)
-    tv22 = chebotarev_distance(sample22.frequencies(), 2, 2)
+    tv22 = chebotarev_distance(sample22.frequencies(), sample22.law)
     assert tv22 <= tolerance, f"TV {tv22} > 1/20 for (2,2)"
     irreducible = Fraction(sample22.counts.get((4,), 0), sample22.used)
     assert Fraction(22, 100) <= irreducible <= Fraction(28, 100)
     odd3 = build_params(3)
     sample31 = sample_distribution(odd3, 1, 2000)
-    tv31 = chebotarev_distance(sample31.frequencies(), 3, 1)
+    tv31 = chebotarev_distance(sample31.frequencies(), sample31.law)
     assert tv31 <= tolerance, f"TV {tv31} > 1/20 for (3,1)"
     elapsed = time.time() - started
     assert elapsed < 120
@@ -228,7 +228,7 @@ def test_criterion_8_newton_predictions():
     for d in (4, 5, 6, 7, 9, 10):
         inst = build_params(d)
         tower = check_condition2(inst, 4).tower
-        for level in tower.levels:
+        for level in tower:
             assert level.scaled > 0
             assert math.gcd(level.scaled, inst.m) == 1
     elapsed = time.time() - started

@@ -112,11 +112,17 @@ class TestVal:
 
 
 class TestInfinity:
-    def test_ordering(self):
-        assert INFINITY > 10**100
-        assert INFINITY >= 1
-        assert not INFINITY < 0
-        assert INFINITY >= INFINITY
+    def test_no_ordering(self):
+        # a caller tests `is INFINITY` before comparing, as with arithmetic
+        for compare in (
+            lambda: INFINITY > 1,
+            lambda: INFINITY >= 1,
+            lambda: INFINITY < 1,
+            lambda: INFINITY <= 1,
+            lambda: 1 < INFINITY,
+        ):
+            with pytest.raises(TypeError):
+                compare()
 
     def test_no_silent_arithmetic(self):
         with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from odoni import arith, cli, permgroup
+from odoni import arith, cli, newton, permgroup
 from odoni.certify import EXHIBIT_EFFORT_CAP
 from odoni.construct import build_params, build_params_even, build_params_odd, instance_to_json_dict
 
@@ -307,6 +308,26 @@ class TestNewtonCommand:
             {"slope": "1", "length": 2},
         ]
 
+    def test_prime_tested_once(self, monkeypatch, capsys):
+        # p is decided once, before any valuation, not once per coefficient
+        # (arith.val would test it again on every call)
+        real, calls = arith.is_prime, []
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        for module in (arith, newton):
+            monkeypatch.setattr(module, "is_prime", counted)
+        assert cli.run(["newton", "--coeffs=1,2,3,4,5,6,7,8", "--prime", "3"]) == 0
+        assert calls == [3]
+        assert json.loads(capsys.readouterr().out)["prime"] == 3
+
+    @pytest.mark.parametrize("prime", ["15", "1", "0", "-7"])
+    def test_composite_prime_is_usage_error(self, prime, capsys):
+        assert cli.run(["newton", "--coeffs=1,2,3,4,5,6,7,8", f"--prime={prime}"]) == 2
+        assert f"modulus {prime} is not prime" in capsys.readouterr().err
+
 
 class TestRationalCap:
     """Rational entries are capped from the literal, before Fraction runs."""
@@ -547,6 +568,24 @@ class TestFrobeniusCommand:
         assert data["primes_used"] == 250
         assert data["tolerance_enforced"] is False
         assert "seed" not in data
+
+    def test_law_built_once_per_run(self, params_d2, tmp_path, monkeypatch):
+        # the sample, the distance and the JSON read one law; there is no
+        # process-wide memo to hide a second build
+        frobenius_module = importlib.import_module("odoni.frobenius")
+        real, calls = frobenius_module.leaf_type_distribution, []
+
+        def counted(d, n):
+            calls.append((d, n))
+            return real(d, n)
+
+        monkeypatch.setattr(frobenius_module, "leaf_type_distribution", counted)
+        out = tmp_path / "stats.json"
+        argv = ["frobenius", "--params", params_d2, "--level", "2", "--primes", "60"]
+        assert cli.run(argv + ["--out", str(out)]) == 0
+        assert calls == [(2, 2)]
+        exact = json.loads(out.read_text())["exact"]
+        assert exact == [{"type": list(t), "frequency": str(f)} for t, f in real(2, 2).items()]
 
     def test_env_seed_override(self, params_d2, tmp_path, monkeypatch):
         # ODONI_SEED is no longer read: the report is byte-identical with it set

@@ -125,7 +125,7 @@ class TestSampleDistribution:
         assert result.used == 300
         assert sum(result.counts.values()) == 300
         assert set(result.counts) <= set(leaf_type_distribution(2, 2))
-        tv = chebotarev_distance(result.frequencies(), 2, 2)
+        tv = chebotarev_distance(result.frequencies(), result.law)
         assert tv < Fraction(15, 100)
 
     def test_seed_determinism(self, golden_odd_3):
@@ -229,10 +229,10 @@ class TestGoodReductionProduct:
 class TestChebotarevDistance:
     def test_exact_reference_is_zero(self):
         exact = leaf_type_distribution(2, 2)
-        assert chebotarev_distance(exact, 2, 2) == 0
+        assert chebotarev_distance(exact, exact) == 0
 
     def test_single_type_bounded_by_one(self):
-        assert chebotarev_distance({(4,): Fraction(1)}, 2, 2) <= 1
+        assert chebotarev_distance({(4,): Fraction(1)}, leaf_type_distribution(2, 2)) <= 1
 
     def test_enforcement_rule(self):
         assert tv_is_enforced(2, 2, 2000)
@@ -245,7 +245,8 @@ class TestRunFrobenius:
     def test_report_fields(self, golden_odd_3):
         report = run_frobenius(golden_odd_3, 1, 300)
         assert report.sample.used == 300
-        assert report.realizable_ok
+        assert report.sample.law == leaf_type_distribution(3, 1)
+        assert report_to_json_dict(report)["realizable_ok"] is True
         assert report.enforced is False  # below 2000 primes
         assert report.within_tolerance is None
 
@@ -254,8 +255,8 @@ class TestConvergence:
     def test_tv_shrinks_with_more_primes(self, golden_even_2):
         a = sample_distribution(golden_even_2, 2, 250)
         b = sample_distribution(golden_even_2, 2, 4000)
-        tv_a = chebotarev_distance(a.frequencies(), 2, 2)
-        tv_b = chebotarev_distance(b.frequencies(), 2, 2)
+        tv_a = chebotarev_distance(a.frequencies(), a.law)
+        tv_b = chebotarev_distance(b.frequencies(), b.law)
         assert tv_b < tv_a + Fraction(2, 100)
 
 
