@@ -16,7 +16,8 @@ A certificate records, for an instance (d, m, b, x0, witness primes):
     the search for an exhibited odd-valuation prime q among the primes
     up to a bound (a bound of 1 searches none), made once for all depths
     by stepping the critical orbit modulo products of 16 primes, each
-    product decided by one pass through the depths and one gcd
+    product decided by one pass through the depths and one gcd, into one
+    list of primes that every depth factors its F_n over
     (``orbit_prime_divisors``). In the odd cases only the
     primes p with (d(d-2) | p) = 1, and those of 2 d (d-2) s t, are
     stepped: the odd closed form F_n = A_n M_n^2 - B_n makes A_n B_n, which
@@ -85,7 +86,11 @@ HYPOTHESES_LOW_DEGREE = "conditions-1-3"
 
 class CertifyError(RuntimeError):
     """A relation of the F_n recursion failed; ``certify`` records it as
-    a failed check and never lets it out."""
+    a failed check named ``check`` and never lets it out."""
+
+    def __init__(self, check: str, detail: str):
+        super().__init__(f"{check}: {detail}")
+        self.check = check
 
 
 @dataclass
@@ -115,7 +120,6 @@ class ConditionTwoReport:
 class ExhibitReport:
     """An explicit prime with odd valuation in F_n, if one was cheap to find."""
 
-    found: bool
     q: Optional[int] = None
     valuation_in_fn: Optional[int] = None
     lower_levels_clean: Optional[bool] = None
@@ -123,14 +127,14 @@ class ExhibitReport:
     evidence: str = "deterministic"
     note: str = ""
 
+    @property
+    def found(self) -> bool:
+        return self.q is not None
+
 
 @dataclass
 class CertDepthRecord:
-    n: int
-    e_n: int
-    M_n: Decimal
-    F_n: Decimal
-    F_n_bits: int
+    fn: FnValue  # depth n, e_n, M_n and F_n
     F_n_mod_p: int
     nonsquare_f: bool
     nonsquare_neg_f: bool
@@ -144,15 +148,30 @@ class CertDepthRecord:
 class Certificate:
     instance: IterInstance
     depth: int
-    hypothesis_set: str
     condition1: ConditionOneReport
     condition2: ConditionTwoReport
     structural: list[str]  # violated structural relations (empty = ok)
     records: list[CertDepthRecord]
-    verdict_pass: bool
-    first_failure: Optional[str]
-    evidence_level: str
     checks: list[CheckResult]  # in check order; the verdict reads its first failure
+
+    @property
+    def first_failure(self) -> Optional[str]:
+        return next((c.name for c in self.checks if not c.ok), None)
+
+    @property
+    def verdict_pass(self) -> bool:
+        return self.first_failure is None
+
+    @property
+    def evidence_level(self) -> str:
+        """Probabilistic when any depth's witness rests on a probable prime."""
+        if any(r.exhibited_q.evidence != "deterministic" for r in self.records):
+            return "probabilistic-primality"
+        return "deterministic"
+
+    @property
+    def hypothesis_set(self) -> str:
+        return HYPOTHESES_LOW_DEGREE if self.instance.d <= 3 else HYPOTHESES_FULL
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +236,9 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
     u, v = x0_shift.numerator, x0_shift.denominator
     if (t * c) ** d != inst.b.denominator**d:
         raise CertifyError(
-            f"depth1.dual_path_Fn: t*c = {t * c} is not den(b) = {inst.b.denominator} "
-            "(up to sign for even d), so the recursion cannot match direct evaluation"
+            "depth1.dual_path_Fn",
+            f"t*c = {t * c} is not den(b) = {inst.b.denominator} (up to sign for "
+            "even d), so the recursion cannot match direct evaluation",
         )
     dec_s, dec_d, dec_t, dec_c, dec_tc = (Decimal(k) for k in (s, d, t, c, t * c))
     dec_u, dec_v, rhs_scale = Decimal(u), Decimal(v), Decimal(s ** (d - m) * v)
@@ -247,9 +267,7 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
             # (dtc)^(d^n) = scale cancelled
             agree = w * dec_v - dec_u * scale == f_rec * rhs_scale
         if not agree:
-            raise CertifyError(
-                f"depth{n}.dual_path_Fn: recursion and direct evaluation disagree"
-            )
+            raise CertifyError(f"depth{n}.dual_path_Fn", "recursion and direct evaluation disagree")
         yield FnValue(n, e_n, m_n, f_rec)
 
 
@@ -394,7 +412,7 @@ def check_condition2(inst: IterInstance, depth: int) -> ConditionTwoReport:
     tower = None
     if all(c.ok for c in checks):
         try:
-            tower = newton.tower_from_valuations(d, m, v_b, v_x0, depth)
+            tower = newton.tower_from_valuations(m, v_b, v_x0, depth)
         except ValueError as exc:
             checks.append(CheckResult("condition2.ramification_tower", False, str(exc)))
         else:
@@ -448,15 +466,17 @@ def search_primes(inst: IterInstance, bound: int) -> Iterator[int]:
     return kept()
 
 
-def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[list[int]]:
-    """For n = 1, ..., depth: the primes q <= bound that divide
-    G_n = W_n v - u S_n, ascending, where w_n = W_n / S_n is the critical
-    orbit (``poly.critical_orbit``) and x0^(d-m) = u/v.
+def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[int]:
+    """The primes q <= bound that divide G_n = W_n v - u S_n for some
+    n <= depth, ascending, where w_n = W_n / S_n is the critical orbit
+    (``poly.critical_orbit``) and x0^(d-m) = u/v.
 
     ``fn_sequence`` checks the integer identity F_n s^(d-m) v = G_n at
-    every depth, so every prime of F_n is among these, and so is every
-    prime <= bound of s*v that divides G_n; ``factor_over`` tests each
-    on F_n itself.
+    every depth, so every prime <= bound of every F_n with n <= depth is
+    in this one list, as is every prime <= bound of s*v that divides
+    some G_n. The list is not split by depth: each depth's
+    ``factor_over`` tests every prime it is given on F_n itself, so a
+    prime of another depth's F_n only costs it one residue.
 
     Only the primes of ``search_primes`` are stepped. On an odd-case
     instance, a prime p of G_n that divides none of 2 d (d-2) s t has
@@ -485,8 +505,7 @@ def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[lis
     when it divides P, and, being prime, exactly when it divides some
     depth's test value. Q is a product of distinct primes, so g is the
     product of exactly those primes of the group: the ones that divide
-    some G_n with n <= depth. Only these are replayed alone, by the same
-    recursion mod p, to find their depths.
+    some G_n with n <= depth, which are the ones kept.
     So the search costs one gcd per group for the whole run, whatever
     the depth or the size of F_n, keeps no residue of a group past its
     pass, and takes its groups from the stream of ``search_primes``, so
@@ -500,7 +519,7 @@ def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[lis
         raise CapExceededError(
             f"witness search bound {bound} is over the cap {EXHIBIT_EFFORT_CAP}"
         )
-    found: list[list[int]] = [[] for _ in range(depth)]
+    found: list[int] = []
     if bound < 2:
         return found
     d, m, b = inst.d, inst.m, Fraction(inst.b)
@@ -509,30 +528,21 @@ def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[lis
     big_l = d * b.denominator
     scale, target, w_0 = d * b.numerator, u * big_l, m * b.numerator
 
-    def test_values(q: int) -> Iterator[int]:
-        """W_n v - u L Y_n mod q for n = 1, ..., depth."""
-        w, y, lift = w_0 % q, 1, pow(big_l, d - 1, q)  # lift = L^(d-1) mod q
-        for _ in range(depth):
-            w = pow(w, m, q) * (w - scale * y) ** (d - m) % q
-            y = pow(y, d, q) * lift % q
-            yield w * v - target * y
-
     primes = search_primes(inst, bound)
     # a list, not a tuple: tuple() of an iterator builds its result by
     # resizing, so no freed 16-tuple is reused, and each parks on the
     # interpreter's tuple free list (up to 2000, about 0.35 MB resident)
     while group := list(itertools.islice(primes, 16)):
         q = math.prod(group)
+        w, y, lift = w_0 % q, 1, pow(big_l, d - 1, q)  # lift = L^(d-1) mod q
         product = 1
-        for value in test_values(q):
-            product = product * value % q
+        for _ in range(depth):
+            w = pow(w, m, q) * (w - scale * y) ** (d - m) % q
+            y = pow(y, d, q) * lift % q
+            product = product * (w * v - target * y) % q
         g = math.gcd(product, q)
         if g > 1:
-            for p in group:
-                if g % p == 0:
-                    for n, value in enumerate(test_values(p)):
-                        if value % p == 0:
-                            found[n].append(p)
+            found.extend(p for p in group if g % p == 0)
     return found
 
 
@@ -612,7 +622,7 @@ def witness_report(
         q for q, e in factors.items() if e % 2 == 1 and bad % q != 0
     )
     if not candidates:
-        return ExhibitReport(found=False, evidence=evidence, note=note or "no witness within effort bound")
+        return ExhibitReport(evidence=evidence, note=note or "no witness within effort bound")
     q = candidates[0]
     clean = all(residue(f_k, q) for f_k in lower)
     if 0 in lower:
@@ -626,7 +636,6 @@ def witness_report(
         )
         disc_odd = v_disc % 2 == 1
     return ExhibitReport(
-        found=True,
         q=q,
         valuation_in_fn=factors[q],
         lower_levels_clean=clean,
@@ -661,17 +670,19 @@ def certify(
     depth: int = DEFAULT_DEPTH,
     exhibit_effort: int = EXHIBIT_PRIME_BOUND,
 ) -> Certificate:
-    """Run every check to the requested depth and assemble the verdict.
+    """Run every check to the requested depth; the verdict is read off them.
 
     Check order is pinned: condition (1), condition (2), structural
-    instance invariants, then per-depth records; the verdict names the
-    first failed relation. The witness search steps the primes up to
-    ``exhibit_effort``, none at 1, once for all depths before the first
-    depth's checks, and each depth factors its F_n over its own list of
-    the primes found; its outcome never changes the verdict. A depth
-    past ``deepest_depth_in_cap`` raises CapExceededError before
-    anything is built: the cap on the bits of F_n guards memory, not
-    correctness.
+    instance invariants, then per-depth checks; the verdict names the
+    first failed relation. Valuations mean something only at primes, so
+    the witness primes are tested first, and when one is not prime that
+    failure is the certificate's only check. The witness search steps
+    the primes up to ``exhibit_effort``, none at 1, once for all depths
+    before the first depth's checks, into one list; each depth factors
+    its F_n over that list and reads its lower levels off the earlier
+    records. Its outcome never changes the verdict. A depth past
+    ``deepest_depth_in_cap`` raises CapExceededError before anything is
+    built: the cap on the bits of F_n guards memory, not correctness.
     """
     if depth < 1:
         raise ValueError("certify: depth must be >= 1")
@@ -681,86 +692,61 @@ def certify(
             f"certify: depth {depth} is past depth {deepest}, the deepest whose F_n "
             f"is bounded within the {FN_BIT_CAP}-bit cap"
         )
-    checks: list[CheckResult] = []
-    hypothesis_set = HYPOTHESES_LOW_DEGREE if inst.d <= 3 else HYPOTHESES_FULL
-
-    # valuations below are only meaningful at actual primes, so this
-    # gate runs before conditions (1) and (2) can be evaluated at all
-    primes_ok = all(is_prime(q) for q in (inst.p, inst.p1, inst.p2))
-    if not primes_ok:
-        gate = CheckResult(
-            "instance.witness_primes_prime",
-            False,
-            f"p={inst.p}, p1={inst.p1}, p2={inst.p2}",
-        )
-        return Certificate(
-            instance=inst,
-            depth=depth,
-            hypothesis_set=hypothesis_set,
-            condition1=ConditionOneReport(ok=False, v_p1_b=None, v_p1_x0=None, checks=[]),
-            condition2=ConditionTwoReport(skipped=True, ok=False, checks=[]),
-            structural=["p, p1, p2 prime"],
-            records=[],
-            verdict_pass=False,
-            first_failure=gate.name,
-            evidence_level="deterministic",
-            checks=[gate],
-        )
-
-    cond1 = check_condition1(inst)
-    checks.extend(cond1.checks)
-    cond2 = check_condition2(inst, depth)
-    checks.extend(cond2.checks)
-
-    structural = inst.violated_relations()
-    checks.append(
-        CheckResult(
-            "instance.structural_invariants",
-            not structural,
-            "; ".join(structural) if structural else "all hold",
-        )
-    )
+    if all(is_prime(q) for q in (inst.p, inst.p1, inst.p2)):
+        cond1, cond2 = check_condition1(inst), check_condition2(inst, depth)
+        structural = inst.violated_relations()
+        checks = [
+            *cond1.checks,
+            *cond2.checks,
+            CheckResult(
+                "instance.structural_invariants",
+                not structural,
+                "; ".join(structural) if structural else "all hold",
+            ),
+        ]
+    else:
+        cond1 = ConditionOneReport(ok=False, v_p1_b=None, v_p1_x0=None, checks=[])
+        cond2 = ConditionTwoReport(skipped=True, ok=False, checks=[])
+        structural = ["p, p1, p2 prime"]
+        checks = [
+            CheckResult(
+                "instance.witness_primes_prime", False, f"p={inst.p}, p1={inst.p1}, p2={inst.p2}"
+            )
+        ]
 
     records: list[CertDepthRecord] = []
-    fns: list[Number] = []  # F_1, ..., F_(n-1) at depth n
-    evidence_level = "deterministic"
     if all(c.ok for c in checks):
         eisenstein = _eisenstein_levels(inst, depth)
         divisors = orbit_prime_divisors(inst, exhibit_effort, depth)
         try:
             for value in fn_sequence(inst, depth):
-                n, bits = value.n, value.bits
-                coprime_ok = fn_coprimality_ok(inst, value.F_n)
-                congruence_ok = congruence_holds(inst, value)
-                f_mod_p = residue(value.F_n, inst.p)
+                n, f_n = value.n, value.F_n
+                f_mod_p = residue(f_n, inst.p)
                 ns_f, ns_neg_f = nonsquare_pair(inst, f_mod_p)
-                e_ok = value.e_n == expected_e_n(inst, n)
-                exhibit_report = witness_report(
-                    inst, factor_over(value.F_n, divisors[n - 1], exhibit_effort), fns
-                )
-                fns.append(value.F_n)
-                if exhibit_report.evidence != "deterministic":
-                    evidence_level = "probabilistic-primality"
                 record = CertDepthRecord(
-                    n=n,
-                    e_n=value.e_n,
-                    M_n=value.M_n,
-                    F_n=value.F_n,
-                    F_n_bits=bits,
+                    fn=value,
                     F_n_mod_p=f_mod_p,
                     nonsquare_f=ns_f,
                     nonsquare_neg_f=ns_neg_f,
-                    coprimality_ok=coprime_ok,
-                    congruence_ok=congruence_ok,
-                    exhibited_q=exhibit_report,
+                    coprimality_ok=fn_coprimality_ok(inst, f_n),
+                    congruence_ok=congruence_holds(inst, value),
+                    exhibited_q=witness_report(
+                        inst,
+                        factor_over(f_n, divisors, exhibit_effort),
+                        [r.fn.F_n for r in records],
+                    ),
                     eisenstein_ok=eisenstein.get(n),
                 )
                 records.append(record)
-                depth_checks = [
-                    CheckResult(f"depth{n}.dual_path_Fn", True, f"{bits} bits"),
-                    CheckResult(f"depth{n}.e_n_closed_form", e_ok, f"e_{n}={value.e_n}"),
-                    CheckResult(f"depth{n}.Fn_coprime_to_bad_primes", coprime_ok),
-                    CheckResult(f"depth{n}.step3_congruence", congruence_ok),
+                checks += [
+                    CheckResult(f"depth{n}.dual_path_Fn", True, f"{value.bits} bits"),
+                    CheckResult(
+                        f"depth{n}.e_n_closed_form",
+                        value.e_n == expected_e_n(inst, n),
+                        f"e_{n}={value.e_n}",
+                    ),
+                    CheckResult(f"depth{n}.Fn_coprime_to_bad_primes", record.coprimality_ok),
+                    CheckResult(f"depth{n}.step3_congruence", record.congruence_ok),
                     CheckResult(
                         f"depth{n}.Fn_nonsquare_mod_p",
                         ns_f and ns_neg_f,
@@ -768,27 +754,10 @@ def certify(
                     ),
                 ]
                 if n in eisenstein:
-                    depth_checks.append(
-                        CheckResult(f"depth{n}.eisenstein_at_p1", eisenstein[n])
-                    )
-                checks.extend(depth_checks)
+                    checks.append(CheckResult(f"depth{n}.eisenstein_at_p1", eisenstein[n]))
         except CertifyError as exc:
-            checks.append(CheckResult(str(exc).split(":")[0], False, str(exc)))
-
-    first_failure = next((c.name for c in checks if not c.ok), None)
-    return Certificate(
-        instance=inst,
-        depth=depth,
-        hypothesis_set=hypothesis_set,
-        condition1=cond1,
-        condition2=cond2,
-        structural=structural,
-        records=records,
-        verdict_pass=first_failure is None,
-        first_failure=first_failure,
-        evidence_level=evidence_level,
-        checks=checks,
-    )
+            checks.append(CheckResult(exc.check, False, str(exc)))
+    return Certificate(inst, depth, cond1, cond2, structural, records, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -843,11 +812,11 @@ def certificate_to_json_dict(cert: Certificate, full_values: bool = False) -> di
     for r in cert.records:
         ex = r.exhibited_q
         records.append({
-            "n": r.n,
-            "e_n": str(r.e_n),
-            "M_n": _big_int_json(r.M_n, full_values),
-            "F_n": _big_int_json(r.F_n, full_values),
-            "F_n_bits": r.F_n_bits,
+            "n": r.fn.n,
+            "e_n": str(r.fn.e_n),
+            "M_n": _big_int_json(r.fn.M_n, full_values),
+            "F_n": _big_int_json(r.fn.F_n, full_values),
+            "F_n_bits": r.fn.bits,
             "F_n_mod_p": str(r.F_n_mod_p),
             "nonsquare_F": r.nonsquare_f,
             "nonsquare_neg_F": r.nonsquare_neg_f,
@@ -882,7 +851,7 @@ def certificate_to_json_dict(cert: Certificate, full_values: bool = False) -> di
         "verdict": {
             "pass": cert.verdict_pass,
             "first_failure": cert.first_failure,
-            "claimed_depths": [r.n for r in cert.records] if cert.verdict_pass else [],
+            "claimed_depths": [r.fn.n for r in cert.records] if cert.verdict_pass else [],
             "note": (
                 "The certificate claims the checked depths only; the all-depths "
                 "conclusion follows from the per-depth congruence pattern, "

@@ -9,25 +9,26 @@ stays parseable. Every resource cap that is hit raises
 ``arith.CapExceededError`` (a certify depth past the F_n bit cap, a
 discriminant past its bit budget, too few good primes below the scan
 cap, a prime search past its cap) and exits 2, not 1: it is not a
-failed relation. Eight caps are checked before the value they bound is
+failed relation. Nine caps are checked before the value they bound is
 built: a certify or pipeline depth past
 ``certify.deepest_depth_in_cap`` is a resource cap, as are a
 ``disc --params`` level whose bound in ``poly.disc_levels`` exceeds
 ``poly.DEFAULT_BIT_BUDGET`` (both bound the critical orbit's growth
 one ``poly.orbit_bits_step`` per depth, on bit lengths alone), an
 even-degree construct or pipeline whose b is bounded over the same
-budget from the bits of s and t (``construct.build_params_even``), a
-frobenius or pipeline --primes above
-``frobenius.PRIMES_BELOW_SCAN_CAP`` and an
---exhibit-effort above ``certify.EXHIBIT_EFFORT_CAP``; a group-check
-degree above ``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is
-a rational entry of more than ``arith.RATIONAL_BIT_CAP`` bits,
-estimated from the literal's digits and exponent: every rational from
-outside (``newton`` coefficients, ``disc --trinomial`` A, B, C, and a
-params file's x0 and b) is read by ``arith._rationals``, a bare JSON
-integer in a params or poly file as its digit string; and a
-trinomial discriminant whose bound ``poly.disc_trinomial_bits``
-exceeds ``poly.DEFAULT_BIT_BUDGET`` is a resource cap. An iterate
+budget from d and the bits of s and t, an even-case params file whose
+b is bounded so before its structural check forms s^(d-1) (one bound,
+``construct.even_denominator``), a trinomial discriminant whose bound
+``poly.disc_trinomial_bits`` exceeds the budget (checked by
+``poly.disc_trinomial`` itself), a frobenius or pipeline --primes
+above ``frobenius.PRIMES_BELOW_SCAN_CAP`` and an --exhibit-effort
+above ``certify.EXHIBIT_EFFORT_CAP``; a group-check degree above
+``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is a rational
+entry of more than ``arith.RATIONAL_BIT_CAP`` bits, estimated from
+the literal's digits and exponent: every rational from outside
+(``newton`` coefficients, ``disc --trinomial`` A, B, C, and a params
+file's x0 and b) is read by ``arith._rationals``, a bare JSON integer
+in a params or poly file as its digit string. An iterate
 discriminant of a shape other than m = d-1 or m = d-2 is an input
 error, as is a non-finite number where a file needs an integer.
 """
@@ -54,13 +55,7 @@ from .certify import (
     deepest_depth_in_cap,
 )
 from .construct import _frac_str
-from .poly import (
-    DEFAULT_BIT_BUDGET,
-    Trinomial,
-    disc_iterate,
-    disc_trinomial,
-    disc_trinomial_bits,
-)
+from .poly import Trinomial, disc_iterate, disc_trinomial
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -130,14 +125,7 @@ def _cmd_disc(args) -> int:
             raise ValueError("--trinomial expects 5 entries: A,B,C,d,m")
         a, b, c = _rationals(parts[:3], "--trinomial")
         d, m = int(parts[3]), int(parts[4])
-        trinomial = Trinomial(a, b, c, d, m)
-        bits = disc_trinomial_bits(trinomial)
-        if bits > DEFAULT_BIT_BUDGET:
-            raise CapExceededError(
-                f"disc --trinomial: the discriminant may need {bits} bits, "
-                f"over the bit budget {DEFAULT_BIT_BUDGET}"
-            )
-        value = disc_trinomial(trinomial)
+        value = disc_trinomial(Trinomial(a, b, c, d, m))
         _emit(
             {
                 "schema": "odoni-disc-v1",

@@ -65,8 +65,9 @@ class IterInstance:
 
     @property
     def big_d(self) -> int:
-        """s^(d-1) + t^(d-1), the even-case denominator cofactor."""
-        return self.s ** (self.d - 1) + self.t ** (self.d - 1)
+        """s^(d-1) + t^(d-1), the even-case denominator cofactor
+        (``even_denominator``: bounded before it is formed)."""
+        return even_denominator(self.d, self.s, self.t)
 
     @property
     def bad_product(self) -> int:
@@ -115,6 +116,27 @@ class IterInstance:
         return out
 
 
+def even_denominator(d: int, s: int, t: int) -> int:
+    """D = s^(d-1) + t^(d-1), the denominator cofactor of the even case's
+    b = s^d / (t D).
+
+    b has at most d bits(s) bits in its numerator and
+    bits(t) + (d-1) max(bits(s), bits(t)) + 1 in its denominator; a sum
+    over ``poly.DEFAULT_BIT_BUDGET`` raises CapExceededError before
+    s^(d-1) is formed. Each value the even case forms from d, s and t
+    (D, s^d, b and the bad product) has about that many bits at most,
+    so a params file cannot make the structural check build a huge one.
+    """
+    s_bits, t_bits = s.bit_length(), t.bit_length()
+    b_bits = d * s_bits + t_bits + (d - 1) * max(s_bits, t_bits) + 1
+    if b_bits > DEFAULT_BIT_BUDGET:
+        raise CapExceededError(
+            f"construct: b = s^d/(t*(s^(d-1)+t^(d-1))) at degree {d} may need {b_bits} "
+            f"bits, over the bit budget {DEFAULT_BIT_BUDGET}"
+        )
+    return s ** (d - 1) + t ** (d - 1)
+
+
 def _require(condition: bool, relation: str):
     if not condition:
         raise ConstructError(f"construction postcondition failed: {relation}")
@@ -154,12 +176,8 @@ def build_params_even(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
     s = 1 mod d(d-1), a non-residue mod p, with v_p1(s) = 1;
     t = 1 mod s(d-1) with t = p - s mod p^2, which plants v_p(D) = 1 in
     D = s^(d-1) + t^(d-1). All claimed valuations are re-verified before
-    the instance is released.
-
-    b = s^d / (t D) has at most d bits(s) bits in its numerator and
-    bits(t) + (d-1) max(bits(s), bits(t)) + 1 in its denominator; a sum
-    over ``poly.DEFAULT_BIT_BUDGET`` raises CapExceededError before
-    s^(d-1) is formed.
+    the instance is released. A b bounded over the bit budget raises
+    CapExceededError before D is formed (``even_denominator``).
     """
     if d < 2 or d % 2 != 0:
         raise ValueError("build_params_even: d must be even and >= 2")
@@ -170,14 +188,7 @@ def build_params_even(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
     p1 = next_prime_where(2, lambda q: (d * (d - 1) * p) % q != 0, cap)
     s = crt([(1, d * (d - 1)), (s0, p), (p1, p1 * p1)])
     t = crt([(1, s * (d - 1)), ((p - s) % (p * p), p * p)])
-    s_bits, t_bits = s.bit_length(), t.bit_length()
-    b_bits = d * s_bits + t_bits + (d - 1) * max(s_bits, t_bits) + 1
-    if b_bits > DEFAULT_BIT_BUDGET:
-        raise CapExceededError(
-            f"construct: b = s^d/(t*(s^(d-1)+t^(d-1))) at degree {d} may need {b_bits} "
-            f"bits, over the bit budget {DEFAULT_BIT_BUDGET}"
-        )
-    big_d = s ** (d - 1) + t ** (d - 1)
+    big_d = even_denominator(d, s, t)
     x0 = Fraction(s, t)
     b = Fraction(s**d, t * big_d)
     inst = IterInstance(

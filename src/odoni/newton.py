@@ -88,7 +88,7 @@ class TowerLevel:
     scaled: int  # m^k * valuation, a positive integer coprime to m
 
 
-def tower_from_valuations(d: int, m: int, v_b: int, v_x0: int, n: int) -> tuple[TowerLevel, ...]:
+def tower_from_valuations(m: int, v_b: int, v_x0: int, n: int) -> tuple[TowerLevel, ...]:
     """The levels 1..n of the predicted ramification tower, iterating
     the short-segment slope: v_k = (v_(k-1) - v(b)) / m.
 

@@ -57,8 +57,16 @@ def disc_trinomial(t: Trinomial) -> Fraction:
            * [ (-1)^(d-1) * m^m * (d-m)^(d-m) * B^d + d^d * A^m * C^(d-m) ]
 
     Agrees identically with the discriminant from the resultant of the
-    expanded trinomial, the independent oracle in the test suite.
+    expanded trinomial, the independent oracle in the test suite. A
+    bound (``disc_trinomial_bits``) over DEFAULT_BIT_BUDGET raises
+    CapExceededError before any power is formed.
     """
+    bits = disc_trinomial_bits(t)
+    if bits > DEFAULT_BIT_BUDGET:
+        raise CapExceededError(
+            f"disc --trinomial: the discriminant may need {bits} bits, "
+            f"over the bit budget {DEFAULT_BIT_BUDGET}"
+        )
     d, m = t.d, t.m
     bracket = (
         Fraction((-1) ** (d - 1)) * m**m * (d - m) ** (d - m) * t.B**d
@@ -70,8 +78,8 @@ def disc_trinomial(t: Trinomial) -> Fraction:
 def disc_trinomial_bits(t: Trinomial) -> int:
     """An upper bound on the bit length of the numerator and of the
     denominator of ``disc_trinomial(t)``, from d, m and the bit lengths
-    of A, B and C alone, so that a caller can refuse an oversized value
-    before any of it is built.
+    of A, B and C alone, so that ``disc_trinomial`` refuses an oversized
+    value before any of it is built.
 
     With lg(x) = ceil(log2 x) (and lg(0) = 0), lg of a product is at
     most the sum of the factors' lg, and the two bracket terms

@@ -36,7 +36,7 @@ def fn_sequence_oracle(inst, depth: int) -> Iterator[FnValue]:
     x0_shift = inst.x0 ** (d - m)
     u, v = x0_shift.numerator, x0_shift.denominator
     if (t * c) ** d != inst.b.denominator**d:
-        raise CertifyError("depth1.dual_path_Fn: t*c is not den(b)")
+        raise CertifyError("depth1.dual_path_Fn", "t*c is not den(b)")
     m_n, e_n = (-1 if even else 1), d
     for n, (w, scale) in zip(range(1, depth + 1), critical_orbit(inst)):
         if n > 1:
@@ -53,7 +53,7 @@ def fn_sequence_oracle(inst, depth: int) -> Iterator[FnValue]:
             sq_coeff = 4 ** ((d - 2) ** (n - 1)) * (d - 2) ** ((d - 2) ** n) * s ** (2 * e_n - 2)
             f_rec = sq_coeff * m_n * m_n - d ** (d**n) * t ** (2 * d**n - 2)
         if w * v - u * scale != f_rec * s_shift * v:
-            raise CertifyError(f"depth{n}.dual_path_Fn: recursion and direct evaluation disagree")
+            raise CertifyError(f"depth{n}.dual_path_Fn", "recursion and direct evaluation disagree")
         yield FnValue(n, e_n, m_n, f_rec)
 
 
@@ -73,11 +73,11 @@ def exhibit_at(
     """The witness search at depth n alone, as ``certify`` makes it
     there: F_n factored by ``factor_over`` and judged by
     ``witness_report``, with F_1, ..., F_n from ``fn_sequence`` unless
-    given, and depth n's list of a new ``orbit_prime_divisors`` search
-    to depth n."""
+    given, and the one list of a new ``orbit_prime_divisors`` search to
+    depth n."""
     if fns is None:
         fns = [value.F_n for value in fn_sequence(inst, n)]
-    divisors = orbit_prime_divisors(inst, effort_bound, n)[n - 1]
+    divisors = orbit_prime_divisors(inst, effort_bound, n)
     return witness_report(inst, factor_over(fns[n - 1], divisors, effort_bound), fns[: n - 1])
 
 

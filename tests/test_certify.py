@@ -183,7 +183,7 @@ class TestLazySequence:
         assert deepest_depth_in_cap(golden_even_2) == 2
         cert = certify(golden_even_2, 2, exhibit_effort=1)
         assert cert.verdict_pass
-        assert [r.n for r in cert.records] == [1, 2]
+        assert [r.fn.n for r in cert.records] == [1, 2]
 
         def unbuilt(*args, **kwargs):
             raise AssertionError("computed past the cap")
@@ -554,10 +554,11 @@ def _fns_up_to(inst, bits):
 
 
 class TestOrbitPrimeDivisors:
-    """The witness search's factorization, from the primes the critical
-    orbit finds modulo groups of 16 primes, against trial division of
-    F_n (the oracle in trial_oracle.py), keys in the same order, on the
-    Decimal F_n of fn_sequence and on the int F_n of the oracle."""
+    """The witness search's factorization, from the one list of primes
+    the critical orbit finds modulo groups of 16 primes, against trial
+    division of F_n (the oracle in trial_oracle.py) at every depth, keys
+    in the same order, on the Decimal F_n of fn_sequence and on the int
+    F_n of the oracle."""
 
     BOUNDS = [2, 3, 97, 10**4, 10**6]
 
@@ -566,8 +567,13 @@ class TestOrbitPrimeDivisors:
         inst = build_params(d)
         fns = _fns_up_to(inst, 300_000)
         for bound in self.BOUNDS:
-            divisors = orbit_prime_divisors(inst, bound, len(fns))
-            for n, ((f_dec, f_n), primes) in enumerate(zip(fns, divisors, strict=True), 1):
+            primes = orbit_prime_divisors(inst, bound, len(fns))
+            assert primes == sorted(set(primes)), bound
+            # each listed prime divides G_n = F_n s^(d-m) v at some depth
+            shift = inst.x0 ** (d - inst.m)
+            g_ns = [f_n * inst.s ** (d - inst.m) * shift.denominator for _, f_n in fns]
+            assert all(any(g_n % p == 0 for g_n in g_ns) for p in primes), bound
+            for n, (f_dec, f_n) in enumerate(fns, 1):
                 got, want = factor_over(f_n, primes, bound), trial_factor(f_n, bound)
                 assert got == want, (n, bound)
                 assert list(got[0]) == list(want[0]), (n, bound)
@@ -584,17 +590,17 @@ class TestOrbitPrimeDivisors:
             assert inst == build_params(inst.d), path.name
 
     def test_primes_of_s_and_v(self, golden_even_2):
-        # G_n = F_n s v, so the orbit finds every prime of s = 3 * 19 and
-        # v = 2 * 599 at every depth, and factor_over tests each on F_n
-        # itself: F_n is prime to them, a multiple of F_n by them is not
+        # G_n = F_n s v, so the orbit lists every prime of s = 3 * 19 and
+        # v = 2 * 599, and factor_over tests each on F_n itself at every
+        # depth: F_n is prime to them, a multiple of F_n by them is not
         inst = golden_even_2
         assert (inst.s, inst.x0.denominator) == (57, 1198)
         extra = 2**3 * 3 * 19**2 * 599
         fns = _fns_up_to(inst, 50_000)
         for bound in (97, 10**6):
-            divisors = orbit_prime_divisors(inst, bound, len(fns))
-            for n, ((f_dec, f_n), primes) in enumerate(zip(fns, divisors, strict=True), 1):
-                assert {q for q in (2, 3, 19, 599) if q <= bound} <= set(primes)
+            primes = orbit_prime_divisors(inst, bound, len(fns))
+            assert {q for q in (2, 3, 19, 599) if q <= bound} <= set(primes)
+            for n, (f_dec, f_n) in enumerate(fns, 1):
                 assert factor_over(f_n, primes, bound) == trial_factor(f_n, bound)
                 got = factor_over(f_n * extra, primes, bound)
                 assert got == trial_factor(f_n * extra, bound), (n, bound)
@@ -609,7 +615,7 @@ class TestOrbitPrimeDivisors:
         with pytest.raises(ValueError, match="negative"):
             orbit_prime_divisors(golden_odd_3, -1, 1)
         for bound in (0, 1):
-            assert orbit_prime_divisors(golden_odd_3, bound, 5) == [[]] * 5
+            assert orbit_prime_divisors(golden_odd_3, bound, 5) == []
 
     def test_one_gcd_per_group_whatever_the_depth(self, monkeypatch):
         # each group of 16 primes ends its pass over every depth with one
@@ -776,7 +782,7 @@ class TestCertify:
         assert cert.verdict_pass
         assert cert.first_failure is None
         assert cert.hypothesis_set == "conditions-1-3"
-        assert [r.n for r in cert.records] == [1, 2, 3]
+        assert [r.fn.n for r in cert.records] == [1, 2, 3]
         assert all(r.eisenstein_ok for r in cert.records)
         assert cert.evidence_level == "deterministic"
 
@@ -930,6 +936,26 @@ class TestTamperedPrimes:
         assert cert.first_failure == "instance.witness_primes_prime"
 
 
+class TestFailedRelationIsRecorded:
+    def test_dual_path_mismatch_is_the_last_check(self, golden_even_2, monkeypatch):
+        # a mismatch at depth 2 ends the run as a failed check named by
+        # the depth and relation, with the whole message as its detail
+        module = importlib.import_module("odoni.certify")
+        orbit = module.critical_orbit
+
+        def perturbed(inst, number):
+            for n, (w, scale) in enumerate(orbit(inst, number), 1):
+                yield (w + 1 if n == 2 else w), scale
+
+        monkeypatch.setattr(module, "critical_orbit", perturbed)
+        cert = certify(golden_even_2, 3, exhibit_effort=1)
+        assert not cert.verdict_pass and cert.first_failure == "depth2.dual_path_Fn"
+        last = cert.checks[-1]
+        assert (last.name, last.ok) == ("depth2.dual_path_Fn", False)
+        assert last.detail == "depth2.dual_path_Fn: recursion and direct evaluation disagree"
+        assert [r.fn.n for r in cert.records] == [1]
+
+
 class TestBeyondAcceptanceEnvelope:
     def test_depth_past_eisenstein_window(self, golden_even_2):
         cert = certify(golden_even_2, 5)
@@ -1020,7 +1046,7 @@ class TestExhibitBitBudget:
         cert = certify(golden_even_2, 4)
         plain = certify(golden_even_2, 4, exhibit_effort=1)
         assert cert.verdict_pass
-        assert [r.n for r in cert.records] == [r.n for r in plain.records] == [1, 2, 3, 4]
+        assert [r.fn.n for r in cert.records] == [r.fn.n for r in plain.records] == [1, 2, 3, 4]
         witness = cert.records[2].exhibited_q
         assert witness.found and witness.q == 1439
         assert witness.lower_levels_clean is True
@@ -1042,7 +1068,7 @@ class TestExhibitBitBudget:
 
         monkeypatch.setattr(poly_module, "critical_orbit", counting)
         cert = certify(golden_even_2, 8, exhibit_effort=effort)
-        found = [r.n for r in cert.records if r.exhibited_q.found]
+        found = [r.fn.n for r in cert.records if r.exhibited_q.found]
         assert cert.verdict_pass
         assert max(found, default=0) == deepest
         assert steps == 0
@@ -1213,7 +1239,7 @@ class TestNoConversions:
         cert = certify(replace(inst, **fields), depth, exhibit_effort=10**4)
         data = certificate_to_json_dict(cert)
         assert cert.verdict_pass and data["records"][-1]["F_n"]["bits"] > 20_000
-        assert all(type(r.F_n) is type(r.M_n) is Decimal for r in cert.records)
+        assert all(type(r.fn.F_n) is type(r.fn.M_n) is Decimal for r in cert.records)
         assert len(sizes) > 1000 and max(sizes) <= BIG_VALUE_DIGEST_BITS, max(sizes)
 
 

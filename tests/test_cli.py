@@ -488,6 +488,20 @@ class TestHostileFiles:
         assert f"exceeds the {arith.RATIONAL_BIT_CAP}-bit cap" in err
         assert sys.get_int_max_str_digits() == limit
 
+    def test_even_case_over_the_bit_budget(self, tmp_path, capsys):
+        # D = s^(d-1) + t^(d-1) with s = 10^1000 and d = 100000 has about
+        # 3.3e8 bits; the structural check once ran past 30 s building it
+        doc = {**instance_to_json_dict(build_params(2)), "d": "100000", "m": "99999",
+               "s": "1" + "0" * 1000, "x0": "1" + "0" * 1000, "t": "1", "b": "1",
+               "p": "5", "p1": "5", "p2": "5"}
+        started = time.monotonic()
+        code = cli.run(["certify", "--params", write_params(tmp_path, doc), "--depth", "1"])
+        assert time.monotonic() - started < 2
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("resource cap: construct: b = s^d/(t*(s^(d-1)+t^(d-1)))")
+        assert "Traceback" not in captured.err
+
     def test_non_finite_group_degree(self, tmp_path, capsys):
         path = tmp_path / "gens.json"
         path.write_text('{"d": Infinity, "m": 2, "g_gens": [[2, 3, 1]]}')
@@ -686,6 +700,44 @@ class TestGoldenOutputBytes:
         out = tmp_path / "report.json"
         assert cli.run(["pipeline", "--degree", "3", "--depth", "3", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PIPELINE
+
+    # certify --verbose: the witness-prime gate (p1 = 9 on the degree-2
+    # instance), whose failed check is the only one, and the check log
+    # of a passing degree-4 run at depth 3; each pair is the sha256 of
+    # the JSON written to --out and of stderr
+    CERTIFY_GATE = (
+        "93da40315d6e51a27c4e5129f7674ef8fb943a78ffeea4cdc3a7d079ac5f3799",
+        "57c201fbebc9791e6d91b23cf7920a2fde7f79200d63d4ec17f521fb268c160a",
+    )
+    CERTIFY_VERBOSE_D4 = (
+        "377cabf5b117340e122bf52deef2ad8002f6a5c3c08cad0e4243ee6d71b48236",
+        "688986b56fc842587bc6dbfe510e62261b53275e449b83a8d9fa73ee18401347",
+    )
+
+    @staticmethod
+    def certify_bytes(tmp_path, capsys, doc, *args):
+        out = tmp_path / "cert.json"
+        code = cli.run(["certify", "--params", write_params(tmp_path, doc), "--verbose",
+                        "--out", str(out), *args])
+        err = capsys.readouterr().err
+        return code, err, (hashlib.sha256(out.read_bytes()).hexdigest(),
+                           hashlib.sha256(err.encode()).hexdigest())
+
+    def test_certify_witness_prime_gate(self, tmp_path, capsys):
+        doc = {**instance_to_json_dict(build_params(2)), "p1": "9"}
+        code, err, hashes = self.certify_bytes(tmp_path, capsys, doc)
+        assert code == 1
+        assert err == (
+            "check instance.witness_primes_prime: FAIL (p=5, p1=9, p2=5)\n"
+            "certificate FAILED at: instance.witness_primes_prime\n"
+        )
+        assert hashes == self.CERTIFY_GATE
+
+    def test_certify_verbose_check_log(self, tmp_path, capsys):
+        doc = instance_to_json_dict(build_params(4))
+        code, err, hashes = self.certify_bytes(tmp_path, capsys, doc, "--depth", "3")
+        assert code == 0 and len(err.splitlines()) == 27
+        assert hashes == self.CERTIFY_VERBOSE_D4
 
 
 class TestPipelineCommand:

@@ -124,3 +124,59 @@ def test_unreferenced_method_is_found():
         "Box()\n"
     )
     assert _unreferenced({"synthetic.py": source}) == ["synthetic.py:Box.spare"]
+
+
+def _unread_parameters(sources: dict[str, str]) -> list[str]:
+    """The parameters, as file:function.parameter, of every function,
+    method, nested function and lambda in the given sources (file name
+    -> source text) that its own body never reads as a name; a nested
+    function's reads count for the function around it. Dunder methods
+    are left out: their protocol fixes their signatures."""
+    out = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=name)):
+            if isinstance(node, ast.Lambda):
+                label, body = "lambda", [node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                label, body = node.name, node.body
+            else:
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            read = {
+                leaf.id
+                for part in body
+                for leaf in ast.walk(part)
+                if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)
+            }
+            out.extend(f"{name}:{label}.{arg.arg}" for arg in params if arg.arg not in read)
+    return out
+
+
+def test_no_unread_parameters():
+    # a parameter that its function never reads makes every caller pass
+    # a value that changes nothing
+    assert _unread_parameters({path.name: path.read_text(encoding="utf-8") for path in SOURCES}) == []
+
+
+def test_unread_parameter_is_found():
+    # negative control: an unread parameter of a function, a method and
+    # a lambda is named; a parameter read only by a nested function, an
+    # assigned-but-unread one, and a dunder's signature are handled
+    source = (
+        "def spare(a, b):\n    return a\n\n\n"
+        "def outer(p, q):\n    q = 1\n\n    def inner():\n        return p\n\n    return inner\n\n\n"
+        "class Box:\n"
+        "    def __exit__(self, *exc):\n        pass\n\n"
+        "    def open(self, key):\n        return self\n\n\n"
+        "pick = lambda x, y: y\n"
+    )
+    assert _unread_parameters({"synthetic.py": source}) == [
+        "synthetic.py:spare.b",
+        "synthetic.py:outer.q",
+        "synthetic.py:open.key",
+        "synthetic.py:lambda.x",
+    ]

@@ -110,12 +110,12 @@ class TestPredictTwoSegments:
 
 class TestRamificationTower:
     def test_trivial_m_one(self):
-        tower = tower_from_valuations(2, 1, -1, 0, 3)
+        tower = tower_from_valuations(1, -1, 0, 3)
         assert [lvl.ram_index for lvl in tower] == [1, 1, 1]
         assert [lvl.valuation for lvl in tower] == [1, 2, 3]
 
     def test_slope_recursion_example(self):
-        tower = tower_from_valuations(5, 3, -2, 0, 2)
+        tower = tower_from_valuations(3, -2, 0, 2)
         assert [lvl.valuation for lvl in tower] == [
             Fraction(2, 3),
             Fraction(8, 9),
@@ -123,16 +123,17 @@ class TestRamificationTower:
         assert [lvl.scaled for lvl in tower] == [2, 8]
 
     def test_negative_base_valuation_example(self):
-        tower = tower_from_valuations(7, 5, -2, -1, 1)
+        tower = tower_from_valuations(5, -2, -1, 1)
         assert tower[0].valuation == Fraction(1, 5)
         assert tower[0].scaled == 1
 
     def test_hypotheses_are_the_callers(self):
-        # condition (2) is decided in certify.check_condition2 alone: a
-        # (d-m) | v(b) that fails, or d = m, is not re-checked here
-        tower = tower_from_valuations(5, 3, -3, -1, 2)
+        # condition (2) is decided in certify.check_condition2 alone, and
+        # the tower takes no d: a v(b) = -3 that d - m = 2 does not divide
+        # (d = 5, m = 3) is not re-checked here, nor is d = m = 4
+        tower = tower_from_valuations(3, -3, -1, 2)
         assert [lvl.scaled for lvl in tower] == [2, 11]
-        assert tower_from_valuations(4, 4, -1, 0, 1)[0].scaled == 1
+        assert tower_from_valuations(4, -1, 0, 1)[0].scaled == 1
 
     def test_instance_tower_depth_four(self, golden_even_4, golden_odd_5):
         import math

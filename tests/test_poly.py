@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from eisenstein_oracle import eisenstein_at
+import odoni
 from odoni.arith import CapExceededError, decimal_str
 from odoni.construct import build_params
 from odoni.poly import (
@@ -182,7 +183,7 @@ class TestTrinomial:
 
 
 class TestTrinomialBits:
-    """The bound the CLI checks before it builds a trinomial discriminant."""
+    """The bound disc_trinomial checks before it builds a value."""
 
     @staticmethod
     def _bits(q: Fraction) -> int:
@@ -204,9 +205,11 @@ class TestTrinomialBits:
         assert min(slack) <= 3
 
     @pytest.mark.parametrize("d", [2, 3, 101, 5000, 65536])
-    def test_close_for_unit_coefficients(self, d):
+    def test_close_for_unit_coefficients(self, d, monkeypatch):
         # A = B = C = 1: the value is about d log2 d bits, and the bound
-        # is within a few percent of it
+        # is within a few percent of it. At d = 65536 the bound is 2 bits
+        # over the budget that disc_trinomial enforces, so it is doubled
+        monkeypatch.setattr(importlib.import_module("odoni.poly"), "DEFAULT_BIT_BUDGET", 2**21)
         t = Trinomial(1, 1, 1, d, 1)
         actual = self._bits(disc_trinomial(t))
         assert actual <= disc_trinomial_bits(t) <= 1.1 * actual + 8
@@ -216,6 +219,19 @@ class TestTrinomialBits:
         # from the bit lengths alone
         t = Trinomial(1, Fraction(-3, 7), 5, 10**12 + 1, 10**12)
         assert disc_trinomial_bits(t) > 10**13
+
+    def test_library_call_refused_before_building(self):
+        # the package root exports disc_trinomial, so the cap is its own:
+        # this value has a bound of 1.02e9 bits and once took 15 s to build
+        t = Trinomial(2**1000, 1, 1, 10**6 + 1, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match=f"over the bit budget {DEFAULT_BIT_BUDGET}$"):
+                odoni.disc_trinomial(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
 
 
 def crit_product(d: int, m: int, b, w) -> Fraction:
