@@ -207,6 +207,23 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
         F_n = 4^((d-2)^(n-1)) (d-2)^((d-2)^n) s^(2 e_n - 2) M_n^2 - d^(d^n) t^(2 d^n - 2),
         M_(n+1) = M_n^(d-2) F_n.
 
+    Every factor with an exponent that grows with n is stepped from
+    depth n to depth n + 1, never rebuilt: with m = d - 1 in the even
+    case and m = d - 2 in the odd cases (``certify`` runs the sequence
+    only once the structural relations hold),
+
+      coeff_n = (d-1)^((d-1)^n) s^(d(e_n - 1)), coeff_(n+1) = (coeff_n s^d)^m   (even),
+      coeff_n = 4^((d-2)^(n-1)) (d-2)^((d-2)^n) s^(2 e_n - 2),
+                coeff_(n+1) = coeff_n^m s^(2(d-1))                              (odd),
+      tail_n = d^(d^n) (tc)^(d^n - 1) (even) or d^(d^n) t^(2 d^n - 2) (odd),
+                tail_(n+1) = tail_n^d (tc)^(d-1) or tail_n^d t^(2(d-1)), tail_0 = d,
+
+    so F_n = coeff_n s^(d-1) M_n - tail_n c and
+    M_(n+1) = M_n^m (coeff_n M_n - tail_n) in the even case, and
+    F_n = coeff_n M_n^2 - tail_n in the odd cases. Each power inside
+    the depth loop has exponent d or m; the powers of s, t and tc that
+    step the factors are formed once, before it.
+
     The sequence steps lazily: M_n and e_n are formed at the top of
     depth n from depth n - 1's values, so a run to depth N never builds
     M_(N+1), the largest product of the run, and a caller that stops
@@ -240,29 +257,35 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
             f"t*c = {t * c} is not den(b) = {inst.b.denominator} (up to sign for "
             "even d), so the recursion cannot match direct evaluation",
         )
-    dec_s, dec_d, dec_t, dec_c, dec_tc = (Decimal(k) for k in (s, d, t, c, t * c))
-    dec_u, dec_v, rhs_scale = Decimal(u), Decimal(v), Decimal(s ** (d - m) * v)
-    m_n, e_n = Decimal(-1 if even else 1), d
+    dec_s, dec_c, dec_u, dec_v = (Decimal(k) for k in (s, c, u, v))
+    rhs_scale = Decimal(s ** (d - m) * v)
+    with decimal.localcontext(EXACT):
+        if even:
+            coeff_step, tail_step = dec_s**d, Decimal(t * c) ** m
+            coeff, f_scale = Decimal(d - 1) ** m * dec_s ** (d * m), dec_s ** (d - 1)
+        else:
+            coeff_step = dec_s ** (2 * d - 2)
+            tail_step = Decimal(t) ** (2 * d - 2)
+            coeff = 4 * Decimal(d - 2) ** m * coeff_step
+    m_n, e_n, tail = Decimal(-1 if even else 1), d, Decimal(d)
     for n, (w, scale) in zip(range(1, depth + 1), critical_orbit(inst, Decimal)):
         with decimal.localcontext(EXACT):
             if n > 1:
-                # M_n from depth n - 1's unit, tail and F_(n-1)
+                # M_n and coeff_n from depth n - 1's values
                 if even:
-                    m_n = m_n ** (d - 1) * (unit * dec_s ** (d * (e_n - 1)) * m_n - tail)
+                    m_n = m_n**m * (coeff * m_n - tail)
+                    coeff = (coeff * coeff_step) ** m
                 else:
-                    m_n = m_n ** (d - 2) * f_rec
+                    m_n = m_n**m * f_rec
+                    coeff = coeff**m * coeff_step
                 e_n = m * e_n + (d - m)
             if even:
-                unit = Decimal(d - 1) ** ((d - 1) ** n)
-                tail = dec_d ** (d**n) * dec_tc ** (d**n - 1)
-                f_rec = dec_s ** (d * e_n - 1) * unit * m_n - tail * dec_c
+                tail = tail**d * tail_step
+                f_rec = coeff * f_scale * m_n - tail * dec_c
             else:
-                sq_coeff = (
-                    Decimal(4) ** ((d - 2) ** (n - 1))
-                    * Decimal(d - 2) ** ((d - 2) ** n)
-                    * dec_s ** (2 * e_n - 2)
-                )
-                f_rec = sq_coeff * m_n * m_n - dec_d ** (d**n) * dec_t ** (2 * d**n - 2)
+                # the square term before tail_n, and as (coeff M_n) M_n:
+                # other orders left certify-deep's peak RSS about 0.1 MB higher
+                f_rec = coeff * m_n * m_n - (tail := tail**d * tail_step)
             # f_def = F_rec, cross-multiplied with w_n = w / scale and
             # (dtc)^(d^n) = scale cancelled
             agree = w * dec_v - dec_u * scale == f_rec * rhs_scale

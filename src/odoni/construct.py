@@ -131,7 +131,7 @@ def even_denominator(d: int, s: int, t: int) -> int:
     b_bits = d * s_bits + t_bits + (d - 1) * max(s_bits, t_bits) + 1
     if b_bits > DEFAULT_BIT_BUDGET:
         raise CapExceededError(
-            f"construct: b = s^d/(t*(s^(d-1)+t^(d-1))) at degree {d} may need {b_bits} "
+            f"even case: b = s^d/(t*(s^(d-1)+t^(d-1))) at degree {d} may need {b_bits} "
             f"bits, over the bit budget {DEFAULT_BIT_BUDGET}"
         )
     return s ** (d - 1) + t ** (d - 1)

@@ -64,7 +64,7 @@ def disc_trinomial(t: Trinomial) -> Fraction:
     bits = disc_trinomial_bits(t)
     if bits > DEFAULT_BIT_BUDGET:
         raise CapExceededError(
-            f"disc --trinomial: the discriminant may need {bits} bits, "
+            f"disc_trinomial: the discriminant may need {bits} bits, "
             f"over the bit budget {DEFAULT_BIT_BUDGET}"
         )
     d, m = t.d, t.m

@@ -1078,7 +1078,8 @@ class TestDecimalClosedForms:
     """fn_sequence holds M_n and F_n as exact Decimals; the int closed
     forms in fn_helpers.py are its oracle."""
 
-    DEPTHS = {2: 6, 3: 6, 4: 6, 5: 6, 6: 4, 9: 4}
+    # every degree build_params covers, d = 8 and 10 with a large D
+    DEPTHS = {2: 6, 3: 6, 4: 6, 5: 6, 6: 4, 7: 4, 8: 4, 9: 4, 10: 3}
 
     @pytest.mark.parametrize("d", sorted(DEPTHS))
     def test_equals_int_oracle(self, d):
@@ -1095,13 +1096,13 @@ class TestDecimalClosedForms:
     @staticmethod
     def _mutants():
         """fn_sequence with one exponent of its closed forms raised by
-        one: every ** inside the depth loop, one at a time."""
+        one: every ** in the function, the set-up before the depth loop
+        included, one at a time."""
         module = importlib.import_module("odoni.certify")
         tree = ast.parse(textwrap.dedent(inspect.getsource(module.fn_sequence)))
 
         def powers(root):
-            loop = next(node for node in ast.walk(root) if isinstance(node, ast.For))
-            return [node for node in ast.walk(loop)
+            return [node for node in ast.walk(root)
                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
 
         for i in range(len(powers(tree))):
@@ -1117,7 +1118,7 @@ class TestDecimalClosedForms:
         # d = 4 and 5: no base of the closed forms is +-1, so raising any
         # exponent changes the value (at d = 2 or 3, (d-1) or (d-2) is 1)
         mutants = list(self._mutants())
-        assert len(mutants) >= 15
+        assert len(mutants) >= 18
         for text, mutant in mutants:
             failures = []
             for inst in (golden_even_4, golden_odd_5):
@@ -1127,6 +1128,56 @@ class TestDecimalClosedForms:
                     failures.append(str(exc))
             assert failures, text
             assert all(re.match(r"depth[1-3]\.dual_path_Fn: ", f) for f in failures), text
+
+
+def _growing_exponents(source: str) -> list[str]:
+    """Every ** inside the body of a for loop of the given source whose
+    exponent is built from anything but the names d and m, int
+    constants and arithmetic, unparsed, in source order."""
+    tree = ast.parse(source)
+    in_loop = {id(node) for loop in ast.walk(tree) if isinstance(loop, ast.For)
+               for part in loop.body for node in ast.walk(part)}
+    allowed = (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop, ast.Load)
+
+    def fixed(leaf):
+        if isinstance(leaf, ast.Name):
+            return leaf.id in ("d", "m")
+        if isinstance(leaf, ast.Constant):
+            return type(leaf.value) is int
+        return isinstance(leaf, allowed)
+
+    found = [node for node in ast.walk(tree)
+             if id(node) in in_loop and isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+             and not all(fixed(leaf) for leaf in ast.walk(node.right))]
+    return [ast.unparse(node) for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_fn_sequence_steps_its_powers():
+    # a power rebuilt from scratch at every depth, such as d^(d^n), has
+    # an exponent that grows with n; fn_sequence steps those factors
+    source = textwrap.dedent(inspect.getsource(fn_sequence))
+    assert _growing_exponents(source) == []
+
+
+def test_growing_exponent_is_found():
+    # negative control: exponents reading the depth, a call or an
+    # attribute are named inside a loop; d, m and int constants pass,
+    # and nothing outside a loop is read
+    source = (
+        "def rebuild(d, m, depth, inst):\n"
+        "    head = d ** (d**depth)\n"
+        "    for n in range(1, depth + 1):\n"
+        "        tail = d ** (d**n) * head ** (2 * (d - 1)) * head**m\n"
+        "        unit = (d - 1) ** len(inst) * head ** -m * head ** inst.m * head ** 0.5\n"
+        "    return tail, unit\n"
+    )
+    assert _growing_exponents(source) == [
+        "d ** d ** n",
+        "d ** n",
+        "(d - 1) ** len(inst)",
+        "head ** inst.m",
+        "head ** 0.5",
+    ]
 
 
 def _context_state(ctx):

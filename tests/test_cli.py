@@ -76,7 +76,7 @@ class TestConstructCommand:
         started = time.monotonic()
         assert cli.run(argv) == 2
         assert time.monotonic() - started < 1
-        assert "resource cap: construct: b = s^d/(t*(s^(d-1)+t^(d-1))) at degree 20000" in capsys.readouterr().err
+        assert "resource cap: even case: b = s^d/(t*(s^(d-1)+t^(d-1))) at degree 20000" in capsys.readouterr().err
 
 
 class TestCertifyCommand:
@@ -499,7 +499,7 @@ class TestHostileFiles:
         assert time.monotonic() - started < 2
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("resource cap: construct: b = s^d/(t*(s^(d-1)+t^(d-1)))")
+        assert captured.err.startswith("resource cap: even case: b = s^d/(t*(s^(d-1)+t^(d-1)))")
         assert "Traceback" not in captured.err
 
     def test_non_finite_group_degree(self, tmp_path, capsys):
