@@ -11,12 +11,14 @@ in the test suite.
 The package root exports the engine behind each ``odoni`` subcommand
 (``construct``, ``certify``, ``disc``, ``newton``, ``group-check``,
 ``frobenius``) and the two per-parity constructors; everything else is
-imported from its own module.
+imported from its own module. Each engine decides the caps on its
+arguments before it judges the instance, so an over-cap call raises
+whatever relations the instance breaks.
 """
 
 from .certify import certify
 from .construct import build_params, build_params_even, build_params_odd
-from .frobenius import run_frobenius
+from .frobenius import sample_distribution
 from .newton import newton_polygon
 from .permgroup import gen_sd_check
 from .poly import disc_iterate, disc_trinomial
@@ -32,5 +34,5 @@ __all__ = [
     "disc_trinomial",
     "gen_sd_check",
     "newton_polygon",
-    "run_frobenius",
+    "sample_distribution",
 ]

@@ -533,15 +533,11 @@ def orbit_prime_divisors(inst: IterInstance, bound: int, depth: int) -> list[int
     the depth or the size of F_n, keeps no residue of a group past its
     pass, and takes its groups from the stream of ``search_primes``, so
     it holds one sieve window whatever the bound. A bound below 2 builds
-    no sieve and finds nothing, and one above EXHIBIT_EFFORT_CAP raises
-    CapExceededError before any is built.
+    no sieve and finds nothing; ``certify`` refuses one above
+    EXHIBIT_EFFORT_CAP before it judges the instance.
     """
     if bound < 0:
         raise ValueError(f"orbit_prime_divisors: bound {bound} is negative")
-    if bound > EXHIBIT_EFFORT_CAP:
-        raise CapExceededError(
-            f"witness search bound {bound} is over the cap {EXHIBIT_EFFORT_CAP}"
-        )
     found: list[int] = []
     if bound < 2:
         return found
@@ -704,8 +700,10 @@ def certify(
     before the first depth's checks, into one list; each depth factors
     its F_n over that list and reads its lower levels off the earlier
     records. Its outcome never changes the verdict. A depth past
-    ``deepest_depth_in_cap`` raises CapExceededError before anything is
-    built: the cap on the bits of F_n guards memory, not correctness.
+    ``deepest_depth_in_cap``, then an ``exhibit_effort`` above
+    ``EXHIBIT_EFFORT_CAP``, raises CapExceededError before any relation
+    is judged or anything is built: the cap on the bits of F_n guards
+    memory, the effort cap time, and neither correctness.
     """
     if depth < 1:
         raise ValueError("certify: depth must be >= 1")
@@ -714,6 +712,10 @@ def certify(
         raise CapExceededError(
             f"certify: depth {depth} is past depth {deepest}, the deepest whose F_n "
             f"is bounded within the {FN_BIT_CAP}-bit cap"
+        )
+    if exhibit_effort > EXHIBIT_EFFORT_CAP:
+        raise CapExceededError(
+            f"witness search bound {exhibit_effort} is over the cap {EXHIBIT_EFFORT_CAP}"
         )
     if all(is_prime(q) for q in (inst.p, inst.p1, inst.p2)):
         cond1, cond2 = check_condition1(inst), check_condition2(inst, depth)

@@ -30,7 +30,10 @@ the literal's digits and exponent: every rational from outside
 file's x0 and b) is read by ``arith._rationals``, a bare JSON integer
 in a params or poly file as its digit string. An iterate
 discriminant of a shape other than m = d-1 or m = d-2 is an input
-error, as is a non-finite number where a file needs an integer.
+error, as is a non-finite number where a file needs an integer. The
+caps on arguments (depth, --exhibit-effort, --primes, the sampled
+level) are decided before the instance is judged, so an over-cap run
+exits 2 whatever its instance; pipeline decides --primes first of all.
 """
 
 from __future__ import annotations
@@ -224,30 +227,26 @@ def _cmd_group_check(args) -> int:
 
 def _cmd_frobenius(args) -> int:
     inst = _load_params(args.params)
-    report = frobenius_mod.run_frobenius(
-        inst, args.level, args.primes, start=args.start
-    )
-    _emit(frobenius_mod.report_to_json_dict(report), args.out)
-    if report.within_tolerance is False:
-        _log(
-            f"frobenius: TV distance {report.tv} exceeds the enforced "
-            f"tolerance {frobenius_mod.TV_TOLERANCE}"
-        )
+    sample = frobenius_mod.sample_distribution(inst, args.level, args.primes, start=args.start)
+    _emit(frobenius_mod.report_to_json_dict(sample), args.out)
+    if _tolerance_failed(sample):
         return EXIT_CHECK_FAILED
-    _log(f"frobenius: TV distance {float(report.tv):.4f} over {report.sample.used} primes")
+    _log(f"frobenius: TV distance {float(sample.tv):.4f} over {sample.used} primes")
     return EXIT_PASS
 
 
-def pipeline_level(d: int, depth: int) -> int | None:
-    """Deepest statistically checkable level: largest n <= min(depth, 2)
-    whose exact reference law is enumerable."""
-    for n in range(min(depth, 2), 0, -1):
-        if not permgroup.wreath_order_exceeds(d, n, permgroup.MAX_ENUMERATION):
-            return n
-    return None
+def _tolerance_failed(sample: frobenius_mod.SampleResult) -> bool:
+    """Whether the sample misses an enforced tolerance, named on stderr."""
+    failed = sample.within_tolerance is False
+    if failed:
+        _log(f"frobenius: TV distance {sample.tv} exceeds the enforced tolerance {frobenius_mod.TV_TOLERANCE}")
+    return failed
 
 
 def _cmd_pipeline(args) -> int:
+    # the sampler's admission comes first: an over-cap --primes is
+    # refused before anything is constructed or certified
+    level = frobenius_mod.pipeline_level(args.degree, args.depth, args.primes)
     inst = construct_mod.build_params(args.degree, cap=args.cap)
     _log(f"constructed instance for degree {args.degree} ({inst.parity_case})")
     cert = certify(inst, depth=args.depth)
@@ -257,28 +256,15 @@ def _cmd_pipeline(args) -> int:
         "certificate "
         + ("passes" if cert.verdict_pass else f"FAILED at {cert.first_failure}")
     )
-    level = pipeline_level(args.degree, args.depth)
-    frob_json: dict
     frob_fail = False
     if level is None:
-        frob_json = {
-            "skipped": True,
-            "reason": (
-                f"no level n <= {min(args.depth, 2)} has an enumerable reference "
-                f"law (group order exceeds {permgroup.MAX_ENUMERATION})"
-            ),
-        }
+        frob_json = {"skipped": True, "reason": frobenius_mod.skip_reason(args.depth)}
         _log("frobenius section skipped: " + frob_json["reason"])
     else:
-        report = frobenius_mod.run_frobenius(
-            inst, level, args.primes, start=args.start
-        )
-        frob_json = frobenius_mod.report_to_json_dict(report)
-        frob_fail = report.within_tolerance is False
-        _log(
-            f"frobenius at level {level}: TV {float(report.tv):.4f} over "
-            f"{report.sample.used} primes"
-        )
+        sample = frobenius_mod.sample_distribution(inst, level, args.primes, start=args.start)
+        frob_json = frobenius_mod.report_to_json_dict(sample)
+        _log(f"frobenius at level {level}: TV {float(sample.tv):.4f} over {sample.used} primes")
+        frob_fail = _tolerance_failed(sample)
     overall = cert.verdict_pass and not frob_fail
     _emit(
         {

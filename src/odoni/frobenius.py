@@ -25,7 +25,7 @@ from typing import Optional
 
 from .arith import CapExceededError, primes_between
 from .construct import ConstructError, _frac_str
-from .permgroup import MAX_ENUMERATION, leaf_type_distribution, wreath_order_exceeds
+from .permgroup import leaf_type_distribution, wreath_order_exceeds
 from .poly import disc_levels
 from .polymod import cycle_type_mod_p, iterates_minus_x0
 
@@ -33,6 +33,11 @@ DEFAULT_SCAN_START = 1000
 DEFAULT_SCAN_CAP = 10**7
 # pi(DEFAULT_SCAN_CAP): no start bound leaves more primes to sample
 PRIMES_BELOW_SCAN_CAP = 664579
+# largest tree-group order whose law the sampler compares with, the
+# reach of the enumeration oracle in the tests
+MAX_ENUMERATION = 10**5
+# the pipeline samples no level deeper than this
+PIPELINE_MAX_LEVEL = 2
 TV_TOLERANCE = Fraction(1, 20)
 TV_ENFORCED_SHAPES = ((2, 2), (3, 1))
 MIN_ENFORCED_PRIMES = 2000
@@ -54,12 +59,55 @@ def _bad_reduction_product(inst, n: int) -> int:
     return out
 
 
+def _enumerable(d: int, n: int) -> bool:
+    # a degree below 2 has no tree group; the structural relations name it
+    return d < 2 or not wreath_order_exceeds(d, n, MAX_ENUMERATION)
+
+
+def admit(d: int, n: int, prime_count: int) -> None:
+    """The sampler's admission rule, decided before any instance is judged
+    or any law, discriminant or prime is computed: level n's tree group
+    must have order at most ``MAX_ENUMERATION`` (decided without building
+    it), then prime_count at most ``PRIMES_BELOW_SCAN_CAP``. Level 0's
+    tree group is trivial, so there only the count can fail."""
+    if not _enumerable(d, n):
+        raise ValueError(
+            f"sample_distribution: the depth-{n} tree group of degree {d} has "
+            f"order above the enumerable cap {MAX_ENUMERATION}"
+        )
+    if prime_count > PRIMES_BELOW_SCAN_CAP:
+        raise CapExceededError(
+            f"{prime_count} primes requested, but only {PRIMES_BELOW_SCAN_CAP} "
+            f"primes are below scan cap {DEFAULT_SCAN_CAP}"
+        )
+
+
+def pipeline_level(d: int, depth: int, prime_count: int) -> Optional[int]:
+    """The level the pipeline samples: the deepest n <= min(depth,
+    ``PIPELINE_MAX_LEVEL``) that ``admit`` takes, or None when none does
+    and the section is skipped (``skip_reason``). The prime count is
+    admitted either way, before the pipeline builds anything."""
+    levels = range(min(depth, PIPELINE_MAX_LEVEL), 0, -1)
+    level = next((n for n in levels if _enumerable(d, n)), 0)
+    admit(d, level, prime_count)
+    return level or None
+
+
+def skip_reason(depth: int) -> str:
+    """Why the pipeline at this depth has no level to sample."""
+    return (
+        f"no level n <= {min(depth, PIPELINE_MAX_LEVEL)} has an enumerable reference "
+        f"law (group order exceeds {MAX_ENUMERATION})"
+    )
+
+
 @dataclass
 class SampleResult:
+    """A sample, its distance to the exact law and the tolerance verdict."""
+
     d: int
     n: int
-    requested: int
-    used: int
+    used: int  # always the prime count asked for: a shorter scan raises
     skipped: int
     start: int
     counts: dict[tuple[int, ...], int]
@@ -67,6 +115,18 @@ class SampleResult:
 
     def frequencies(self) -> dict[tuple[int, ...], Fraction]:
         return {t: Fraction(c, self.used) for t, c in sorted(self.counts.items())}
+
+    @property
+    def tv(self) -> Fraction:
+        return chebotarev_distance(self.frequencies(), self.law)
+
+    @property
+    def enforced(self) -> bool:
+        return tv_is_enforced(self.d, self.n, self.used)
+
+    @property
+    def within_tolerance(self) -> Optional[bool]:
+        return self.tv <= TV_TOLERANCE if self.enforced else None
 
 
 def sample_distribution(
@@ -78,35 +138,21 @@ def sample_distribution(
     """Empirical leaf cycle-type distribution over the first prime_count
     good primes above the start bound and at most ``DEFAULT_SCAN_CAP``.
 
-    Requires the tree group to be enumerable (order at most
-    ``MAX_ENUMERATION``, the reach of the law's test oracle), which is
-    decided first and without building the order, and then that the
-    instance's structural relations hold: samples of an instance outside
-    the constructed family say nothing. The exact law is then built
-    once and carried on the result, and every observed type is
+    The level and the prime count pass ``admit`` first; then the
+    instance's structural relations must hold: samples of an instance
+    outside the constructed family say nothing. The exact law is then
+    built once and carried on the result, and every observed type is
     membership-checked against its support, the reachable set; an
-    unrealizable type is a hard error. A prime_count above
-    ``PRIMES_BELOW_SCAN_CAP`` is refused before any law, discriminant or
-    prime is computed; one that the window above start cannot fill is
-    refused when the scan ends.
+    unrealizable type is a hard error. A prime_count that the window
+    above start cannot fill is refused when the scan ends.
     """
     d = inst.d
     if n < 1:
         raise ValueError(f"sample_distribution: level must be >= 1, got {n}")
-    # a degree below 2 has no tree group; the relations below name it
-    if d >= 2 and wreath_order_exceeds(d, n, MAX_ENUMERATION):
-        raise ValueError(
-            f"sample_distribution: the depth-{n} tree group of degree {d} has "
-            f"order above the enumerable cap {MAX_ENUMERATION}"
-        )
+    admit(d, n, prime_count)
     violated = inst.violated_relations()
     if violated:
         raise ConstructError("instance.structural_invariants: " + "; ".join(violated))
-    if prime_count > PRIMES_BELOW_SCAN_CAP:
-        raise CapExceededError(
-            f"{prime_count} primes requested, but only {PRIMES_BELOW_SCAN_CAP} "
-            f"primes are below scan cap {DEFAULT_SCAN_CAP}"
-        )
     law = leaf_type_distribution(d, n)
     bad = _bad_reduction_product(inst, n)
     # a good prime divides neither den(b) nor den(x0), so the leading
@@ -130,16 +176,7 @@ def sample_distribution(
         used += 1
     if used < prime_count:
         raise CapExceededError(f"only {used} good primes below scan cap {DEFAULT_SCAN_CAP}")
-    return SampleResult(
-        d=d,
-        n=n,
-        requested=prime_count,
-        used=used,
-        skipped=skipped,
-        start=start,
-        counts=counts,
-        law=law,
-    )
+    return SampleResult(d=d, n=n, used=used, skipped=skipped, start=start, counts=counts, law=law)
 
 
 def chebotarev_distance(
@@ -158,40 +195,13 @@ def tv_is_enforced(d: int, n: int, used: int) -> bool:
     return (d, n) in TV_ENFORCED_SHAPES and used >= MIN_ENFORCED_PRIMES
 
 
-@dataclass
-class FrobeniusReport:
-    sample: SampleResult
-    tv: Fraction
-    enforced: bool
-    within_tolerance: Optional[bool]
-
-
-def run_frobenius(
-    inst,
-    n: int,
-    prime_count: int,
-    start: int = DEFAULT_SCAN_START,
-) -> FrobeniusReport:
-    sample = sample_distribution(inst, n, prime_count, start)
-    tv = chebotarev_distance(sample.frequencies(), sample.law)
-    enforced = tv_is_enforced(inst.d, n, sample.used)
-    return FrobeniusReport(
-        sample=sample,
-        tv=tv,
-        enforced=enforced,
-        within_tolerance=(tv <= TV_TOLERANCE) if enforced else None,
-    )
-
-
-def report_to_json_dict(report: FrobeniusReport) -> dict:
-    sample = report.sample
+def report_to_json_dict(sample: SampleResult) -> dict:
     freqs = sample.frequencies()
-
     return {
         "schema": "odoni-frobenius-v2",
         "d": sample.d,
         "level": sample.n,
-        "primes_requested": sample.requested,
+        "primes_requested": sample.used,
         "primes_used": sample.used,
         "primes_skipped": sample.skipped,
         "start": sample.start,
@@ -202,10 +212,10 @@ def report_to_json_dict(report: FrobeniusReport) -> dict:
             {"type": list(t), "frequency": _frac_str(f)} for t, f in freqs.items()
         ],
         "exact": [{"type": list(t), "frequency": _frac_str(f)} for t, f in sample.law.items()],
-        "tv_distance": _frac_str(report.tv),
+        "tv_distance": _frac_str(sample.tv),
         "realizable_ok": True,  # sample_distribution raises otherwise
-        "tolerance_enforced": report.enforced,
+        "tolerance_enforced": sample.enforced,
         "tolerance": _frac_str(TV_TOLERANCE),
-        "within_tolerance": report.within_tolerance,
+        "within_tolerance": sample.within_tolerance,
         "note": "statistical evidence only; certificate verdicts never depend on this",
     }

@@ -27,9 +27,6 @@ from typing import Iterator, Sequence
 # there, A_40 from 38 three-cycles, builds its chain and sifts all 780
 # transpositions in about 0.4 s (CPython 3.11); the cost grows about as d^4
 MAX_CLOSURE_DEGREE = 40
-# largest tree-group order whose law the Frobenius sampler and the pipeline
-# compare with, the reach of the enumeration oracle in the tests
-MAX_ENUMERATION = 10**5
 
 
 class Perm:

@@ -173,12 +173,20 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("effort", [EXHIBIT_EFFORT_CAP + 1, 10**30])
-    def test_effort_past_cap(self, params_d2, effort, capsys):
-        # refused before the witness search builds its sieve
-        argv = ["certify", "--params", params_d2, "--depth", "1", "--exhibit-effort", str(effort)]
-        assert cli.run(argv) == 2
-        err = capsys.readouterr().err
-        assert "resource cap" in err and "Traceback" not in err
+    def test_effort_past_cap(self, params_d2, effort, tmp_path, capsys):
+        # refused before the witness search builds its sieve, and before
+        # any relation is judged: p1 = 4 fails
+        # instance.witness_primes_prime, x0 = 7 condition1.v_p1_x0
+        doc = json.loads(Path(params_d2).read_text())
+        files = [params_d2] + [
+            write_params(tmp_path, {**doc, key: value}, f"{key}.json")
+            for key, value in (("p1", "4"), ("x0", "7"))
+        ]
+        for path in files:
+            argv = ["certify", "--params", path, "--depth", "1", "--exhibit-effort", str(effort)]
+            assert cli.run(argv) == 2, path
+            err = capsys.readouterr().err
+            assert err == f"resource cap: witness search bound {effort} is over the cap {EXHIBIT_EFFORT_CAP}\n"
 
     def test_pipeline_zero_primes(self, capsys):
         assert cli.run(["pipeline", "--degree", "2", "--primes", "0"]) == 2
@@ -652,6 +660,19 @@ class TestFrobeniusCommand:
         assert time.monotonic() - started < 1
         assert "enumerable cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("p1", "4"), ("x0", "7")])
+    def test_over_cap_primes_exit_before_the_relations(self, params_d2, tmp_path, key, value, capsys):
+        # a file that breaks a relation (p1 prime; x0 == s/t) meets the
+        # prime-count cap first, as a valid one does
+        doc = {**json.loads(Path(params_d2).read_text()), key: value}
+        path = write_params(tmp_path, doc)
+        assert cli.run(["frobenius", "--params", path, "--level", "1", "--primes", "5"]) == 1
+        capsys.readouterr()
+        assert cli.run(["frobenius", "--params", path, "--level", "1", "--primes", "700000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap: 700000 primes requested")
+        assert "check failed" not in err
+
     def test_degree_below_two_names_relation(self, tmp_path, capsys):
         # d = 1 has no tree group for the cap to decide on; the failed
         # relation is named, as for any instance outside the family
@@ -761,12 +782,56 @@ class TestPipelineCommand:
         report = json.loads(out.read_text())
         assert report["frobenius"]["skipped"] is True
 
-    def test_level_selection(self):
-        assert cli.pipeline_level(2, 3) == 2
-        assert cli.pipeline_level(3, 3) == 2
-        assert cli.pipeline_level(4, 3) == 1
-        assert cli.pipeline_level(7, 2) == 1
-        assert cli.pipeline_level(9, 2) is None
+    @pytest.mark.parametrize("degree, depth", [(4, 8), (2, 3), (9, 2)])
+    def test_over_cap_primes_refused_before_building(self, degree, depth, monkeypatch, capsys):
+        # the sampler's admission comes before construct and certify, and
+        # holds at d = 9 too, where no level is left to sample
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("built for a request over the cap")
+
+        monkeypatch.setattr(cli, "certify", unbuilt)
+        monkeypatch.setattr(cli.construct_mod, "build_params", unbuilt)
+        argv = ["pipeline", "--degree", str(degree), "--depth", str(depth), "--primes", "700000"]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "resource cap: 700000 primes requested, but only 664579 primes are below "
+            "scan cap 10000000\n"
+        )
+
+
+class TestEnforcedTolerance:
+    """A sample far from the law at an enforced shape fails the run: every
+    prime reports the identity's type (1, 1, 1, 1), which the law at
+    (2, 2) allows with mass 1/8, so the distance is 7/8."""
+
+    @pytest.fixture(autouse=True)
+    def identity_frobenius(self, monkeypatch):
+        frobenius_module = importlib.import_module("odoni.frobenius")
+        monkeypatch.setattr(frobenius_module, "cycle_type_mod_p", lambda target, p: (1, 1, 1, 1))
+
+    @staticmethod
+    def assert_failed(report, err):
+        assert report["tolerance_enforced"] is True
+        assert report["within_tolerance"] is False
+        assert report["tv_distance"] == "7/8"
+        assert "TV distance 7/8 exceeds the enforced tolerance 1/20" in err
+        assert "Traceback" not in err
+
+    def test_frobenius_exits_one(self, params_d2, tmp_path, capsys):
+        out = tmp_path / "stats.json"
+        argv = ["frobenius", "--params", params_d2, "--level", "2", "--primes", "2000"]
+        assert cli.run(argv + ["--out", str(out)]) == 1
+        self.assert_failed(json.loads(out.read_text()), capsys.readouterr().err)
+
+    def test_pipeline_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["pipeline", "--degree", "2", "--depth", "2", "--primes", "2000"]
+        assert cli.run(argv + ["--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["certificate"]["verdict"]["pass"] is True
+        assert report["pass"] is False
+        self.assert_failed(report["frobenius"], capsys.readouterr().err)
 
 
 class TestNewtonPolyFile:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -14,10 +15,11 @@ from odoni.construct import build_params
 from odoni.frobenius import (
     DEFAULT_SCAN_CAP,
     PRIMES_BELOW_SCAN_CAP,
+    TV_TOLERANCE,
     _bad_reduction_product,
     chebotarev_distance,
+    pipeline_level,
     report_to_json_dict,
-    run_frobenius,
     sample_distribution,
     tv_is_enforced,
 )
@@ -241,14 +243,45 @@ class TestChebotarevDistance:
         assert not tv_is_enforced(3, 2, 5000)
 
 
-class TestRunFrobenius:
+class TestSampleResult:
     def test_report_fields(self, golden_odd_3):
-        report = run_frobenius(golden_odd_3, 1, 300)
-        assert report.sample.used == 300
-        assert report.sample.law == leaf_type_distribution(3, 1)
-        assert report_to_json_dict(report)["realizable_ok"] is True
-        assert report.enforced is False  # below 2000 primes
-        assert report.within_tolerance is None
+        sample = sample_distribution(golden_odd_3, 1, 300)
+        assert sample.used == 300
+        assert sample.law == leaf_type_distribution(3, 1)
+        assert report_to_json_dict(sample)["realizable_ok"] is True
+        assert sample.tv == chebotarev_distance(sample.frequencies(), sample.law)
+        assert sample.enforced is False  # below 2000 primes
+        assert sample.within_tolerance is None
+
+    def test_enforced_shape_within_tolerance(self, golden_even_2):
+        sample = sample_distribution(golden_even_2, 2, 2000)
+        assert sample.enforced is True
+        assert sample.tv <= TV_TOLERANCE
+        assert sample.within_tolerance is True
+
+
+class TestAdmission:
+    def test_level_selection(self):
+        assert pipeline_level(2, 3, 2000) == 2
+        assert pipeline_level(3, 3, 2000) == 2
+        assert pipeline_level(4, 3, 2000) == 1
+        assert pipeline_level(7, 2, 2000) == 1
+        assert pipeline_level(9, 2, 2000) is None
+        assert pipeline_level(2, 0, 2000) is None
+
+    @pytest.mark.parametrize("d, depth", [(2, 3), (4, 3), (9, 2), (2, 0)])
+    def test_prime_count_capped_at_every_level(self, d, depth):
+        # whether or not a level is left to sample, the count is refused
+        with pytest.raises(CapExceededError, match=f"{PRIMES_BELOW_SCAN_CAP + 1} primes requested"):
+            pipeline_level(d, depth, PRIMES_BELOW_SCAN_CAP + 1)
+
+    def test_count_refused_before_the_relations(self, golden_even_2):
+        # an instance that breaks a structural relation still meets the
+        # cap first: the cap is an argument's, not the instance's
+        broken = dataclasses.replace(golden_even_2, p1=4)
+        assert broken.violated_relations()
+        with pytest.raises(CapExceededError, match="primes requested"):
+            sample_distribution(broken, 1, PRIMES_BELOW_SCAN_CAP + 1)
 
 
 class TestConvergence:
@@ -276,6 +309,6 @@ class TestGoldenFrobenius:
 
     @pytest.mark.parametrize("d, level, primes, start", sorted(HASHES))
     def test_json_hash(self, d, level, primes, start):
-        report = run_frobenius(build_params(d), level, primes, start=start)
-        text = json.dumps(report_to_json_dict(report), sort_keys=True, separators=(",", ":"))
+        sample = sample_distribution(build_params(d), level, primes, start=start)
+        text = json.dumps(report_to_json_dict(sample), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == self.HASHES[d, level, primes, start]

@@ -16,7 +16,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from odoni.permgroup import MAX_ENUMERATION, Perm
+from odoni.frobenius import MAX_ENUMERATION
+from odoni.permgroup import Perm
 from perm_helpers import cycle_type, identity as perm_identity
 
 
