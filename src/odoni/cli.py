@@ -7,10 +7,10 @@ input errors. JSON always goes to --out or stdout; human-readable
 progress and the --verbose check log go to stderr, so piped output
 stays parseable. Every resource cap that is hit raises
 ``arith.CapExceededError`` (a certify depth past the F_n bit cap, a
-discriminant past its bit budget, too few good primes below the scan
-cap, a prime search past its cap) and exits 2, not 1: it is not a
-failed relation. Nine caps are checked before the value they bound is
-built: a certify or pipeline depth past
+discriminant past its bit budget, too few primes or too few good
+primes in the scan window above --start, a prime search past its cap)
+and exits 2, not 1: it is not a failed relation. Ten caps are checked
+before the value they bound is built: a certify or pipeline depth past
 ``certify.deepest_depth_in_cap`` is a resource cap, as are a
 ``disc --params`` level whose bound in ``poly.disc_levels`` exceeds
 ``poly.DEFAULT_BIT_BUDGET`` (both bound the critical orbit's growth
@@ -21,7 +21,9 @@ b is bounded so before its structural check forms s^(d-1) (one bound,
 ``construct.even_denominator``), a trinomial discriminant whose bound
 ``poly.disc_trinomial_bits`` exceeds the budget (checked by
 ``poly.disc_trinomial`` itself), a frobenius or pipeline --primes
-above ``frobenius.PRIMES_BELOW_SCAN_CAP`` and an --exhibit-effort
+above ``frobenius.PRIMES_BELOW_SCAN_CAP`` or above the primes the scan
+window above --start holds (``frobenius.admit`` reads at most that
+many off the scan) and an --exhibit-effort
 above ``certify.EXHIBIT_EFFORT_CAP``; a group-check degree above
 ``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is a rational
 entry of more than ``arith.RATIONAL_BIT_CAP`` bits, estimated from
@@ -31,9 +33,10 @@ file's x0 and b) is read by ``arith._rationals``, a bare JSON integer
 in a params or poly file as its digit string. An iterate
 discriminant of a shape other than m = d-1 or m = d-2 is an input
 error, as is a non-finite number where a file needs an integer. The
-caps on arguments (depth, --exhibit-effort, --primes, the sampled
-level) are decided before the instance is judged, so an over-cap run
-exits 2 whatever its instance; pipeline decides --primes first of all.
+caps on arguments (depth, --exhibit-effort, --primes and its window,
+the sampled level) are decided before the instance is judged, so an
+over-cap run exits 2 whatever its instance; pipeline decides --primes
+and its window first of all.
 """
 
 from __future__ import annotations
@@ -244,9 +247,10 @@ def _tolerance_failed(sample: frobenius_mod.SampleResult) -> bool:
 
 
 def _cmd_pipeline(args) -> int:
-    # the sampler's admission comes first: an over-cap --primes is
-    # refused before anything is constructed or certified
-    level = frobenius_mod.pipeline_level(args.degree, args.depth, args.primes)
+    # the sampler's admission comes first: an over-cap --primes, or a
+    # window above --start too short for it, is refused before anything
+    # is constructed or certified
+    level = frobenius_mod.pipeline_level(args.degree, args.depth, args.primes, args.start)
     inst = construct_mod.build_params(args.degree, cap=args.cap)
     _log(f"constructed instance for degree {args.degree} ({inst.parity_case})")
     cert = certify(inst, depth=args.depth)

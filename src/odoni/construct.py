@@ -142,34 +142,6 @@ def _require(condition: bool, relation: str):
         raise ConstructError(f"construction postcondition failed: {relation}")
 
 
-def find_aux_prime_even(d: int, cap: int = DEFAULT_SEARCH_CAP) -> int:
-    """Smallest prime p with p = 1 (mod 4), p coprime to d(d-1), and
-    1-d a square mod p."""
-    if d < 2 or d % 2 != 0:
-        raise ValueError("find_aux_prime_even: d must be even and >= 2")
-    return next_prime_where(
-        2,
-        lambda q: (d * (d - 1)) % q != 0 and q % 4 == 1 and legendre(1 - d, q) == 1,
-        cap,
-    )
-
-
-def find_aux_prime_odd(d: int, which: int, cap: int = DEFAULT_SEARCH_CAP) -> int:
-    """Smallest prime p = 1 (mod 4), coprime to 2d(d-2), with the target
-    (d or d-2) a non-residue mod p; rejects a perfect-square target."""
-    if d < 3 or d % 2 == 0:
-        raise ValueError("find_aux_prime_odd: d must be odd and >= 3")
-    if which not in (d, d - 2):
-        raise ValueError("find_aux_prime_odd: target must be d or d-2")
-    if math.isqrt(which) ** 2 == which:
-        raise ValueError(f"find_aux_prime_odd: target {which} is a perfect square")
-    return next_prime_where(
-        2,
-        lambda q: (2 * d * (d - 2)) % q != 0 and q % 4 == 1 and legendre(which, q) == -1,
-        cap,
-    )
-
-
 def build_params_even(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
     """Even-degree construction; every tie broken smallest-first.
 
@@ -181,7 +153,12 @@ def build_params_even(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
     """
     if d < 2 or d % 2 != 0:
         raise ValueError("build_params_even: d must be even and >= 2")
-    p = find_aux_prime_even(d, cap)
+    # the unit-square prime: p = 1 (mod 4), clear of d(d-1), 1-d a square
+    p = next_prime_where(
+        2,
+        lambda q: (d * (d - 1)) % q != 0 and q % 4 == 1 and legendre(1 - d, q) == 1,
+        cap,
+    )
     s0 = 2
     while legendre(s0, p) != -1:
         s0 += 1
@@ -208,31 +185,30 @@ def build_params_even(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
 def build_params_odd(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
     """Odd-degree construction; case 1 (d a non-square) preferred.
 
-    Case 1: s = p1 is the unit-square prime with d a non-residue;
-    t = p2 is the smallest prime clear of 2d(d-2)s. Case 2 (d a perfect
-    square, hence d-2 is not): mirrored, with d-2 the non-residue at
-    p2 = t. Both cases set x0 = s/t and b = x0^2.
+    The unit-square prime p is the smallest p = 1 (mod 4) clear of
+    2d(d-2) with the target a non-residue: d in case 1, d-2 in case 2
+    (d a perfect square, hence d-2 is not). The other witness prime is
+    the smallest prime clear of 2d(d-2)p. Case 1 sets s = p1 = p and
+    t = p2 = the other; case 2 mirrors it, t = p2 = p and s = p1 = the
+    other. Both cases set x0 = s/t and b = x0^2.
     """
     if d < 3 or d % 2 == 0:
         raise ValueError("build_params_odd: d must be odd and >= 3")
-    if math.isqrt(d) ** 2 != d:
-        p1 = find_aux_prime_odd(d, d, cap)
-        s = p1
-        p2 = next_prime_where(2, lambda q: (2 * d * (d - 2) * s) % q != 0, cap)
-        t = p2
-        p = p1
-        case = ODD_CASE_1
-    else:
-        p2 = find_aux_prime_odd(d, d - 2, cap)
-        t = p2
-        p1 = next_prime_where(2, lambda q: (2 * d * (d - 2) * t) % q != 0, cap)
-        s = p1
-        p = p2
-        case = ODD_CASE_2
+    case_1 = math.isqrt(d) ** 2 != d
+    target = d if case_1 else d - 2
+    p = next_prime_where(
+        2,
+        lambda q: (2 * d * (d - 2)) % q != 0 and q % 4 == 1 and legendre(target, q) == -1,
+        cap,
+    )
+    other = next_prime_where(2, lambda q: (2 * d * (d - 2) * p) % q != 0, cap)
+    s, t = (p, other) if case_1 else (other, p)
+    p1, p2 = s, t
     x0 = Fraction(s, t)
     b = x0 * x0
     inst = IterInstance(
-        d=d, m=d - 2, s=s, t=t, x0=x0, b=b, p=p, p1=p1, p2=p2, parity_case=case
+        d=d, m=d - 2, s=s, t=t, x0=x0, b=b, p=p, p1=p1, p2=p2,
+        parity_case=ODD_CASE_1 if case_1 else ODD_CASE_2,
     )
     _require(val(x0, p1) == 1, "v_p1(x0) == 1")
     _require(val(b, p1) == 2, "v_p1(b) == 2")

@@ -21,12 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .arith import CapExceededError, primes_between
 from .construct import ConstructError, _frac_str
 from .permgroup import leaf_type_distribution, wreath_order_exceeds
-from .poly import disc_levels
+from .poly import disc_iterate
 from .polymod import cycle_type_mod_p, iterates_minus_x0
 
 DEFAULT_SCAN_START = 1000
@@ -49,14 +49,20 @@ class UnrealizableTypeError(RuntimeError):
 
 
 def _bad_reduction_product(inst, n: int) -> int:
-    """2*den(b)*den(x0) times num*den of each reduced disc(f^k - x0),
-    k <= n: a prime is of good reduction exactly when it does not divide
-    this product (a zero discriminant makes every prime bad)."""
-    out = 2 * inst.b.denominator * inst.x0.denominator
-    for num, den in itertools.islice(disc_levels(inst), n):
-        disc = Fraction(num, den)
-        out *= disc.numerator * disc.denominator
-    return out
+    """2*den(b)*den(x0) times num*den of the reduced disc(f^n - x0): a
+    prime is of good reduction exactly when it does not divide this
+    product (a zero discriminant makes every prime bad). Level n alone
+    decides: f^n - x0 is f^k - x0 composed with f^(n-k), so at a prime
+    away from 2*den(b)*den(x0) a repeated root of a lower level k mod p
+    makes a repeated root of level n."""
+    disc = disc_iterate(inst, n)
+    return 2 * inst.b.denominator * inst.x0.denominator * disc.numerator * disc.denominator
+
+
+def _scan(start: int) -> Iterator[int]:
+    """The primes the sampler scans: odd, above start, at most
+    ``DEFAULT_SCAN_CAP``."""
+    return primes_between(max(start + 1, 3), DEFAULT_SCAN_CAP)
 
 
 def _enumerable(d: int, n: int) -> bool:
@@ -64,12 +70,14 @@ def _enumerable(d: int, n: int) -> bool:
     return d < 2 or not wreath_order_exceeds(d, n, MAX_ENUMERATION)
 
 
-def admit(d: int, n: int, prime_count: int) -> None:
+def admit(d: int, n: int, prime_count: int, start: int) -> None:
     """The sampler's admission rule, decided before any instance is judged
-    or any law, discriminant or prime is computed: level n's tree group
-    must have order at most ``MAX_ENUMERATION`` (decided without building
-    it), then prime_count at most ``PRIMES_BELOW_SCAN_CAP``. Level 0's
-    tree group is trivial, so there only the count can fail."""
+    or any law or discriminant is computed: level n's tree group must
+    have order at most ``MAX_ENUMERATION`` (decided without building
+    it), then prime_count must be at most ``PRIMES_BELOW_SCAN_CAP``, and
+    then the scan window above start must hold prime_count primes,
+    counted by reading at most that many off the scan. Level 0's tree
+    group is trivial, so there only the count and the window can fail."""
     if not _enumerable(d, n):
         raise ValueError(
             f"sample_distribution: the depth-{n} tree group of degree {d} has "
@@ -80,16 +88,25 @@ def admit(d: int, n: int, prime_count: int) -> None:
             f"{prime_count} primes requested, but only {PRIMES_BELOW_SCAN_CAP} "
             f"primes are below scan cap {DEFAULT_SCAN_CAP}"
         )
+    in_window = sum(1 for _ in itertools.islice(_scan(start), max(prime_count, 0)))
+    if in_window < prime_count:
+        raise CapExceededError(
+            f"{prime_count} primes requested, but only {in_window} odd primes above "
+            f"{start} are below scan cap {DEFAULT_SCAN_CAP}"
+        )
 
 
-def pipeline_level(d: int, depth: int, prime_count: int) -> Optional[int]:
+def pipeline_level(
+    d: int, depth: int, prime_count: int, start: int = DEFAULT_SCAN_START
+) -> Optional[int]:
     """The level the pipeline samples: the deepest n <= min(depth,
     ``PIPELINE_MAX_LEVEL``) that ``admit`` takes, or None when none does
-    and the section is skipped (``skip_reason``). The prime count is
-    admitted either way, before the pipeline builds anything."""
+    and the section is skipped (``skip_reason``). The prime count and the
+    scan window above start are admitted either way, before the pipeline
+    builds anything."""
     levels = range(min(depth, PIPELINE_MAX_LEVEL), 0, -1)
     level = next((n for n in levels if _enumerable(d, n)), 0)
-    admit(d, level, prime_count)
+    admit(d, level, prime_count, start)
     return level or None
 
 
@@ -138,18 +155,19 @@ def sample_distribution(
     """Empirical leaf cycle-type distribution over the first prime_count
     good primes above the start bound and at most ``DEFAULT_SCAN_CAP``.
 
-    The level and the prime count pass ``admit`` first; then the
-    instance's structural relations must hold: samples of an instance
-    outside the constructed family say nothing. The exact law is then
-    built once and carried on the result, and every observed type is
-    membership-checked against its support, the reachable set; an
-    unrealizable type is a hard error. A prime_count that the window
-    above start cannot fill is refused when the scan ends.
+    The level, the prime count and the window above start pass
+    ``admit`` first; then the instance's structural relations must
+    hold: samples of an instance outside the constructed family say
+    nothing. The exact law is then built once and carried on the
+    result, and every observed type is membership-checked against its
+    support, the reachable set; an unrealizable type is a hard error. A
+    window with enough primes but too few good ones is refused when the
+    scan ends.
     """
     d = inst.d
     if n < 1:
         raise ValueError(f"sample_distribution: level must be >= 1, got {n}")
-    admit(d, n, prime_count)
+    admit(d, n, prime_count, start)
     violated = inst.violated_relations()
     if violated:
         raise ConstructError("instance.structural_invariants: " + "; ".join(violated))
@@ -160,7 +178,7 @@ def sample_distribution(
     target = next(itertools.islice(iterates_minus_x0(inst), n - 1, None))
     counts: dict[tuple[int, ...], int] = {}
     used = skipped = 0
-    for p in primes_between(max(start + 1, 3), DEFAULT_SCAN_CAP):
+    for p in _scan(start):
         if used >= prime_count:
             break
         if bad % p == 0:

@@ -204,7 +204,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            # no good prime below the sampler's scan cap
+            # no prime in the window above --start below the sampler's scan cap
             ["frobenius", "--params", "{params}", "--level", "1", "--primes", "10",
              "--start", "1000000000000"],
             # more primes than any window below the scan cap holds
@@ -660,6 +660,19 @@ class TestFrobeniusCommand:
         assert time.monotonic() - started < 1
         assert "enumerable cap" in capsys.readouterr().err
 
+    def test_short_window_refused_before_sampling(self, capsys):
+        # (5 * 10^6, 10^7] holds 316066 primes, fewer than 600000: counted,
+        # not sampled
+        argv = ["frobenius", "--params", str(INPUTS / "params_d2.json"), "--level", "2",
+                "--primes", "600000", "--start", "5000000"]
+        started = time.monotonic()
+        assert cli.run(argv) == 2
+        assert time.monotonic() - started < 1
+        assert capsys.readouterr().err == (
+            "resource cap: 600000 primes requested, but only 316066 odd primes above 5000000 "
+            "are below scan cap 10000000\n"
+        )
+
     @pytest.mark.parametrize("key, value", [("p1", "4"), ("x0", "7")])
     def test_over_cap_primes_exit_before_the_relations(self, params_d2, tmp_path, key, value, capsys):
         # a file that breaks a relation (p1 prime; x0 == s/t) meets the
@@ -797,6 +810,18 @@ class TestPipelineCommand:
         assert err == (
             "resource cap: 700000 primes requested, but only 664579 primes are below "
             "scan cap 10000000\n"
+        )
+
+
+    def test_window_past_the_cap_refused_before_building(self, capsys):
+        # the window (10^7, 10^7] holds no prime: refused with the count,
+        # before construct and certify
+        started = time.monotonic()
+        assert cli.run(["pipeline", "--degree", "4", "--depth", "8", "--start", "10000000"]) == 2
+        assert time.monotonic() - started < 1
+        assert capsys.readouterr().err == (
+            "resource cap: 2000 primes requested, but only 0 odd primes above 10000000 "
+            "are below scan cap 10000000\n"
         )
 
 

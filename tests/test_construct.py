@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -13,8 +14,6 @@ from odoni.construct import (
     build_params,
     build_params_even,
     build_params_odd,
-    find_aux_prime_even,
-    find_aux_prime_odd,
     instance_from_json_dict,
     instance_to_json_dict,
 )
@@ -22,24 +21,22 @@ from odoni.construct import (
 
 class TestAuxPrimes:
     def test_even_examples(self):
-        assert find_aux_prime_even(2) == 5
-        assert find_aux_prime_even(4) == 13
-        assert find_aux_prime_even(6) == 29
+        # the unit-square prime: p = 1 (mod 4), clear of d(d-1), 1-d a square
+        assert build_params_even(2).p == 5
+        assert build_params_even(4).p == 13
+        assert build_params_even(6).p == 29
 
     def test_odd_examples(self):
-        assert find_aux_prime_odd(3, 3) == 5
-        assert find_aux_prime_odd(9, 7) == 5
-        assert find_aux_prime_odd(5, 5) == 13
-
-    def test_square_target_rejected(self):
-        with pytest.raises(ValueError):
-            find_aux_prime_odd(9, 9)
+        # the unit-square prime, with d (case 1) or d-2 (case 2) a non-residue
+        assert build_params_odd(3).p1 == 5
+        assert build_params_odd(9).p2 == 5
+        assert build_params_odd(5).p1 == 13
 
     def test_parity_enforced(self):
         with pytest.raises(ValueError):
-            find_aux_prime_even(3)
+            build_params_even(3)
         with pytest.raises(ValueError):
-            find_aux_prime_odd(4, 4)
+            build_params_odd(4)
 
 
 class TestBuildEven:
@@ -157,6 +154,13 @@ class TestDeterminismAndJson:
         data = instance_to_json_dict(inst)
         assert len(data["b"].split("/")[1]) == 4766
         assert instance_from_json_dict(data) == inst
+
+    def test_golden_hash_degrees_two_to_39(self):
+        # every instance for d = 2..39, pinned byte for byte
+        text = json.dumps([instance_to_json_dict(build_params(d)) for d in range(2, 40)])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b4d31f2e2bc5c2cdd96f3fdb098b755c0c51495051c6a63b5dd7c77a7f7f3ae3"
+        )
 
     def test_dispatch(self):
         assert build_params(2).parity_case == "even"

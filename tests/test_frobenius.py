@@ -17,6 +17,7 @@ from odoni.frobenius import (
     PRIMES_BELOW_SCAN_CAP,
     TV_TOLERANCE,
     _bad_reduction_product,
+    admit,
     chebotarev_distance,
     pipeline_level,
     report_to_json_dict,
@@ -164,11 +165,24 @@ class TestSampleDistribution:
             sample_distribution(golden_odd_9, 1, 10)
 
     def test_scan_cap(self, golden_even_2, monkeypatch):
-        # (1000, 2000] holds 135 primes: too few for 200, found by scanning
+        # (1000, 2000] holds 135 primes: too few for 200, found by admission
         frobenius_module = importlib.import_module("odoni.frobenius")
         monkeypatch.setattr(frobenius_module, "DEFAULT_SCAN_CAP", 2000)
-        with pytest.raises(CapExceededError, match="good primes below scan cap 2000"):
+        with pytest.raises(
+            CapExceededError,
+            match="200 primes requested, but only 135 odd primes above 1000 are below scan cap 2000",
+        ):
             sample_distribution(golden_even_2, 2, 200)
+
+    def test_too_few_good_primes_refused_when_the_scan_ends(self, golden_even_2, monkeypatch):
+        # (1000, 2000] holds 135 primes, enough for 100; with all but the
+        # last 50 of them bad, the scan ends 50 good primes short
+        frobenius_module = importlib.import_module("odoni.frobenius")
+        monkeypatch.setattr(frobenius_module, "DEFAULT_SCAN_CAP", 2000)
+        bad = math.prod(primes_up_to(2000)[:-50])
+        monkeypatch.setattr(frobenius_module, "_bad_reduction_product", lambda inst, n: bad)
+        with pytest.raises(CapExceededError, match="only 50 good primes below scan cap 2000"):
+            sample_distribution(golden_even_2, 2, 100)
 
     def test_primes_below_scan_cap(self):
         assert len(primes_up_to(DEFAULT_SCAN_CAP)) == PRIMES_BELOW_SCAN_CAP
@@ -207,7 +221,9 @@ class TestCycleTypeAgainstOracle:
 
 
 class TestGoodReductionProduct:
-    @pytest.mark.parametrize("d, n", [(2, 2), (3, 1), (2, 3), (8, 1), (3, 2)])
+    # (2, 4), the deepest level the sampler admits: there the product of
+    # levels 1..n has 4038 bits and level n alone 2657, with the same primes
+    @pytest.mark.parametrize("d, n", [(2, 2), (3, 1), (2, 3), (8, 1), (3, 2), (2, 4)])
     def test_matches_per_level_valuations(self, d, n):
         # one product against the definition: p odd, p away from den(b)
         # and den(x0), and v_p(disc(f^k - x0)) = 0 at every level k <= n
@@ -271,9 +287,33 @@ class TestAdmission:
 
     @pytest.mark.parametrize("d, depth", [(2, 3), (4, 3), (9, 2), (2, 0)])
     def test_prime_count_capped_at_every_level(self, d, depth):
-        # whether or not a level is left to sample, the count is refused
+        # whether or not a level is left to sample, the count is refused,
+        # and so is a window above start too short for it
         with pytest.raises(CapExceededError, match=f"{PRIMES_BELOW_SCAN_CAP + 1} primes requested"):
             pipeline_level(d, depth, PRIMES_BELOW_SCAN_CAP + 1)
+        with pytest.raises(CapExceededError, match="10 primes requested, but only 0 odd primes"):
+            pipeline_level(d, depth, 10, DEFAULT_SCAN_CAP)
+
+    def test_short_window_refused_before_sampling(self, golden_even_2, monkeypatch):
+        # a window above start too short for the count is refused before
+        # the law, the discriminant or the target is built
+        frobenius_module = importlib.import_module("odoni.frobenius")
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("computed for a request the window cannot fill")
+
+        for name in ("leaf_type_distribution", "_bad_reduction_product", "iterates_minus_x0"):
+            monkeypatch.setattr(frobenius_module, name, unbuilt)
+        with pytest.raises(
+            CapExceededError,
+            match="10 primes requested, but only 0 odd primes above 10000000 are below scan cap",
+        ):
+            sample_distribution(golden_even_2, 2, 10, start=DEFAULT_SCAN_CAP)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_no_count_admitted_at_any_window(self, count):
+        # a count of at most 0 reads no prime and is never short
+        admit(2, 2, count, DEFAULT_SCAN_CAP)
 
     def test_count_refused_before_the_relations(self, golden_even_2):
         # an instance that breaks a structural relation still meets the
