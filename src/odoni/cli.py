@@ -21,10 +21,9 @@ b is bounded so before its structural check forms s^(d-1) (one bound,
 ``construct.even_denominator``), a trinomial discriminant whose bound
 ``poly.disc_trinomial_bits`` exceeds the budget (checked by
 ``poly.disc_trinomial`` itself), a frobenius or pipeline --primes
-above ``frobenius.PRIMES_BELOW_SCAN_CAP`` or above the primes the scan
-window above --start holds (``frobenius.admit`` reads at most that
-many off the scan) and an --exhibit-effort
-above ``certify.EXHIBIT_EFFORT_CAP``; a group-check degree above
+above ``frobenius.PRIMES_BELOW_SCAN_CAP`` or above the primes in its
+window above --start, and an --exhibit-effort above
+``certify.EXHIBIT_EFFORT_CAP``; a group-check degree above
 ``permgroup.MAX_CLOSURE_DEGREE`` is an input error, as is a rational
 entry of more than ``arith.RATIONAL_BIT_CAP`` bits, estimated from
 the literal's digits and exponent: every rational from outside

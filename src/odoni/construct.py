@@ -202,8 +202,7 @@ def build_params_odd(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:
         cap,
     )
     other = next_prime_where(2, lambda q: (2 * d * (d - 2) * p) % q != 0, cap)
-    s, t = (p, other) if case_1 else (other, p)
-    p1, p2 = s, t
+    s, t = p1, p2 = (p, other) if case_1 else (other, p)
     x0 = Fraction(s, t)
     b = x0 * x0
     inst = IterInstance(

@@ -74,10 +74,10 @@ def admit(d: int, n: int, prime_count: int, start: int) -> None:
     """The sampler's admission rule, decided before any instance is judged
     or any law or discriminant is computed: level n's tree group must
     have order at most ``MAX_ENUMERATION`` (decided without building
-    it), then prime_count must be at most ``PRIMES_BELOW_SCAN_CAP``, and
-    then the scan window above start must hold prime_count primes,
-    counted by reading at most that many off the scan. Level 0's tree
-    group is trivial, so there only the count and the window can fail."""
+    it), then prime_count must be at most ``PRIMES_BELOW_SCAN_CAP``, then
+    the window above start must hold that many primes, read off the
+    scan. Level 0's tree group is trivial and nothing is sampled there,
+    so only the count can fail."""
     if not _enumerable(d, n):
         raise ValueError(
             f"sample_distribution: the depth-{n} tree group of degree {d} has "
@@ -88,6 +88,8 @@ def admit(d: int, n: int, prime_count: int, start: int) -> None:
             f"{prime_count} primes requested, but only {PRIMES_BELOW_SCAN_CAP} "
             f"primes are below scan cap {DEFAULT_SCAN_CAP}"
         )
+    if n == 0:
+        return
     in_window = sum(1 for _ in itertools.islice(_scan(start), max(prime_count, 0)))
     if in_window < prime_count:
         raise CapExceededError(
@@ -101,9 +103,9 @@ def pipeline_level(
 ) -> Optional[int]:
     """The level the pipeline samples: the deepest n <= min(depth,
     ``PIPELINE_MAX_LEVEL``) that ``admit`` takes, or None when none does
-    and the section is skipped (``skip_reason``). The prime count and the
-    scan window above start are admitted either way, before the pipeline
-    builds anything."""
+    and the section is skipped (``skip_reason``). The prime count is
+    admitted either way, and the window above start at a sampled level,
+    before the pipeline builds anything."""
     levels = range(min(depth, PIPELINE_MAX_LEVEL), 0, -1)
     level = next((n for n in levels if _enumerable(d, n)), 0)
     admit(d, level, prime_count, start)

@@ -812,7 +812,6 @@ class TestPipelineCommand:
             "scan cap 10000000\n"
         )
 
-
     def test_window_past_the_cap_refused_before_building(self, capsys):
         # the window (10^7, 10^7] holds no prime: refused with the count,
         # before construct and certify

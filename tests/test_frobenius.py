@@ -287,12 +287,17 @@ class TestAdmission:
 
     @pytest.mark.parametrize("d, depth", [(2, 3), (4, 3), (9, 2), (2, 0)])
     def test_prime_count_capped_at_every_level(self, d, depth):
-        # whether or not a level is left to sample, the count is refused,
-        # and so is a window above start too short for it
+        # whether or not a level is left to sample, the count is refused
         with pytest.raises(CapExceededError, match=f"{PRIMES_BELOW_SCAN_CAP + 1} primes requested"):
             pipeline_level(d, depth, PRIMES_BELOW_SCAN_CAP + 1)
-        with pytest.raises(CapExceededError, match="10 primes requested, but only 0 odd primes"):
-            pipeline_level(d, depth, 10, DEFAULT_SCAN_CAP)
+
+    def test_window_read_only_at_a_sampled_level(self):
+        for d, depth in [(2, 3), (4, 3)]:
+            with pytest.raises(CapExceededError, match="10 primes requested, but only 0 odd primes"):
+                pipeline_level(d, depth, 10, DEFAULT_SCAN_CAP)
+        # a skipped section scans nothing, so its window is never read
+        assert pipeline_level(9, 2, 10, DEFAULT_SCAN_CAP) is None
+        assert pipeline_level(2, 0, 10, DEFAULT_SCAN_CAP) is None
 
     def test_short_window_refused_before_sampling(self, golden_even_2, monkeypatch):
         # a window above start too short for the count is refused before
