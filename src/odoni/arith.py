@@ -5,7 +5,8 @@ Theorem, primality testing, deterministic prime search, exact square
 tests, and one prime sieve: ``primes_between`` sieves the odd numbers
 of a range one fixed-size window at a time, so a caller that streams
 its primes holds one window whatever the bound. Everything is pure,
-exact, and reentrant: no floats, no randomness, and no global state.
+exact, and reentrant: no randomness and no global state, and no float
+but the one bound ``_entry_bits`` reads off a literal's digit count.
 
 The certifier holds its large integers as integral ``decimal.Decimal``
 values (C libmpdec, whose multiplication is a number-theoretic
@@ -68,6 +69,16 @@ _DECIMAL_LEAF_BITS = 128
 class CapExceededError(RuntimeError):
     """The work asked for is over a resource cap; hitting one proves
     nothing about the instance."""
+
+
+class RelationError(RuntimeError):
+    """A mathematical relation failed: a certificate's check, a
+    construction postcondition or a sampled cycle type, named by
+    ``check``."""
+
+    def __init__(self, check: str, detail: str):
+        super().__init__(f"{check}: {detail}")
+        self.check = check
 
 
 class _Infinity:
@@ -276,17 +287,13 @@ def bit_length(x: Number) -> int:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p, via Euler's criterion.
+    """Legendre symbol (a|p) for an odd prime p, the Jacobi symbol there.
 
     Returns 0 iff p | a, 1 for nonzero squares mod p, -1 otherwise.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"legendre: {p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    return _jacobi(a, p)
 
 
 def crt(pairs: list[tuple[int, int]]) -> int:

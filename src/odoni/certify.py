@@ -57,6 +57,7 @@ from .arith import (
     INFINITY,
     CapExceededError,
     Number,
+    RelationError,
     bit_length,
     is_prime,
     is_square,
@@ -82,15 +83,6 @@ EISENSTEIN_MAX_LEVEL = 3
 
 HYPOTHESES_FULL = "conditions-1-2-3"
 HYPOTHESES_LOW_DEGREE = "conditions-1-3"
-
-
-class CertifyError(RuntimeError):
-    """A relation of the F_n recursion failed; ``certify`` records it as
-    a failed check named ``check`` and never lets it out."""
-
-    def __init__(self, check: str, detail: str):
-        super().__init__(f"{check}: {detail}")
-        self.check = check
 
 
 @dataclass
@@ -252,7 +244,7 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
     x0_shift = inst.x0 ** (d - m)
     u, v = x0_shift.numerator, x0_shift.denominator
     if (t * c) ** d != inst.b.denominator**d:
-        raise CertifyError(
+        raise RelationError(
             "depth1.dual_path_Fn",
             f"t*c = {t * c} is not den(b) = {inst.b.denominator} (up to sign for "
             "even d), so the recursion cannot match direct evaluation",
@@ -290,7 +282,7 @@ def fn_sequence(inst: IterInstance, depth: int) -> Iterator[FnValue]:
             # (dtc)^(d^n) = scale cancelled
             agree = w * dec_v - dec_u * scale == f_rec * rhs_scale
         if not agree:
-            raise CertifyError(f"depth{n}.dual_path_Fn", "recursion and direct evaluation disagree")
+            raise RelationError(f"depth{n}.dual_path_Fn", "recursion and direct evaluation disagree")
         yield FnValue(n, e_n, m_n, f_rec)
 
 
@@ -462,8 +454,8 @@ def search_primes(inst: IterInstance, bound: int) -> Iterator[int]:
 
     The primes of 2 d (d-2) s t, ``inst.bad_product`` in the odd cases,
     are kept as they come. For any other p the symbol depends only on
-    p mod k = 4 d (d-2), so Euler's criterion is evaluated the first
-    time the stream meets a residue class, and remembered: at most
+    p mod k = 4 d (d-2), so ``legendre`` is evaluated the first time
+    the stream meets a residue class, and remembered: at most
     phi(k) times, since every prime of k divides the bad product.
     """
     primes = primes_between(2, bound)
@@ -482,7 +474,7 @@ def search_primes(inst: IterInstance, bound: int) -> Iterator[int]:
                 continue
             r = p % k
             if r not in square:
-                square[r] = pow(disc, (p - 1) // 2, p) == 1
+                square[r] = legendre(disc, p) == 1
             if square[r]:
                 yield p
 
@@ -780,7 +772,7 @@ def certify(
                 ]
                 if n in eisenstein:
                     checks.append(CheckResult(f"depth{n}.eisenstein_at_p1", eisenstein[n]))
-        except CertifyError as exc:
+        except RelationError as exc:
             checks.append(CheckResult(exc.check, False, str(exc)))
     return Certificate(inst, depth, cond1, cond2, structural, records, checks)
 

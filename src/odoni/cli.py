@@ -2,8 +2,9 @@
 frobenius, and pipeline subcommands with JSON input and output.
 
 Exit codes: 0 on success or a passing verdict, 1 when a verification
-check fails (the violated relation is named on stderr), 2 for usage or
-input errors. JSON always goes to --out or stdout; human-readable
+check fails (the violated relation is named on stderr; one that fails
+outside a verdict raises ``arith.RelationError``), 2 for usage or input
+errors. JSON always goes to --out or stdout; human-readable
 progress and the --verbose check log go to stderr, so piped output
 stays parseable. Every resource cap that is hit raises
 ``arith.CapExceededError`` (a certify depth past the F_n bit cap, a
@@ -48,7 +49,7 @@ from . import construct as construct_mod
 from . import frobenius as frobenius_mod
 from . import newton as newton_mod
 from . import permgroup
-from .arith import CapExceededError, _rationals
+from .arith import CapExceededError, RelationError, _rationals
 from .certify import (
     DEFAULT_DEPTH,
     EXHIBIT_EFFORT_CAP,
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="verify all hypotheses to a depth")
     p.add_argument("--params", required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
     p.add_argument("--full-values", action="store_true", help="inline huge integers")
     p.add_argument(
         "--exhibit-effort",
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="construct, certify, and sample in one run")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
     p.add_argument("--primes", type=_positive_int, default=2000)
     p.add_argument("--start", type=int, default=frobenius_mod.DEFAULT_SCAN_START)
     p.add_argument("--cap", type=int, default=10**6)
@@ -395,7 +396,7 @@ def run(argv: list[str] | None = None) -> int:
         # a cap bounds the work asked for; hitting it proves nothing
         _log(f"resource cap: {exc}")
         return EXIT_USAGE
-    except (construct_mod.ConstructError, frobenius_mod.UnrealizableTypeError) as exc:
+    except RelationError as exc:
         _log(f"check failed: {exc}")
         return EXIT_CHECK_FAILED
 

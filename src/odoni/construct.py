@@ -24,6 +24,7 @@ from fractions import Fraction
 from .arith import (
     DEFAULT_SEARCH_CAP,
     CapExceededError,
+    RelationError,
     _rationals,
     crt,
     decimal_str,
@@ -37,10 +38,6 @@ from .poly import DEFAULT_BIT_BUDGET
 EVEN_CASE = "even"
 ODD_CASE_1 = "odd-case-1"
 ODD_CASE_2 = "odd-case-2"
-
-
-class ConstructError(RuntimeError):
-    """A construction postcondition failed; the message names the relation."""
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ def even_denominator(d: int, s: int, t: int) -> int:
 
 def _require(condition: bool, relation: str):
     if not condition:
-        raise ConstructError(f"construction postcondition failed: {relation}")
+        raise RelationError("construct.postcondition", relation)
 
 
 def build_params_even(d: int, cap: int = DEFAULT_SEARCH_CAP) -> IterInstance:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .arith import CapExceededError, primes_between
-from .construct import ConstructError, _frac_str
+from .arith import CapExceededError, RelationError, primes_between
+from .construct import _frac_str
 from .permgroup import leaf_type_distribution, wreath_order_exceeds
 from .poly import disc_iterate
 from .polymod import cycle_type_mod_p, iterates_minus_x0
@@ -41,11 +41,6 @@ PIPELINE_MAX_LEVEL = 2
 TV_TOLERANCE = Fraction(1, 20)
 TV_ENFORCED_SHAPES = ((2, 2), (3, 1))
 MIN_ENFORCED_PRIMES = 2000
-
-
-class UnrealizableTypeError(RuntimeError):
-    """An observed cycle type with no preimage in the tree group; this
-    contradicts the wreath-tower embedding and is never a sampling fluke."""
 
 
 def _bad_reduction_product(inst, n: int) -> int:
@@ -162,7 +157,8 @@ def sample_distribution(
     hold: samples of an instance outside the constructed family say
     nothing. The exact law is then built once and carried on the
     result, and every observed type is membership-checked against its
-    support, the reachable set; an unrealizable type is a hard error. A
+    support, the reachable set; an unrealizable type fails the relation
+    ``frobenius.cycle_type_realizable`` (RelationError). A
     window with enough primes but too few good ones is refused when the
     scan ends.
     """
@@ -172,7 +168,7 @@ def sample_distribution(
     admit(d, n, prime_count, start)
     violated = inst.violated_relations()
     if violated:
-        raise ConstructError("instance.structural_invariants: " + "; ".join(violated))
+        raise RelationError("instance.structural_invariants", "; ".join(violated))
     law = leaf_type_distribution(d, n)
     bad = _bad_reduction_product(inst, n)
     # a good prime divides neither den(b) nor den(x0), so the leading
@@ -188,7 +184,8 @@ def sample_distribution(
             continue
         ctype = cycle_type_mod_p(target, p)
         if ctype not in law:
-            raise UnrealizableTypeError(
+            raise RelationError(
+                "frobenius.cycle_type_realizable",
                 f"cycle type {list(ctype)} at p={p} is not realizable in the "
                 f"depth-{n} tree group of degree {d}"
             )

@@ -186,12 +186,6 @@ def orbit(generators: Sequence[Perm], point: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def is_transitive(generators: Sequence[Perm]) -> bool:
-    if not generators:
-        return False
-    return len(orbit(generators, 0)) == generators[0].degree
-
-
 @dataclass(frozen=True)
 class GenSdVerdict:
     """Outcome of the S_d-generation check.
@@ -237,7 +231,9 @@ def gen_sd_check(
     chain = _StabilizerChain(d, [g.images for g in g_gens])
     group_order = chain.order()
     has_transposition = any(chain.contains(t) for t in _transpositions(d))
-    transitive = is_transitive(list(g_gens))
+    # the level-0 strong generators generate the group, and an empty
+    # chain is the trivial group
+    transitive = bool(chain.base) and len(chain.transversal[0]) == d
     h_in_g = all(chain.contains(h.images) for h in h_gens)
     tail = range(m, d)  # 0-based tail {m+1..d} in 1-based terms
     h_fixes_tail = all(all(h(i) == i for i in tail) for h in h_gens)

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from odoni.arith import INFINITY, Valuation, val
+from odoni.arith import INFINITY, RelationError, Valuation, val
 from odoni.certify import (
     EXHIBIT_PRIME_BOUND,
-    CertifyError,
     ExhibitReport,
     FnValue,
     factor_over,
@@ -28,7 +27,7 @@ def fn_sequence_oracle(inst, depth: int) -> Iterator[FnValue]:
     """F_n, M_n, e_n for n = 1..depth as ints, by the closed forms of
     ``fn_sequence`` in int arithmetic, each F_n checked against the int
     critical orbit by the same dual-path identity
-    W v - u S = F_n s^(d-m) v (CertifyError on a mismatch)."""
+    W v - u S = F_n s^(d-m) v (RelationError on a mismatch)."""
     d, m, s, t = inst.d, inst.m, inst.s, inst.t
     even = inst.parity_case == EVEN_CASE
     c = inst.big_d if even else t
@@ -36,7 +35,7 @@ def fn_sequence_oracle(inst, depth: int) -> Iterator[FnValue]:
     x0_shift = inst.x0 ** (d - m)
     u, v = x0_shift.numerator, x0_shift.denominator
     if (t * c) ** d != inst.b.denominator**d:
-        raise CertifyError("depth1.dual_path_Fn", "t*c is not den(b)")
+        raise RelationError("depth1.dual_path_Fn", "t*c is not den(b)")
     m_n, e_n = (-1 if even else 1), d
     for n, (w, scale) in zip(range(1, depth + 1), critical_orbit(inst)):
         if n > 1:
@@ -53,7 +52,7 @@ def fn_sequence_oracle(inst, depth: int) -> Iterator[FnValue]:
             sq_coeff = 4 ** ((d - 2) ** (n - 1)) * (d - 2) ** ((d - 2) ** n) * s ** (2 * e_n - 2)
             f_rec = sq_coeff * m_n * m_n - d ** (d**n) * t ** (2 * d**n - 2)
         if w * v - u * scale != f_rec * s_shift * v:
-            raise CertifyError(f"depth{n}.dual_path_Fn", "recursion and direct evaluation disagree")
+            raise RelationError(f"depth{n}.dual_path_Fn", "recursion and direct evaluation disagree")
         yield FnValue(n, e_n, m_n, f_rec)
 
 

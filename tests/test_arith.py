@@ -36,6 +36,7 @@ from odoni.arith import (
 from fn_helpers import compute_fn, fn_sequence_oracle
 from odoni.certify import EXHIBIT_EFFORT_CAP
 from odoni.construct import build_params
+from odoni.poly import DEFAULT_BIT_BUDGET
 from primality_oracle import seeded_miller_rabin
 from sieve_oracle import primes_up_to
 from trial_oracle import trial_factor
@@ -160,6 +161,24 @@ class TestLegendre:
             squares = {x * x % p for x in range(1, p)}
             for a in range(1, p):
                 assert legendre(a, p) == (1 if a in squares else -1)
+
+    def test_equals_euler_criterion(self):
+        # every residue, negative representatives included, at each odd
+        # prime below 2000; a window and a random sample above 10^6
+        for p in primes_between(3, 1999):
+            for a in range(-p, p):
+                assert legendre(a, p) == _euler_criterion(a, p), (a, p)
+        rng = random.Random(29)
+        for p in (1_000_003, 1_000_033, 2**31 - 1, 10**12 + 39):
+            assert is_prime(p)
+            for a in [*range(-300, 300), *(rng.randrange(-p, p) for _ in range(2000))]:
+                assert legendre(a, p) == _euler_criterion(a, p), (a, p)
+
+
+def _euler_criterion(a: int, p: int) -> int:
+    """(a|p) at an odd prime p as a^((p-1)/2) mod p, read as 0, 1 or -1."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 class TestCrt:
@@ -652,15 +671,17 @@ def unguarded_str():
 def _decimal_str_inputs():
     """0, +-1, +-(2^k +- 1) around the leaf and direct-str cut-offs,
     powers of ten (no exponent notation), and random values from 10^3
-    to 2*10^6 bits."""
+    bits to exactly 2^20 bits, ``poly.DEFAULT_BIT_BUDGET``: the budget
+    bounds every value a JSON writer formats (``disc --params`` levels,
+    ``disc --trinomial`` values, even-d b), and str() is quadratic
+    before CPython 3.12, so the largest size dominates."""
     values = [0, 1, -1]
     for k in (127, 128, 129, 2047, 2048, 2049):
         values += [2**k + 1, 2**k - 1, -(2**k + 1), -(2**k - 1)]
     for k in (616, 617, 618, 5000, 40000):
         values += [10**k, 7 * 10**k]
-    # str() is quadratic before CPython 3.12, so the largest size dominates
     rng = random.Random(5)
-    for bits in (1000, 10**4, 10**5, 10**6, 2 * 10**6):
+    for bits in (1000, 10**4, 10**5, DEFAULT_BIT_BUDGET):
         values.append(rng.getrandbits(bits) | 1 << (bits - 1))
     return values
 

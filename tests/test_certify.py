@@ -28,6 +28,7 @@ from odoni.arith import (
     EXACT,
     INFINITY,
     CapExceededError,
+    RelationError,
     decimal_str,
     is_prime,
     legendre,
@@ -39,7 +40,6 @@ from odoni.certify import (
     EISENSTEIN_MAX_LEVEL,
     EXHIBIT_EFFORT_CAP,
     EXHIBIT_PRIME_BOUND,
-    CertifyError,
     FnValue,
     _eisenstein_levels,
     certificate_to_json_dict,
@@ -142,7 +142,7 @@ class TestDualPath:
     def test_broken_instance_raises(self, golden_even_2):
         # b inconsistent with (s, t) breaks the recursion/direct agreement
         broken = replace(golden_even_2, b=golden_even_2.b + 1)
-        with pytest.raises(CertifyError, match="dual_path"):
+        with pytest.raises(RelationError, match="dual_path"):
             list(fn_sequence(broken, 1))
 
     @pytest.mark.parametrize("d", [2, 4])
@@ -487,9 +487,9 @@ class TestNonsquare:
         # critical orbit, so the dual-path check rejects the instance
         assert compute_fn(golden_even_2, 1).M_n == -1
         assert compute_fn(golden_odd_3, 1).M_n == 1
-        with pytest.raises(CertifyError, match="dual_path"):
+        with pytest.raises(RelationError, match="dual_path"):
             list(fn_sequence(replace(golden_odd_3, parity_case="even"), 1))
-        with pytest.raises(CertifyError, match="dual_path"):
+        with pytest.raises(RelationError, match="dual_path"):
             list(fn_sequence(replace(golden_even_2, parity_case="odd-case-1"), 1))
 
 
@@ -1124,7 +1124,7 @@ class TestDecimalClosedForms:
             for inst in (golden_even_4, golden_odd_5):
                 try:
                     list(mutant(inst, 3))
-                except CertifyError as exc:
+                except RelationError as exc:
                     failures.append(str(exc))
             assert failures, text
             assert all(re.match(r"depth[1-3]\.dual_path_Fn: ", f) for f in failures), text

@@ -188,6 +188,13 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err == f"resource cap: witness search bound {effort} is over the cap {EXHIBIT_EFFORT_CAP}\n"
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_pipeline_depth_refused_before_building(self, depth, capsys):
+        assert cli.run(["pipeline", "--degree", "2", "--depth", depth]) == 2
+        err = capsys.readouterr().err
+        assert "must be a positive integer" in err
+        assert "constructed instance" not in err
+
     def test_pipeline_zero_primes(self, capsys):
         assert cli.run(["pipeline", "--degree", "2", "--primes", "0"]) == 2
         assert "Traceback" not in capsys.readouterr().err
@@ -694,6 +701,23 @@ class TestFrobeniusCommand:
         path = write_params(tmp_path, data)
         assert cli.run(["frobenius", "--params", path, "--level", "1", "--primes", "5"]) == 1
         assert "instance.structural_invariants: d >= 2" in capsys.readouterr().err
+
+    def test_unrealizable_type_names_relation(self, params_d2, monkeypatch, capsys):
+        # a law without the identity's type (1, 1, 1, 1), whose mass at
+        # (2, 2) is 1/8, so the sample meets it
+        frobenius_module = importlib.import_module("odoni.frobenius")
+        real = frobenius_module.leaf_type_distribution
+
+        def without_identity(d, n):
+            return {t: f for t, f in real(d, n).items() if t != (1,) * d**n}
+
+        monkeypatch.setattr(frobenius_module, "leaf_type_distribution", without_identity)
+        argv = ["frobenius", "--params", params_d2, "--level", "2", "--primes", "2000"]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("check failed: frobenius.cycle_type_realizable: cycle type [1, 1, 1, 1]")
+        assert "Traceback" not in captured.err
 
     def test_degenerate_instance_names_relation(self, tmp_path, capsys):
         # b = 0 breaks b == x0^2; sampling such an instance proves nothing

@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from odoni.arith import CapExceededError, legendre, val
+from odoni.arith import CapExceededError, RelationError, legendre, val
 from odoni.construct import (
-    ConstructError,
     IterInstance,
     build_params,
     build_params_even,
@@ -173,5 +172,6 @@ class TestInstanceInvariantsMessage:
     def test_failure_names_the_violated_relations(self, d, monkeypatch):
         # each build decides the relations once, through violated_relations
         monkeypatch.setattr(IterInstance, "violated_relations", lambda self: ["first", "second"])
-        with pytest.raises(ConstructError, match="instance invariants: first; second$"):
+        with pytest.raises(RelationError, match="instance invariants: first; second$") as info:
             build_params(d)
+        assert info.value.check == "construct.postcondition"

@@ -4,6 +4,7 @@ package relatively, and never a test-suite module. Nor does it carry a
 top-level function or class that only the tests call."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -59,6 +60,20 @@ def test_package_root_exports():
     namespace = {}
     exec("from odoni import *", namespace)
     assert all(callable(namespace[name]) for name in odoni.__all__)
+
+
+def test_two_exception_classes():
+    # a hit cap and a failed relation: the CLI maps each to one exit code
+    defined = set()
+    for path in SOURCES:
+        module = importlib.import_module(f"odoni.{path.stem}".removesuffix(".__init__"))
+        defined |= {
+            f"{path.stem}.{name}"
+            for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        }
+    assert defined == {"arith.CapExceededError", "arith.RelationError"}
 
 
 def _definitions(tree: ast.Module) -> Iterator[str]:

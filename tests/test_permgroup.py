@@ -12,7 +12,6 @@ from odoni.permgroup import (
     Perm,
     _StabilizerChain,
     gen_sd_check,
-    is_transitive,
     leaf_type_distribution,
     wreath_order_exceeds,
 )
@@ -273,6 +272,16 @@ class TestChainAgainstClosure:
         assert verdict.hypotheses["g_contains_transposition"] is transposition
         assert not verdict.conclusion_holds
         assert verdict_fields(verdict) == reference_verdict(8, 5, g_gens, h_gens)
+
+    @pytest.mark.parametrize("d, m, count", [(3, 2, 1), (5, 3, 2), (8, 5, 3)])
+    def test_identity_generators_leave_the_chain_empty(self, d, m, count):
+        # g_transitive is read off the chain's first orbit, and an empty
+        # chain has none: the trivial group is not transitive
+        g_gens = [identity(d)] * count
+        assert _StabilizerChain(d, [g.images for g in g_gens]).base == []
+        verdict = gen_sd_check(d, m, g_gens, [])
+        assert verdict.hypotheses["g_transitive"] is False
+        assert verdict_fields(verdict) == reference_verdict(d, m, g_gens, [])
 
     @pytest.mark.parametrize("d", [9, 10, 30])
     def test_symmetric_and_alternating_past_the_oracle(self, d):
